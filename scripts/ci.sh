@@ -5,7 +5,10 @@
 #                            whose output is schema-validated
 #   scripts/ci.sh sanitize   ASan+UBSan build + ctest (the batch runner
 #                            introduces host threads; sanitizers gate races
-#                            and UB in the concurrent path)
+#                            and UB in the concurrent path). Task fibers
+#                            announce their stack switches to ASan, so
+#                            use-after-return detection is on everywhere
+#                            but the rollback tests
 #   scripts/ci.sh chaos      fault-injection gauntlet: the full app suite
 #                            under --faults at two seeds with the coherence
 #                            checker on; results must be bit-identical to
@@ -34,12 +37,13 @@
 #   scripts/ci.sh simthreads bit-identity matrix for the windowed PDES mode:
 #                            determinism suite + PDES unit tests, then
 #                            bench_table3 fault-free and under chaos at
-#                            --sim-threads={1,4} — JSON results must be
-#                            byte-identical across thread counts
-#   scripts/ci.sh tsan       TSan build of the worker-crew path: the PDES
-#                            partition/merge tests run with real threads on
-#                            plain callables (no ucontext fibers — TSan
-#                            cannot track fiber stack switches)
+#                            --sim-threads={1,4}, plus a 256-node chaos +
+#                            crash leg (lazy per-link state) — JSON results
+#                            must be byte-identical across thread counts
+#   scripts/ci.sh tsan       TSan build; the fiber suites (tasks,
+#                            determinism, PDES partitions, scale, crash
+#                            recovery) run on 4 real engine workers. Task
+#                            fibers announce every stack switch to TSan
 # Extra cmake args may follow the job name.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -73,11 +77,15 @@ case "$job" in
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
       "$@"
     cmake --build build-asan -j "$jobs"
-    # Fiber context switches (swapcontext) confuse ASan's stack bookkeeping
-    # unless it is told about them; detect_stack_use_after_return stays off
-    # for the same reason.
+    # Rollback tests run without use-after-return detection: it moves frames
+    # with addressable locals to ASan's heap-side fake stack, outside the
+    # fiber-stack bytes a checkpoint copies, so a restored fiber would point
+    # at recycled fake frames. Everything else runs with it on.
+    rollback='^(CrashRecovery|TaskRollback)\.'
+    ASAN_OPTIONS="detect_stack_use_after_return=1" \
+      ctest --test-dir build-asan --output-on-failure -j "$jobs" -E "$rollback"
     ASAN_OPTIONS="detect_stack_use_after_return=0" \
-      ctest --test-dir build-asan --output-on-failure -j "$jobs"
+      ctest --test-dir build-asan --output-on-failure -j "$jobs" -R "$rollback"
     ;;
   chaos)
     cmake -B build -S . "$@"
@@ -288,22 +296,36 @@ case "$job" in
     }
     python3 scripts/check_chaos.py results/simthreads_st1.json \
       results/simthreads_chaos_st1.json results/simthreads_chaos_st4.json
+    # 256 nodes: above the flat threshold the fault injector and channel
+    # keep lazy per-link state, written from every partition's worker. A
+    # chaos + crash run must still replay byte-identically.
+    for st in 1 4; do
+      FGDSM_HOST_CORES=4 build/bench/bench_table3 --nodes=256 --app=jacobi \
+        --scale=0.02 --sim-threads="$st" --check-coherence \
+        --faults="drop=0.01,dup=0.002,delay=0.05,crash=7@15000000,seed=1" \
+        --checkpoint-every=4 --json="results/simthreads_n256_st$st.json"
+    done
+    cmp results/simthreads_n256_st1.json results/simthreads_n256_st4.json || {
+      echo "simthreads: 256-node chaos + crash results differ across" \
+        "--sim-threads" >&2
+      exit 1
+    }
     echo "simthreads: results byte-identical at --sim-threads={1,4}"
     ;;
   tsan)
-    # ThreadSanitizer over the worker crew + outbox merge. Only the PDES
-    # partition tests run: they exercise the full windowed machinery
-    # (barrier, cross-partition merge, budget) with plain callables. The
-    # fiber-based suites stay out — TSan cannot follow ucontext stack
-    # switches and reports false positives on every fiber hand-off.
+    # ThreadSanitizer over the worker crew, the outbox merge and the task
+    # fibers (src/sim/task.cc announces every stack switch), with 4 engine
+    # workers granted whatever the runner's core count. Any report fails
+    # the run (TSan exits non-zero).
     cmake -B build-tsan -S . \
       -DCMAKE_BUILD_TYPE=RelWithDebInfo \
       -DCMAKE_CXX_FLAGS="-fsanitize=thread -fno-sanitize-recover=all" \
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
       "$@"
-    cmake --build build-tsan -j "$jobs" --target pdes_partition_test
-    FGDSM_HOST_CORES=8 ctest --test-dir build-tsan --output-on-failure \
-      -R "PartitionMerge"
+    cmake --build build-tsan -j "$jobs"
+    for t in sim_task determinism pdes_partition scale crash_recovery; do
+      FGDSM_HOST_CORES=4 "build-tsan/tests/${t}_test"
+    done
     ;;
   *)
     echo "unknown job '$job' (expected: verify | sanitize | chaos | crash |" \

@@ -62,14 +62,15 @@
 // to workers, and all cross-partition effects flow through the outbox merge
 // at the window barrier, which is also the only cross-thread happens-before
 // edge the simulation needs. The thread-affine pieces are per host thread
-// (the fiber hand-off slot in task.cc, the drain context below, InlineFn's
-// diagnostic boxed counter). Host-level sizing (how many workers actually
-// spawn) comes from the process-wide sim::HostBudget so batch-level and
-// sim-level parallelism share one core budget; the grant affects wall time
-// only, never results. Any number of independent simulations may still run
-// concurrently on separate host threads (exec::BatchRunner), bit-identical
-// to running them serially. A single Engine must never be entered from two
-// threads at once — only its own run() may fan out.
+// (the drain context below, InlineFn's diagnostic boxed counter, and the
+// portable fallback's fiber-entry slot in task.cc). Host-level sizing (how
+// many workers actually spawn) comes from the process-wide sim::HostBudget
+// so batch-level and sim-level parallelism share one core budget; the grant
+// affects wall time only, never results. Any number of independent
+// simulations may still run concurrently on separate host threads
+// (exec::BatchRunner), bit-identical to running them serially. A single
+// Engine must never be entered from two threads at once — only its own
+// run() may fan out.
 #pragma once
 
 #include <cstdint>

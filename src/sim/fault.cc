@@ -124,6 +124,8 @@ FaultInjector::FaultInjector(const FaultConfig& cfg, int nnodes,
   if (nnodes <= kFlatLinkNodes)
     link_count_.resize(static_cast<std::size_t>(nnodes) *
                        static_cast<std::size_t>(nnodes));
+  else
+    link_sparse_.resize(static_cast<std::size_t>(nnodes));
   FGDSM_ASSERT_MSG(window_ > 0, "fault delay window must be positive");
 }
 
@@ -150,10 +152,7 @@ bool FaultInjector::crash_at_barrier(int node, std::uint64_t epoch) const {
 }
 
 FaultInjector::Decision FaultInjector::decide(int src, int dst) {
-  const std::size_t link = static_cast<std::size_t>(src) *
-                               static_cast<std::size_t>(nnodes_) +
-                           static_cast<std::size_t>(dst);
-  const std::uint64_t n = link_counter(link)++;
+  const std::uint64_t n = link_counter(src, dst)++;
   Decision d;
   util::NodeStats* st =
       static_cast<std::size_t>(src) < stats_.size() ? stats_[src] : nullptr;

@@ -103,14 +103,19 @@ class FaultInjector {
 
   // Per-link message index. At paper scale (<= kFlatLinkNodes) a flat
   // nnodes^2 vector — the historical layout, untouched. Above that the
-  // counters live in a hash map keyed src*nnodes+dst and materialize on a
-  // link's first wire crossing, so an idle link costs nothing (a 1024-node
-  // cluster would otherwise hold ~1M counters up front). The hash() draw is
-  // keyed on (seed, link, index) either way, so fault sequences are
-  // bit-identical across layouts.
-  std::uint64_t& link_counter(std::size_t link) {
-    if (!link_count_.empty()) return link_count_[link];
-    return link_sparse_[link];  // value-initialized to 0 on first use
+  // counters live in one hash map per source node, keyed by destination,
+  // and materialize on a link's first wire crossing, so an idle link costs
+  // nothing (a 1024-node cluster would otherwise hold ~1M counters up
+  // front). decide() always runs in the source node's event partition, so
+  // under --sim-threads each map is only ever touched by one worker. The
+  // hash() draw is keyed on (seed, link, index) either way, so fault
+  // sequences are bit-identical across layouts.
+  std::uint64_t& link_counter(int src, int dst) {
+    const auto s = static_cast<std::size_t>(src);
+    if (!link_count_.empty())
+      return link_count_[s * static_cast<std::size_t>(nnodes_) +
+                         static_cast<std::size_t>(dst)];
+    return link_sparse_[s][dst];  // value-initialized to 0 on first use
   }
 
   // Node-count threshold for the flat vs lazy counter layout.
@@ -120,7 +125,7 @@ class FaultInjector {
   int nnodes_;
   Time window_;
   std::vector<std::uint64_t> link_count_;  // flat layout (small clusters)
-  std::unordered_map<std::uint64_t, std::uint64_t> link_sparse_;  // lazy
+  std::vector<std::unordered_map<int, std::uint64_t>> link_sparse_;  // per src
   std::vector<util::NodeStats*> stats_;
 };
 

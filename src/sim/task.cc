@@ -1,41 +1,237 @@
 #include "src/sim/task.h"
 
-#include <algorithm>
+#include <sys/mman.h>
+#include <unistd.h>
+
+#include <cerrno>
 #include <cstdint>
+#include <cstring>
+#include <stdexcept>
 #include <utility>
 
 #include "src/util/assert.h"
 
+#if defined(__SANITIZE_ADDRESS__)
+#define FGDSM_ASAN_FIBERS 1
+#endif
+#if defined(__SANITIZE_THREAD__)
+#define FGDSM_TSAN_FIBERS 1
+#endif
+#if defined(__has_feature)
+#if __has_feature(address_sanitizer)
+#define FGDSM_ASAN_FIBERS 1
+#endif
+#if __has_feature(thread_sanitizer)
+#define FGDSM_TSAN_FIBERS 1
+#endif
+#endif
+#if defined(FGDSM_ASAN_FIBERS)
+#include <sanitizer/asan_interface.h>
+#endif
+#if defined(FGDSM_TSAN_FIBERS)
+#include <sanitizer/tsan_interface.h>
+#endif
+#if !defined(__x86_64__)
+#include <ucontext.h>
+
+#include <new>
+#endif
+
 namespace fgdsm::sim {
 
 namespace {
-// Hand-off slot for fiber entry: makecontext cannot portably pass pointers.
-// The slot is per host thread (thread_local), which makes it per WORKER in a
-// windowed run: the engine statically pins each partition — and so each of
-// its tasks — to one worker thread, so a fiber always enters and leaves on
-// the thread whose slot carried it. Independent simulations on other threads
-// (exec::BatchRunner) get their own slots the same way.
-thread_local Task* g_entering_task = nullptr;
 constexpr std::size_t kStackBytes = 512 * 1024;
+
+// ASan poisons redzones around stack locals and does not see the frames a
+// fiber abandons, so stack bytes are unpoisoned before they are reused for a
+// new entry frame or copied in either direction by snapshot()/restore().
+void unpoison(const void* p, std::size_t n) {
+#if defined(FGDSM_ASAN_FIBERS)
+  __asan_unpoison_memory_region(p, n);
+#else
+  (void)p;
+  (void)n;
+#endif
+}
 }  // namespace
+
+#if defined(__x86_64__)
+
+// fgdsm_fiber_switch(save, load): push the state a call must preserve under
+// the SysV ABI — rbx, rbp, r12-r15, MXCSR and the x87 control word — store
+// the stack pointer to *save, adopt `load` as the stack pointer and pop the
+// same state from it. Every other register is dead across a call, so that
+// is the whole context, and no system call is involved.
+//
+// A new fiber starts in fgdsm_fiber_entry through a hand-built first frame
+// (build_entry_frame): r12 holds the Task*, r13 the function it calls.
+extern "C" void fgdsm_fiber_switch(void** save_sp, void* load_sp);
+extern "C" void fgdsm_fiber_entry();
+asm(R"(
+  .pushsection .text
+  .globl fgdsm_fiber_switch
+  .hidden fgdsm_fiber_switch
+  .type fgdsm_fiber_switch, @function
+  .p2align 4
+fgdsm_fiber_switch:
+  pushq %rbp
+  pushq %rbx
+  pushq %r12
+  pushq %r13
+  pushq %r14
+  pushq %r15
+  subq $8, %rsp
+  stmxcsr (%rsp)
+  fnstcw 4(%rsp)
+  movq %rsp, (%rdi)
+  movq %rsi, %rsp
+  ldmxcsr (%rsp)
+  fldcw 4(%rsp)
+  addq $8, %rsp
+  popq %r15
+  popq %r14
+  popq %r13
+  popq %r12
+  popq %rbx
+  popq %rbp
+  ret
+  .size fgdsm_fiber_switch, .-fgdsm_fiber_switch
+
+  .globl fgdsm_fiber_entry
+  .hidden fgdsm_fiber_entry
+  .type fgdsm_fiber_entry, @function
+  .p2align 4
+fgdsm_fiber_entry:
+  .cfi_startproc
+  .cfi_undefined rip
+  movq %r12, %rdi
+  callq *%r13
+  ud2
+  .cfi_endproc
+  .size fgdsm_fiber_entry, .-fgdsm_fiber_entry
+  .popsection
+)");
+
+namespace {
+// Everything a suspended fiber still needs lies at or above its saved stack
+// pointer: the switch pushed its registers there, the callers' frames sit
+// above them, and a caller of the switch is not a leaf, so it keeps nothing
+// in the red zone below.
+constexpr std::size_t kBelowSavedSp = 0;
+
+void fiber_switch(void** save_sp, void* load_sp) {
+  fgdsm_fiber_switch(save_sp, load_sp);
+}
+
+// The frame fgdsm_fiber_switch pops on a fiber's first entry, laid out from
+// the saved stack pointer up: FP control words, r15, r14, r13 = fn,
+// r12 = task, rbx, rbp = 0 (ends the frame-pointer chain), the return into
+// fgdsm_fiber_entry, and 16 bytes of padding to the stack top, so the
+// entry's call leaves fn a 16-byte aligned frame as the ABI requires.
+void* build_entry_frame([[maybe_unused]] char* base, char* top, Task* task,
+                        void (*fn)(Task*)) {
+  std::uint32_t mxcsr = 0;
+  std::uint16_t fpcw = 0;
+  asm volatile("stmxcsr %0" : "=m"(mxcsr));
+  asm volatile("fnstcw %0" : "=m"(fpcw));
+  auto* f = reinterpret_cast<std::uint64_t*>(top) - 10;
+  f[0] = mxcsr | static_cast<std::uint64_t>(fpcw) << 32;
+  f[1] = f[2] = 0;
+  f[3] = reinterpret_cast<std::uint64_t>(fn);
+  f[4] = reinterpret_cast<std::uint64_t>(task);
+  f[5] = f[6] = 0;
+  f[7] = reinterpret_cast<std::uint64_t>(&fgdsm_fiber_entry);
+  f[8] = f[9] = 0;
+  return f;
+}
+}  // namespace
+
+#else  // portable fallback: glibc swapcontext
+
+namespace {
+// The suspended side's ucontext_t lives in its own fiber_switch frame, and
+// the "saved stack pointer" is its address. swapcontext's real stack
+// pointer is a little lower, inside that frame, so a snapshot keeps a
+// margin below the ucontext as well.
+constexpr std::size_t kBelowSavedSp = 256;
+
+void fiber_switch(void** save_sp, void* load_sp) {
+  ucontext_t here;
+  *save_sp = &here;
+  swapcontext(&here, static_cast<ucontext_t*>(load_sp));
+}
+
+// makecontext cannot portably pass pointers, so the entry arguments travel
+// in a per-thread slot: the fiber is entered right after the frame is built,
+// on the same thread.
+thread_local Task* g_entry_task = nullptr;
+thread_local void (*g_entry_fn)(Task*) = nullptr;
+
+void fiber_entry() { g_entry_fn(g_entry_task); }
+
+// The new fiber's ucontext_t sits at the top of its stack; the stack proper
+// is everything below it.
+void* build_entry_frame(char* base, char* top, Task* task,
+                        void (*fn)(Task*)) {
+  const auto at = (reinterpret_cast<std::uintptr_t>(top) -
+                   sizeof(ucontext_t)) & ~std::uintptr_t{15};
+  auto* uc = new (reinterpret_cast<void*>(at)) ucontext_t{};
+  getcontext(uc);
+  uc->uc_stack.ss_sp = base;
+  uc->uc_stack.ss_size = static_cast<std::size_t>(
+      reinterpret_cast<char*>(uc) - base);
+  uc->uc_link = nullptr;
+  makecontext(uc, &fiber_entry, 0);
+  g_entry_task = task;
+  g_entry_fn = fn;
+  return uc;
+}
+}  // namespace
+
+#endif
+
+Task::Stack::Stack(const std::string& owner) {
+  const auto page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  map_bytes_ = page + kStackBytes;
+  void* m = mmap(nullptr, map_bytes_, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1,
+                 0);
+  if (m == MAP_FAILED)
+    throw std::runtime_error("task " + owner + ": mmap of its " +
+                             std::to_string(map_bytes_) +
+                             "-byte stack failed: " + std::strerror(errno));
+  if (mprotect(m, page, PROT_NONE) != 0) {
+    const int err = errno;
+    munmap(m, map_bytes_);
+    throw std::runtime_error("task " + owner +
+                             ": mprotect of its stack guard page failed: " +
+                             std::strerror(err));
+  }
+  map_ = m;
+  base_ = static_cast<char*>(m) + page;
+  top_ = base_ + kStackBytes;
+}
+
+Task::Stack::~Stack() { munmap(map_, map_bytes_); }
 
 Task::Task(Engine& engine, std::string name, TaskFn body)
     : engine_(engine),
       name_(std::move(name)),
       body_(std::move(body)),
-      stack_(kStackBytes) {
+      stack_(name_) {
+#if defined(FGDSM_TSAN_FIBERS)
+  san_.tsan_fiber = __tsan_create_fiber(0);
+  __tsan_set_fiber_name(san_.tsan_fiber, name_.c_str());
+#endif
   engine_.register_task(this);
 }
 
 Task::~Task() {
-  if (started_ && state_ != State::kFinished && state_ != State::kNotStarted) {
-    // Unwind the fiber: resuming with cancel_ set makes the next yield
-    // point throw Cancelled, which run_body() absorbs.
-    cancel_ = true;
-    resume_for_engine();
-    FGDSM_ASSERT(state_ == State::kFinished);
-  }
+  unwind();
   engine_.unregister_task(this);
+#if defined(FGDSM_TSAN_FIBERS)
+  __tsan_destroy_fiber(san_.tsan_fiber);
+#endif
 }
 
 void Task::start(Time t) {
@@ -48,12 +244,22 @@ void Task::start(Time t) {
   });
 }
 
-void Task::trampoline_entry() {
-  Task* self = g_entering_task;
-  g_entering_task = nullptr;
+void Task::fiber_main(Task* self) {
+#if defined(FGDSM_ASAN_FIBERS)
+  __sanitizer_finish_switch_fiber(nullptr, &self->san_.engine_stack,
+                                  &self->san_.engine_stack_bytes);
+#endif
   self->run_body();
-  // Falling off the trampoline resumes uc_link (the engine context saved by
-  // the final swap into this fiber).
+  // Leave for good: ASan may free this fiber's fake stack (null save slot).
+#if defined(FGDSM_ASAN_FIBERS)
+  __sanitizer_start_switch_fiber(nullptr, self->san_.engine_stack,
+                                 self->san_.engine_stack_bytes);
+#endif
+#if defined(FGDSM_TSAN_FIBERS)
+  __tsan_switch_to_fiber(self->san_.tsan_engine, 0);
+#endif
+  fiber_switch(&self->fiber_sp_, self->engine_sp_);
+  __builtin_unreachable();  // a finished task is never resumed
 }
 
 void Task::run_body() {
@@ -61,7 +267,7 @@ void Task::run_body() {
     try {
       body_(*this);
     } catch (const Cancelled&) {
-      // Unwound by ~Task; nothing to record.
+      // Unwound by unwind(); nothing to record.
     } catch (...) {
       exception_ = std::current_exception();
     }
@@ -75,29 +281,63 @@ void Task::resume_for_engine() {
                    "resume before start");
   if (state_ == State::kBlocked && pending_wake_time_ > clock_)
     clock_ = pending_wake_time_;
-  const bool first = state_ == State::kReady && fiber_.uc_stack.ss_sp == nullptr;
-  state_ = State::kRunning;
-  if (first) {
-    getcontext(&fiber_);
-    fiber_.uc_stack.ss_sp = stack_.data();
-    fiber_.uc_stack.ss_size = stack_.size();
-    fiber_.uc_link = &engine_ctx_;
-    makecontext(&fiber_, &Task::trampoline_entry, 0);
-    g_entering_task = this;
+  if (fiber_sp_ == nullptr) {
+    unpoison(stack_.base(), static_cast<std::size_t>(stack_.top() -
+                                                     stack_.base()));
+    fiber_sp_ = build_entry_frame(stack_.base(), stack_.top(), this,
+                                  &Task::fiber_main);
   }
-  swapcontext(&engine_ctx_, &fiber_);
-  if (exception_) {
-    std::exception_ptr e = exception_;
-    exception_ = nullptr;
-    std::rethrow_exception(e);
+  state_ = State::kRunning;
+#if defined(FGDSM_ASAN_FIBERS)
+  __sanitizer_start_switch_fiber(
+      &san_.engine_fake_stack, stack_.base(),
+      static_cast<std::size_t>(stack_.top() - stack_.base()));
+#endif
+#if defined(FGDSM_TSAN_FIBERS)
+  san_.tsan_engine = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(san_.tsan_fiber, 0);
+#endif
+  fiber_switch(&engine_sp_, fiber_sp_);
+#if defined(FGDSM_ASAN_FIBERS)
+  __sanitizer_finish_switch_fiber(san_.engine_fake_stack, nullptr, nullptr);
+#endif
+  if (state_ == State::kFinished) {
+    fiber_sp_ = nullptr;  // the body's frames are gone
+    if (exception_) {
+      std::exception_ptr e = exception_;
+      exception_ = nullptr;
+      std::rethrow_exception(e);
+    }
   }
 }
 
 void Task::switch_to_engine() {
-  swapcontext(&fiber_, &engine_ctx_);
-  // Resumed by the engine.
+#if defined(FGDSM_ASAN_FIBERS)
+  __sanitizer_start_switch_fiber(&san_.fiber_fake_stack, san_.engine_stack,
+                                 san_.engine_stack_bytes);
+#endif
+#if defined(FGDSM_TSAN_FIBERS)
+  __tsan_switch_to_fiber(san_.tsan_engine, 0);
+#endif
+  fiber_switch(&fiber_sp_, engine_sp_);
+  // Resumed by the engine, possibly from another host thread's stack.
+#if defined(FGDSM_ASAN_FIBERS)
+  __sanitizer_finish_switch_fiber(san_.fiber_fake_stack, &san_.engine_stack,
+                                  &san_.engine_stack_bytes);
+#endif
   if (cancel_) throw Cancelled{};
   state_ = State::kRunning;
+}
+
+void Task::unwind() {
+  if (fiber_sp_ == nullptr) return;  // no live frames
+  FGDSM_ASSERT_MSG(state_ != State::kRunning,
+                   "unwind() from inside the task body");
+  // Resuming with cancel_ set makes the pending yield point throw
+  // Cancelled, which run_body() absorbs once every frame is destroyed.
+  cancel_ = true;
+  resume_for_engine();
+  FGDSM_ASSERT(state_ == State::kFinished && fiber_sp_ == nullptr);
 }
 
 void Task::absorb_cpu_steal() {
@@ -209,29 +449,23 @@ Task::Snapshot Task::snapshot() const {
   s.pending_wake_time = pending_wake_time_;
   s.wait_reason = wait_reason_;
   s.started = started_;
-  s.fiber = fiber_;
-  if (fiber_.uc_stack.ss_sp != nullptr) {
-    // Only the live region matters: the fiber stack grows downward from
-    // stack_.end(), so everything below the saved stack pointer (minus the
-    // ABI red zone) is dead. Falls back to the whole stack when the saved SP
-    // is not recoverable from the mcontext.
-    std::size_t off = 0;
-#if defined(__linux__) && defined(__x86_64__) && defined(REG_RSP)
-    const auto sp =
-        static_cast<std::uintptr_t>(fiber_.uc_mcontext.gregs[REG_RSP]);
-    const auto base = reinterpret_cast<std::uintptr_t>(stack_.data());
-    constexpr std::uintptr_t kRedZone = 256;  // ABI says 128; keep margin
-    if (sp > base + kRedZone && sp <= base + stack_.size())
-      off = static_cast<std::size_t>(sp - base - kRedZone);
-#endif
-    s.stack_offset = off;
-    s.stack.assign(stack_.begin() + static_cast<std::ptrdiff_t>(off),
-                   stack_.end());
+  s.sp = fiber_sp_;
+  if (fiber_sp_ != nullptr) {
+    // Only the live region matters: the stack grows down from top(), so
+    // everything below the saved stack pointer is dead.
+    const char* lo = static_cast<const char*>(fiber_sp_) - kBelowSavedSp;
+    if (lo < stack_.base()) lo = stack_.base();
+    unpoison(lo, static_cast<std::size_t>(stack_.top() - lo));
+    s.stack.assign(lo, static_cast<const char*>(stack_.top()));
   }
   return s;
 }
 
 void Task::restore(const Snapshot& s, Time resume_at) {
+  FGDSM_ASSERT_MSG(fiber_sp_ == nullptr,
+                   "restore() of task " << name_
+                                        << " with live frames; unwind() it "
+                                           "first");
   ++epoch_;  // resume events from the abandoned timeline become no-ops
   clock_ = s.clock;
   state_ = s.state;
@@ -240,12 +474,13 @@ void Task::restore(const Snapshot& s, Time resume_at) {
   started_ = s.started;
   cancel_ = false;
   exception_ = nullptr;
-  fiber_ = s.fiber;
-  if (!s.stack.empty())
-    std::copy(s.stack.begin(), s.stack.end(),
-              stack_.begin() + static_cast<std::ptrdiff_t>(s.stack_offset));
-  // fiber_.uc_stack/uc_link and the mcontext fpregs pointer reference this
-  // task's own members; restoring into the same Task keeps them valid.
+  fiber_sp_ = s.sp;
+  if (!s.stack.empty()) {
+    unpoison(stack_.base(),
+             static_cast<std::size_t>(stack_.top() - stack_.base()));
+    std::memcpy(stack_.top() - s.stack.size(), s.stack.data(),
+                s.stack.size());
+  }
   if (state_ == State::kBlocked) {
     wake(resume_at);
   } else {

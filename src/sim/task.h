@@ -1,15 +1,17 @@
 // A Task is a simulated thread of control (one per cluster node's compute
 // processor) with its own virtual clock.
 //
-// Implementation: each Task runs its body on a ucontext fiber. Exactly one
-// of {the partition's engine loop, one of its tasks} executes at any host
-// instant: a task belongs to one event partition (set_partition), windowed
-// runs pin each partition to one worker thread for the whole run, and the
-// fiber hand-off slot is thread-local — so the fiber never migrates between
-// host threads and the simulation stays deterministic and data-race-free by
-// construction. A baton pass costs a userspace swapcontext (~1 us) rather
-// than a kernel context switch — essential on small hosts, where a full
-// experiment run performs millions of switches.
+// Implementation: each Task runs its body on a fiber with its own mmap'd
+// stack. Exactly one of {the partition's engine loop, one of its tasks}
+// executes at any host instant: a task belongs to one event partition
+// (set_partition), and windowed runs pin each partition to one worker thread
+// for the whole run, so the simulation stays deterministic and data-race-free
+// by construction. A baton pass is a register-only stack switch in user space
+// (on x86-64: callee-saved registers, MXCSR and the x87 control word; a few
+// hundred ns per round trip through the engine) — no signal-mask syscall and
+// no kernel context switch, which matters because a full experiment run
+// performs millions of switches. Other architectures fall back to
+// swapcontext.
 //
 // Clock discipline: a running task's clock only moves forward through
 // charge(), and charge() yields to the engine whenever the advance would
@@ -18,10 +20,9 @@
 // compute code, which is what makes access-control checks meaningful.
 #pragma once
 
-#include <ucontext.h>
-
+#include <cstddef>
+#include <cstdint>
 #include <exception>
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -38,7 +39,8 @@ class Task {
   // std::function), which matters for runs constructing thousands of tasks.
   using TaskFn = BasicInlineFn<void(Task&)>;
 
-  // `body` runs on the task's fiber once start() is scheduled.
+  // `body` runs on the task's fiber once start() is scheduled. Throws
+  // std::runtime_error naming the task if its stack cannot be mapped.
   Task(Engine& engine, std::string name, TaskFn body);
   Task(const Task&) = delete;
   Task& operator=(const Task&) = delete;
@@ -73,36 +75,44 @@ class Task {
 
   // Fail-stop halt: park the task permanently and orphan every resume event
   // already scheduled for it (the events carry the resume epoch and fire as
-  // no-ops once it moves). The fiber context is left intact so ~Task can
-  // still unwind it, and restore() can later bring the task back.
+  // no-ops once it moves). The fiber is left intact so unwind() can still
+  // run its destructors, and restore() can later bring the task back.
   void halt();
 
-  // A resumable copy of the task's execution state: the live region of the
-  // fiber stack, the ucontext, clock and blocking state. Only valid for
-  // restore() on the SAME Task object (the ucontext's stack pointer and
-  // fpregs pointer reference this task's own members).
+  // Discard the body's live frames: resume the fiber with a cancellation
+  // that unwinds it through every destructor, leaving the task finished.
+  // A rollback calls this before restore(), so whatever the abandoned
+  // frames own is freed instead of being overwritten. No-op when the body
+  // holds no frames (never entered, or finished).
+  void unwind();
+
  private:
   enum class State : std::uint8_t { kNotStarted, kReady, kRunning, kBlocked,
                                     kFinished };
 
  public:
+  // A resumable copy of the task's execution state: the fiber stack's live
+  // bytes (everything at and above the saved stack pointer, which includes
+  // the saved registers), that stack pointer, clock and blocking state. Only
+  // valid for restore() on the SAME Task object: the bytes hold absolute
+  // addresses into this task's stack.
   struct Snapshot {
-    std::vector<char> stack;     // bytes [stack_offset, kStackBytes)
-    std::size_t stack_offset = 0;
-    ucontext_t fiber{};
+    std::vector<char> stack;  // the top stack.size() bytes of the stack
+    void* sp = nullptr;       // saved stack pointer; null = body not entered
     Time clock = 0;
     State state;
     Time pending_wake_time = 0;
     const char* wait_reason = nullptr;
     bool started = false;
-    std::size_t bytes() const { return stack.size() + sizeof(ucontext_t); }
+    std::size_t bytes() const { return stack.size() + sizeof(sp); }
   };
   // Capture the current state. The task must not be running (it is blocked
   // at a quiescent point, or not yet activated).
   Snapshot snapshot() const;
   // Roll back to `s` and schedule the task to resume at `resume_at`. Bumps
   // the resume epoch first, so resume events from the abandoned timeline
-  // become no-ops.
+  // become no-ops. The task must hold no live frames (never entered,
+  // finished, or unwind()-ed).
   void restore(const Snapshot& s, Time resume_at);
 
   // ---- Configuration / inspection ----
@@ -137,9 +147,29 @@ class Task {
   void resume_for_engine();  // run until the task yields/blocks/finishes
 
  private:
-  struct Cancelled {};  // thrown into the body to unwind on destruction
+  struct Cancelled {};  // thrown into the body to unwind it
 
-  static void trampoline_entry();
+  // A fiber stack: an anonymous mapping of the usable bytes above one
+  // PROT_NONE guard page, so an overflow faults instead of running into
+  // the heap. Pages are committed by the kernel on first touch; a task
+  // that never runs deep costs only the pages it touched.
+  class Stack {
+   public:
+    explicit Stack(const std::string& owner);
+    ~Stack();
+    Stack(const Stack&) = delete;
+    Stack& operator=(const Stack&) = delete;
+    char* base() const { return base_; }  // lowest usable byte
+    char* top() const { return top_; }    // one past the highest
+   private:
+    void* map_ = nullptr;
+    std::size_t map_bytes_ = 0;
+    char* base_ = nullptr;
+    char* top_ = nullptr;
+  };
+
+  // First code run on the fiber's stack; never returns.
+  [[noreturn]] static void fiber_main(Task* self);
   void run_body();
   // Give the baton to the engine with a resume event at now(); returns when
   // the engine hands it back.
@@ -172,9 +202,23 @@ class Task {
   std::uint64_t epoch_ = 0;
   std::exception_ptr exception_;
 
-  std::vector<char> stack_;
-  ucontext_t fiber_{};
-  ucontext_t engine_ctx_{};
+  Stack stack_;
+  // Saved stack pointers of the two sides of the baton: the suspended fiber
+  // (null until its first entry) and the engine context that resumed it.
+  void* fiber_sp_ = nullptr;
+  void* engine_sp_ = nullptr;
+
+  // Sanitizer fiber bookkeeping; untouched in plain builds. ASan needs each
+  // side's fake stack and the engine stack's bounds (which host thread
+  // resumed the fiber decides them); TSan needs a context per fiber.
+  struct Sanitizer {
+    void* fiber_fake_stack = nullptr;
+    void* engine_fake_stack = nullptr;
+    const void* engine_stack = nullptr;
+    std::size_t engine_stack_bytes = 0;
+    void* tsan_fiber = nullptr;
+    void* tsan_engine = nullptr;
+  } san_;
 };
 
 }  // namespace fgdsm::sim

@@ -610,6 +610,10 @@ bool Cluster::recover() {
   // committed time (events must not land in the past), plus the fixed
   // coordination cost of the restart itself.
   const sim::Time t_rec = engine_.max_partition_now() + cfg_.costs.ckpt_base_ns;
+  // Destroy every node's abandoned frames before anything is restored, so
+  // what they allocated after the checkpoint is freed rather than
+  // overwritten by the snapshot bytes.
+  for (const auto& n : nodes_) n->task()->unwind();
   ++recovery_epoch_;  // everything stamped before this instant is now dead
   if (channel_ != nullptr) channel_->reset_for_recovery();
   const std::size_t bs = cfg_.block_size;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdint>
 
 #include "src/apps/apps.h"
 #include "src/exec/executor.h"
@@ -132,10 +133,15 @@ TEST_F(JacobiModes, SingleCpuSlowerThanDualCpu) {
   EXPECT_GT(single.stats.totals().handler_steal_ns, 0);
 }
 
+// No padding bytes: gtest names each case in ctest with a byte dump of the
+// parameter, and uninitialised padding would make those names change from
+// one run of the binary to the next.
 struct ShapeParam {
-  int nnodes;
+  std::int64_t nnodes;
   std::size_t block;
 };
+static_assert(sizeof(ShapeParam) ==
+              sizeof(std::int64_t) + sizeof(std::size_t));
 
 class JacobiShapes : public ::testing::TestWithParam<ShapeParam> {};
 
@@ -146,7 +152,8 @@ TEST_P(JacobiShapes, AllModesAgree) {
   for (const core::Options& opt :
        {core::shmem_unopt(), core::shmem_opt_base(), core::shmem_opt_full(),
         core::msg_passing()}) {
-    const RunResult r = run(prog, config(opt, p.nnodes, p.block));
+    const RunResult r =
+        run(prog, config(opt, static_cast<int>(p.nnodes), p.block));
     expect_same_arrays(serial, r, opt.label());
   }
 }

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <vector>
 
 #include "src/sim/engine.h"
@@ -263,6 +264,96 @@ TEST(Task, DestructionWhileBlockedUnwinds) {
     EXPECT_THROW(e.run(), AssertionError);  // deadlock reported
   }                                          // ~Task cancels + joins
   EXPECT_TRUE(cleaned);
+}
+
+// Non-tail recursion with a frame the optimizer can neither elide nor fold
+// into a loop: the addition after the call keeps every frame live.
+[[gnu::noinline]] int recurse_forever(const volatile bool* go, int depth) {
+  volatile char frame[512];
+  frame[0] = static_cast<char>(depth);
+  if (!*go) return depth;
+  return recurse_forever(go, depth + 1) + frame[0];
+}
+
+TEST(TaskDeathTest, StackOverflowFaultsOnTheGuardPage) {
+  // The fiber stack sits above a PROT_NONE page: running off its end must
+  // kill the process instead of scribbling over whatever lies below.
+  ::testing::FLAGS_gtest_death_test_style = "threadsafe";
+  EXPECT_DEATH(
+      {
+        Engine e;
+        volatile bool go = true;
+        Task t(e, "deep", [&](Task&) { recurse_forever(&go, 0); });
+        t.start(0);
+        e.run();
+      },
+      "");
+}
+
+// Rollback at the sim level, without a cluster. These tests copy raw stack
+// bytes back into a fiber, like a checkpoint restore does.
+TEST(TaskRollback, RestoreResumesFromTheSnapshotWithItsLocals) {
+  Engine e;
+  std::vector<int> seen;
+  Task::Snapshot snap;
+  Task t(e, "t", [&](Task& self) {
+    volatile int local = 7;  // in the fiber stack's bytes
+    self.block();            // the snapshot is taken while parked here
+    seen.push_back(static_cast<int>(local));
+    local = 99;
+    seen.push_back(static_cast<int>(local));
+  });
+  e.schedule(100, [&] {
+    snap = t.snapshot();
+    t.wake(100);
+  });
+  e.schedule(200, [&] {
+    ASSERT_TRUE(t.finished());
+    t.restore(snap, 300);
+  });
+  t.start(0);
+  e.run();
+  EXPECT_EQ(seen, (std::vector<int>{7, 99, 7, 99}));
+  EXPECT_EQ(t.now(), 300);
+  EXPECT_TRUE(t.finished());
+}
+
+TEST(TaskRollback, UnwindDestroysLocalsCreatedAfterTheSnapshot) {
+  struct Probe {
+    int* live;
+    explicit Probe(int* l) : live(l) { ++*live; }
+    ~Probe() { --*live; }
+  };
+  Engine e;
+  Task::Snapshot snap;
+  int live = 0;
+  int runs = 0;
+  Task t(e, "t", [&](Task& self) {
+    self.block();  // snapshot point
+    ++runs;
+    const auto owned = std::make_unique<Probe>(&live);
+    self.block();  // rolled back from here
+  });
+  e.schedule(100, [&] {
+    snap = t.snapshot();
+    t.wake(100);
+  });
+  e.schedule(200, [&] {
+    EXPECT_EQ(live, 1);
+    t.unwind();
+    EXPECT_EQ(live, 0);  // the abandoned frame's heap is freed
+    EXPECT_TRUE(t.finished());
+    t.restore(snap, 300);
+  });
+  e.schedule(400, [&] {
+    EXPECT_EQ(live, 1);  // re-created by the replayed timeline
+    t.wake(400);
+  });
+  t.start(0);
+  e.run();
+  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(live, 0);
+  EXPECT_TRUE(t.finished());
 }
 
 TEST(Resource, AcquireSerializes) {
