@@ -3,15 +3,8 @@
 //      effect but raise per-block protocol costs;
 //   2. bulk-transfer payload sweep: the marginal value of coalescing;
 //   3. the grav edge-effect study: 129-point vs 128-point arrays at 128 B
-//      blocks (the paper's §6 explanation of grav's poor miss reduction);
-//   4. the comm-plan cache: host wall-clock of one optimized run per app
-//      with section analysis re-run every loop visit vs served from
-//      core::PlanCache, plus the cache hit rate (EXPERIMENTS.md records
-//      these).
-// Each section builds its sweep as a batch (--jobs=N host threads);
-// section 4 runs sequentially because it measures host time.
-#include <algorithm>
-#include <chrono>
+//      blocks (the paper's §6 explanation of grav's poor miss reduction).
+// Each section builds its sweep as a batch (--jobs=N host threads).
 #include <cstdio>
 #include <iostream>
 #include <string>
@@ -111,60 +104,6 @@ int main(int argc, char** argv) {
     t.print(std::cout);
   }
 
-  // ---- 4. Comm-plan cache: host-side analysis cost per app ----
-  {
-    std::printf("\nAblation 4: comm-plan cache (host wall-clock, "
-                "sm-opt+bulk+rtelim, scale=%.2f, %d nodes)\n",
-                bc.scale, bc.nodes);
-    util::Table t({"app", "host ms (re-analyze)", "host ms (cached)",
-                   "saved", "hit rate", "plan visits"});
-    for (const auto& e : apps::registry()) {
-      if (!bc.selected(e.name)) continue;
-      const hpf::Program prog = e.scaled(bc.scale);
-      // Untimed warmup, then best-of-3 per variant, interleaved: host
-      // wall-clock on a shared machine is noisy, and the min is the run
-      // least disturbed by it.
-      double ms[2] = {1e300, 1e300};
-      exec::RunResult res[2];
-      {
-        const exec::ExperimentSpec w = bench::make_spec(
-            prog, core::shmem_opt_full(), bc.nodes, true, bc.block);
-        (void)exec::run(*w.program, w.config);
-      }
-      for (int rep = 0; rep < 3; ++rep) {
-        for (int cached = 0; cached < 2; ++cached) {
-          exec::ExperimentSpec s = bench::make_spec(
-              prog, core::shmem_opt_full(), bc.nodes, true, bc.block);
-          s.config.opt.plan_cache = cached != 0;
-          const auto t0 = std::chrono::steady_clock::now();
-          res[cached] = exec::run(*s.program, s.config);
-          ms[cached] = std::min(
-              ms[cached], std::chrono::duration<double, std::milli>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count());
-        }
-      }
-      FGDSM_ASSERT(res[0].stats.elapsed_ns == res[1].stats.elapsed_ns);
-      // Only the simulated result goes to JSON — host wall-clock is not
-      // reproducible, so it would break byte-identical --json output.
-      jr.add_run(e.name, "opt-cached", res[1]);
-      if (bc.per_loop) bench::print_per_loop(e.name + " opt-cached", res[1]);
-      const auto tot = res[1].stats.totals();
-      const double visits = static_cast<double>(tot.plan_cache_hits +
-                                                tot.plan_cache_misses);
-      t.add_row({e.name, util::Table::cell(ms[0], 1),
-                 util::Table::cell(ms[1], 1),
-                 util::Table::percent(
-                     util::percent_reduction(ms[0], ms[1])),
-                 util::Table::percent(
-                     visits == 0
-                         ? 0.0
-                         : 100.0 * static_cast<double>(tot.plan_cache_hits) /
-                               visits),
-                 util::Table::cell(visits, 0)});
-    }
-    t.print(std::cout);
-  }
   jr.write();
   return 0;
 }

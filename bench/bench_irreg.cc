@@ -61,7 +61,7 @@ int main(int argc, char** argv) {
     // Schedule-reuse sweep endpoint: inspect on every visit.
     exec::ExperimentSpec s = bench::make_spec(
         prog, core::shmem_opt_full(), bc.nodes, true, bc.block);
-    s.config.opt.plan_cache = false;
+    s.config.opt.reuse_schedule = false;
     m.add("spmv", "sm-opt-nocache", std::move(s));
   }
   m.add("spmv", "msg-passing", prog, core::msg_passing(), bc.nodes, true,

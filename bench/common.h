@@ -9,13 +9,10 @@
 //                   coordinator; the tree shapes are the scaling ablation,
 //                   twolevel takes an optional group size G, 0 = auto)
 //   --block=<b>     coherence block size in bytes (default 128)
-//   --app=<name>    restrict to one application
+//   --app=<name>    restrict to one application (a registry app or spmv;
+//                   any other name exits 2 with a suggestion)
 //   --jobs=<n>      host threads for independent runs (default 1; results
 //                   are byte-identical at any job count)
-//   --plan-cache=<0|1>  host-side comm-plan caching (default 1; simulated
-//                   results are identical either way — A/B timing knob)
-//   --plan-cache-misses=<n>  PlanCache give-up threshold: a loop missing n
-//                   consecutive lookups is abandoned (default 8)
 //   --full          shorthand for --scale=1.0
 //   --json=<file>   also write machine-readable results (schema
 //                   fgdsm-bench-v1; byte-identical at any --jobs count)
@@ -48,6 +45,7 @@
 // independent simulations out over exec::BatchRunner's thread pool.
 #pragma once
 
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <map>
@@ -68,13 +66,6 @@
 
 namespace fgdsm::bench {
 
-// Host-side comm-plan caching for specs built by make_spec; --plan-cache=0
-// turns it off for A/B wall-clock comparisons (simulated results are
-// identical either way).
-inline bool g_plan_cache = true;
-// --plan-cache-misses=<n>: PlanCache abandonment threshold for every spec
-// built by make_spec (core::Options::plan_cache_misses).
-inline int g_plan_cache_misses = 8;
 // --check-coherence: every spec built by make_spec runs the protocol's
 // invariant checker at each barrier (debug aid; no virtual-time cost).
 inline bool g_check_coherence = false;
@@ -123,8 +114,7 @@ struct BenchConfig {
                                    {}) {
     util::Options o(argc, argv);
     std::vector<std::string> known = {
-        "scale", "nodes",     "block", "app",   "jobs",
-        "plan-cache", "plan-cache-misses", "full", "json",  "trace",
+        "scale", "nodes", "block", "app", "jobs", "full", "json", "trace",
         "per-loop", "check-coherence", "faults", "watchdog-ns",
         "sim-threads", "collectives", "checkpoint-every"};
     known.insert(known.end(), extra_known.begin(), extra_known.end());
@@ -142,13 +132,26 @@ struct BenchConfig {
     }
     c.block = static_cast<std::size_t>(o.get_int("block", 128));
     c.jobs = static_cast<int>(o.get_int("jobs", 1));
-    g_plan_cache = o.get_int("plan-cache", 1) != 0;
-    g_plan_cache_misses = static_cast<int>(o.get_int("plan-cache-misses", 8));
-    if (g_plan_cache_misses < 1) {
-      std::fprintf(stderr, "fgdsm: --plan-cache-misses must be >= 1\n");
-      std::exit(2);
+    if (o.has("app")) {
+      c.only_app = o.get("app");
+      std::vector<std::string> names = {"spmv"};
+      for (const auto& a : apps::registry()) names.push_back(a.name);
+      if (std::find(names.begin(), names.end(), *c.only_app) == names.end()) {
+        const std::string hint =
+            util::Options::closest_match(*c.only_app, names);
+        std::fprintf(stderr, "fgdsm: unknown --app=%s", c.only_app->c_str());
+        if (!hint.empty()) {
+          std::fprintf(stderr, " (did you mean --app=%s?)", hint.c_str());
+        } else {
+          std::fprintf(stderr, " (expected one of:");
+          for (const auto& name : names)
+            std::fprintf(stderr, " %s", name.c_str());
+          std::fprintf(stderr, ")");
+        }
+        std::fprintf(stderr, "\n");
+        std::exit(2);
+      }
     }
-    if (o.has("app")) c.only_app = o.get("app");
     c.per_loop = o.get_bool("per-loop");
     if (o.has("json")) c.json_path = o.get("json");
     if (o.has("trace")) c.trace_path = o.get("trace");
@@ -219,8 +222,6 @@ inline exec::ExperimentSpec make_spec(const hpf::Program& prog,
   s.config.cluster.block_size = block;
   s.config.cluster.dual_cpu = dual_cpu;
   s.config.opt = opt;
-  s.config.opt.plan_cache = g_plan_cache;
-  s.config.opt.plan_cache_misses = g_plan_cache_misses;
   s.config.gather_arrays = false;
   s.config.cluster.check_coherence = g_check_coherence;
   s.config.cluster.faults = g_faults;

@@ -323,7 +323,8 @@ case "$job" in
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=thread" \
       "$@"
     cmake --build build-tsan -j "$jobs"
-    for t in sim_task determinism pdes_partition scale crash_recovery; do
+    for t in sim_task determinism pdes_partition scale crash_recovery \
+        plan_table; do
       FGDSM_HOST_CORES=4 "build-tsan/tests/${t}_test"
     done
     ;;

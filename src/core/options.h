@@ -33,22 +33,14 @@ struct Options {
   // already communicated and nothing wrote the array in between.
   bool elim_redundant_comm = false;
 
-  // Host-side (wall-clock) optimization, no effect on simulated results:
-  // cache each loop's transfer analysis + CommPlan per node and reuse it
-  // while the symbols the loop's structure references keep their values
-  // (core::PlanCache). Models the paper's compiler emitting the schedule
-  // once instead of re-planning every visit. Off exists only for the
-  // equivalence tests and A/B timing. Exception: for loops with indirect
-  // reads the same cache holds the inspector's gather schedule, whose
-  // misses cost *simulated* time (the needs exchange is real
-  // communication) — turning the cache off makes such runs slower in
-  // virtual time too, though numerically identical.
-  bool plan_cache = true;
-
-  // PlanCache give-up threshold: a loop missing this many consecutive
-  // lookups is abandoned (entry freed, key evaluation skipped). Benches
-  // expose it as --plan-cache-misses=N. Must be >= 1.
-  int plan_cache_misses = 8;
+  // Inspector–executor schedule reuse (CHAOS/PARTI amortization): a loop
+  // with indirect reads replays its last gather schedule while neither its
+  // structural symbols nor its indirection arrays changed. Off re-inspects
+  // every visit — the needs exchange is real communication, so such runs
+  // are slower in virtual time, though numerically identical. Affine loops
+  // are unaffected: their plans always come from the run's shared
+  // core::PlanTable, which costs no simulated time.
+  bool reuse_schedule = true;
 
   std::string label() const;
 };

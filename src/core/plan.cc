@@ -1,6 +1,7 @@
 #include "src/core/plan.h"
 
 #include <algorithm>
+#include <utility>
 
 #include "src/util/assert.h"
 
@@ -42,14 +43,18 @@ CommPlan plan_from_transfers(const std::vector<hpf::Transfer>& transfers,
     return static_cast<std::int64_t>(block_align ? r.len / block_size
                                                  : r.len);
   };
+  // Every node lowers every transfer (any_comm/any_flush are global), so
+  // the runs scratch is reused across transfers.
+  std::vector<Run> runs;
   for (const auto& t : transfers) {
     auto lit = layouts.find(t.array);
     FGDSM_ASSERT_MSG(lit != layouts.end(), "no layout for " << t.array);
-    std::vector<Run> runs = hpf::linearize(lit->second, t.section);
+    runs.clear();
+    hpf::linearize_into(lit->second, t.section, &runs);
     if (block_align) {
       // shmem_limits: keep only whole blocks; trimmed edges stay with the
       // default coherence protocol.
-      runs = hpf::block_align_inner(runs, block_size);
+      runs = hpf::block_align_inner(std::move(runs), block_size);
     }
     if (runs.empty()) continue;
     plan.any_comm = true;

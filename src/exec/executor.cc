@@ -6,7 +6,7 @@
 #include <set>
 
 #include "src/core/plan.h"
-#include "src/core/plan_cache.h"
+#include "src/core/plan_table.h"
 #include "src/hpf/analysis.h"
 #include "src/irreg/inspector.h"
 #include "src/irreg/runtime.h"
@@ -29,6 +29,10 @@ using hpf::GAddr;
 using hpf::Run;
 using tempest::BlockId;
 using tempest::Node;
+
+// The plan of a loop visit that communicates nothing: unplanned modes, and
+// visits whose transfers availability elides.
+const CommPlan kNoComm;
 
 bool transfer_eq(const hpf::Transfer& a, const hpf::Transfer& b) {
   return a.array == b.array && a.sender == b.sender &&
@@ -56,26 +60,22 @@ struct NodeRun {
   std::map<const hpf::ParallelLoop*, std::vector<Run>> opened;
 
   // Redundant-communication elimination (extension): per-array write
-  // versions and the last communicated transfer set per loop.
+  // versions and the last communicated transfer set per loop (the table
+  // entry holding it).
   std::map<std::string, std::int64_t> write_version;
   struct AvailEntry {
     std::map<std::string, std::int64_t> versions;  // per array at comm time
-    std::vector<hpf::Transfer> transfers;
+    const core::PlanTable::Entry* entry = nullptr;
   };
   std::map<const hpf::ParallelLoop*, AvailEntry> avail;
 
-  // Communication-schedule cache across loop visits (core::PlanCache):
-  // iterative apps re-run the same loops every timestep with unchanged
-  // structural symbols, so analysis + planning runs once per loop.
-  core::PlanCache plan_cache;
-
-  // The plan for the loop currently executing. This lives here — not as an
-  // exec_loop_inner stack local — because checkpoint capture copies raw
-  // fiber-stack bytes: a heap-owning local that is live at a checkpoint
-  // barrier would come back as dangling pointers after a rollback (the
-  // abandoned timeline frees its heap before the restore). The fiber keeps
-  // only a reference to this member; the checkpoint restores its value.
-  CommPlan cur_plan;
+  // The plan-table entry of each loop's last visit. A visit whose key is
+  // unchanged is served from here without touching the shared table; for
+  // loops with indirect reads this record is the inspect-or-replay
+  // decision, so it is checkpointed with the rest of the node's state.
+  std::map<const hpf::ParallelLoop*, const core::PlanTable::Entry*> plans;
+  std::uint64_t plan_hits = 0;    // visits served by `plans`
+  std::uint64_t plan_misses = 0;  // visits that went to the table
 
   // Per-parallel-loop counter deltas, accumulated at phase boundaries.
   std::map<std::string, util::NodeStats> loop_stats;
@@ -93,13 +93,14 @@ struct NodeRun {
 
 // Host state a checkpoint must carry for one node (see the hook registered
 // in the Executor ctor): everything the replayed program path reads,
-// including the in-flight plan and the elision registries (opened ranges,
-// availability) — restored by value so the deterministic replay makes
+// including the elision registries (opened ranges, availability) and the
+// plan records — restored by value so the deterministic replay makes
 // exactly the decisions the checkpointed timeline would have, keeping the
-// collective any_comm/any_flush choices aligned with the rolled-back tags.
-// The plan cache is deliberately NOT touched at restore: it is pure
-// memoization of a deterministic analysis (either path yields byte-identical
-// plans), so entries from the abandoned timeline stay valid.
+// collective any_comm/any_flush choices and the inspector's needs exchange
+// aligned across nodes. The records point into the run's PlanTable, whose
+// entries live until the run ends, so they stay valid across rollbacks — as
+// does the plan reference exec_loop_inner holds on the fiber stack. The
+// hit/miss counters stay unrestored, like NodeStats.
 struct NodeRunSnap {
   Bindings bind;
   std::map<std::string, double> scalars;
@@ -107,7 +108,7 @@ struct NodeRunSnap {
   std::map<std::string, std::int64_t> write_version;
   std::map<const hpf::ParallelLoop*, std::vector<Run>> opened;
   std::map<const hpf::ParallelLoop*, NodeRun::AvailEntry> avail;
-  CommPlan cur_plan;
+  std::map<const hpf::ParallelLoop*, const core::PlanTable::Entry*> plans;
 };
 
 class ExecCtx final : public hpf::BodyCtx {
@@ -158,10 +159,6 @@ class Executor {
                          cfg_.opt.rt_overhead_elim,
                      "redundant-communication elimination requires the "
                      "run-time overhead elimination level");
-    // Bind sizes: program defaults overridden by the config.
-    base_bind_ = prog_.sizes;
-    // (Bindings has no iteration; apply overrides by name when evaluating —
-    // instead we just overlay: overrides win.)
     // Allocate arrays.
     for (const auto& a : prog_.arrays) {
       hpf::ArrayLayout lay;
@@ -209,7 +206,7 @@ class Executor {
            for (const NodeRun& st : nodes_)
              blob->push_back({st.bind, st.scalars, st.reduce_acc,
                               st.write_version, st.opened, st.avail,
-                              st.cur_plan});
+                              st.plans});
            return blob;
          },
          [this](const std::shared_ptr<void>& b) {
@@ -223,7 +220,7 @@ class Executor {
              st.write_version = snap[i].write_version;
              st.opened = snap[i].opened;
              st.avail = snap[i].avail;
-             st.cur_plan = snap[i].cur_plan;
+             st.plans = snap[i].plans;
            }
          }});
   }
@@ -273,12 +270,11 @@ class Executor {
     st.task = &t;
     st.bind = bind0();
     st.bind.set(hpf::kSymProc, n.id());
-    st.plan_cache.set_give_up_after(cfg_.opt.plan_cache_misses);
     exec_phases(prog_.phases, st);
     n.barrier(t);
     st.snap = n.stats;
-    st.snap.plan_cache_hits = st.plan_cache.hits();
-    st.snap.plan_cache_misses = st.plan_cache.misses();
+    st.snap.plan_cache_hits = st.plan_hits;
+    st.snap.plan_cache_misses = st.plan_misses;
     st.snap_time = t.now();
     if (cfg_.gather_arrays && shmem()) gather_owned(st);
   }
@@ -350,13 +346,13 @@ class Executor {
     }
 
     const bool irregular = irreg::has_indirect(loop);
-    // Host-resident plan (see NodeRun::cur_plan): the fiber stack must not
-    // own heap across the checkpoint barriers below.
-    CommPlan& plan = st.cur_plan;
-    plan = CommPlan{};
-    if (cfg_.opt.mode == Mode::kShmemOpt || cfg_.opt.mode == Mode::kMsgPassing)
-      plan = irregular ? plan_for_irreg_loop(loop, st)
-                       : plan_for_loop(loop, st);
+    // The plan lives in the run's PlanTable (or is kNoComm), never on the
+    // fiber stack, so it survives the checkpoint barriers below.
+    const bool planned = cfg_.opt.mode == Mode::kShmemOpt ||
+                         cfg_.opt.mode == Mode::kMsgPassing;
+    const CommPlan& plan = !planned    ? kNoComm
+                           : irregular ? plan_for_irreg_loop(loop, st)
+                                       : plan_for_loop(loop, st);
 
     // Executor half of the inspector–executor pair: replaying the
     // materialized schedule is the ordinary prologue/epilogue below, traced
@@ -374,7 +370,7 @@ class Executor {
     run_chunks(loop, st, iters, /*checks=*/shmem(), 1.0);
 
     if (cfg_.opt.mode == Mode::kShmemOpt && plan.any_comm)
-      ccc_epilogue(loop, plan, st);
+      ccc_epilogue(plan, st);
     if (cfg_.opt.mode == Mode::kMsgPassing && plan.any_comm)
       mp_epilogue(plan, st);
 
@@ -406,70 +402,57 @@ class Executor {
     for (const auto& w : loop.writes) ++st.write_version[w.array];
   }
 
-  // The plan for this visit of `loop`. With the cache enabled, the
-  // unfiltered analysis + plan is computed once per (loop, structural-symbol
-  // values) and reused; availability filtering (elim_redundant_comm) is
-  // re-applied on every visit on top of the cached transfer set, since it
-  // depends on the live write versions. Either path yields byte-identical
-  // plans: the analysis is a pure function of the key symbols, and the
-  // filter elides all-or-nothing (an elided visit's plan is exactly
-  // plan_from_transfers({}) == CommPlan{}).
-  CommPlan plan_for_loop(const hpf::ParallelLoop& loop, NodeRun& st) {
-    const int np = cluster_.nnodes();
-    const std::size_t bs = cluster_.block_size();
-    const bool align = cfg_.opt.mode == Mode::kShmemOpt;
-    const int me = st.node->id();
-
-    if (!cfg_.opt.plan_cache) {
-      auto transfers = hpf::analyze_transfers(loop, prog_, st.bind, np);
-      if (cfg_.opt.elim_redundant_comm)
-        transfers = filter_available(loop, st, std::move(transfers));
-      return core::plan_from_transfers(transfers, layouts_, me, bs, align);
+  // This node's plan-table entry for `loop` under its current bindings
+  // plus `extra`, if its record from the last visit still matches; the
+  // lookup is counted either way (a miss goes on to the shared table).
+  const core::PlanTable::Entry* recorded(
+      const hpf::ParallelLoop& loop, NodeRun& st,
+      const std::vector<std::int64_t>& extra) {
+    auto it = st.plans.find(&loop);
+    if (it != st.plans.end() && it->second->matches(st.bind, extra)) {
+      ++st.plan_hits;
+      return it->second;
     }
+    ++st.plan_misses;
+    return nullptr;
+  }
 
-    const core::PlanCache::Entry* e =
-        st.plan_cache.lookup(loop, prog_, st.bind);
-    if (e != nullptr) {
-      if (!cfg_.opt.elim_redundant_comm) return e->plan;
-      const std::vector<hpf::Transfer> filtered =
-          filter_available(loop, st, e->transfers);
-      if (filtered.empty() && !e->transfers.empty()) return CommPlan{};
-      return e->plan;
+  // The plan for this visit of `loop`: the table analyzes each (loop, key)
+  // once for the whole cluster. Availability filtering (elim_redundant_comm)
+  // is re-applied on every visit on top of the entry's transfer set, since
+  // it depends on the live write versions; it elides all-or-nothing.
+  const CommPlan& plan_for_loop(const hpf::ParallelLoop& loop, NodeRun& st) {
+    const core::PlanTable::Entry* e = recorded(loop, st, {});
+    if (e == nullptr) {
+      e = &table_.get(loop, st.bind);
+      st.plans[&loop] = e;
     }
-    // Miss: build fresh, store a copy for future hits (unless the cache has
-    // given up on this loop), and return the local plan without copying.
-    auto transfers = hpf::analyze_transfers(loop, prog_, st.bind, np);
-    CommPlan plan =
-        core::plan_from_transfers(transfers, layouts_, me, bs, align);
-    bool elide = false;
-    if (cfg_.opt.elim_redundant_comm)
-      elide = filter_available(loop, st, transfers).empty() &&
-              !transfers.empty();
-    if (st.plan_cache.should_store(loop))
-      st.plan_cache.insert(loop, prog_, st.bind, std::move(transfers), plan);
-    if (elide) return CommPlan{};
-    return plan;
+    if (cfg_.opt.elim_redundant_comm && available(loop, st, *e) &&
+        !e->transfers.empty())
+      return kNoComm;
+    return e->plans[static_cast<std::size_t>(st.node->id())];
   }
 
   // The plan for a loop with indirect reads. The affine analysis still
   // covers the loop's direct references (including the indirection arrays
   // themselves); the inspector contributes the data-dependent gather set:
-  // scan the local index slice, exchange need lists, fold the identical
-  // global set into transfers on every node, and lower the union.
+  // scan the local index slice, exchange need lists, and fold the identical
+  // global set into transfers — once per key, by whichever node reaches the
+  // table first.
   //
-  // The schedule is cached keyed on the indirection arrays' write versions
-  // (bumped identically on every node by bump_versions), so iterative apps
-  // inspect once and replay — the CHAOS/PARTI amortization. Hits and misses
-  // are symmetric cluster-wide (same versions, same symbols, same give-up
-  // threshold), which keeps the collective exchange() calls aligned.
+  // The schedule is reused while the indirection arrays' write versions
+  // (bumped identically on every node by bump_versions) and the structural
+  // symbols are unchanged, so iterative apps inspect once and replay — the
+  // CHAOS/PARTI amortization. The node's record decides, and records are
+  // symmetric cluster-wide (same versions, same symbols, restored together
+  // at rollback), which keeps the collective exchange() calls aligned.
   //
   // Availability filtering (elim_redundant_comm) is deliberately not
   // applied: its transfer-set equality test would have to re-run the
   // inspector to produce the set it compares, defeating the elision.
-  CommPlan plan_for_irreg_loop(const hpf::ParallelLoop& loop, NodeRun& st) {
+  const CommPlan& plan_for_irreg_loop(const hpf::ParallelLoop& loop,
+                                      NodeRun& st) {
     const int np = cluster_.nnodes();
-    const std::size_t bs = cluster_.block_size();
-    const bool align = cfg_.opt.mode == Mode::kShmemOpt;
     const int me = st.node->id();
     Node& n = *st.node;
     sim::Task& t = *st.task;
@@ -481,14 +464,14 @@ class Executor {
       for (const auto& name : idx) extra.push_back(st.write_version[name]);
     }
 
-    if (cfg_.opt.plan_cache) {
-      const core::PlanCache::Entry* e =
-          st.plan_cache.lookup(loop, prog_, st.bind, extra);
-      if (e != nullptr) {
+    if (cfg_.opt.reuse_schedule) {
+      if (const auto* e = recorded(loop, st, extra)) {
         ++n.stats.sched_cache_hits;
-        return e->plan;
+        return e->plans[static_cast<std::size_t>(me)];
       }
       ++n.stats.sched_cache_misses;
+    } else {
+      ++st.plan_misses;
     }
 
     ++n.stats.irreg_inspections;
@@ -498,36 +481,30 @@ class Executor {
                     /*ensure_index=*/shmem(), &st.irreg_scratch);
     const std::vector<std::vector<irreg::Need>> all =
         irreg_->exchange(n, t, std::move(sr.needs));
-    auto transfers = hpf::analyze_transfers(loop, prog_, st.bind, np);
-    auto gathers = irreg::needs_to_transfers(all, loop, prog_, st.bind, np);
-    transfers.insert(transfers.end(),
-                     std::make_move_iterator(gathers.begin()),
-                     std::make_move_iterator(gathers.end()));
-    CommPlan plan =
-        core::plan_from_transfers(transfers, layouts_, me, bs, align);
+    const core::PlanTable::Entry& e = table_.get(loop, st.bind, extra, [&] {
+      return irreg::needs_to_transfers(all, loop, prog_, st.bind, np);
+    });
+    st.plans[&loop] = &e;
     n.stats.ccc_ns += t.now() - t0;
     if (auto* tr = cluster_.tracer())
       tr->span(sim::Tracer::compute_track(me), "inspect",
                tr->intern(loop.name), t0, t.now());
-    if (cfg_.opt.plan_cache && st.plan_cache.should_store(loop))
-      st.plan_cache.insert(loop, prog_, st.bind, std::move(transfers), plan,
-                           extra);
-    return plan;
+    return e.plans[static_cast<std::size_t>(me)];
   }
 
-  std::vector<hpf::Transfer> filter_available(
-      const hpf::ParallelLoop& loop, NodeRun& st,
-      std::vector<hpf::Transfer> transfers) {
-    // Availability (PRE-style, §4.3's second problem): if this loop's
-    // transfer set is identical to the last one communicated here and none
-    // of the involved arrays has been written since, the data is still
-    // valid at the receivers (requires rt_overhead_elim: receivers keep
-    // their copies open).
+  // Availability (PRE-style, §4.3's second problem): true if this loop's
+  // transfer set is identical to the last one communicated here and none
+  // of the involved arrays has been written since — the data is still
+  // valid at the receivers (requires rt_overhead_elim: receivers keep their
+  // copies open). Otherwise records `e` as the last communicated set.
+  bool available(const hpf::ParallelLoop& loop, NodeRun& st,
+                 const core::PlanTable::Entry& e) {
     auto it = st.avail.find(&loop);
     bool skip = it != st.avail.end() &&
-                transfers_eq(it->second.transfers, transfers);
+                (it->second.entry == &e ||
+                 transfers_eq(it->second.entry->transfers, e.transfers));
     if (skip) {
-      for (const auto& tr : transfers) {
+      for (const auto& tr : e.transfers) {
         auto vit = it->second.versions.find(tr.array);
         if (vit == it->second.versions.end() ||
             vit->second != st.write_version[tr.array]) {
@@ -537,15 +514,15 @@ class Executor {
       }
     }
     if (skip) {
-      st.node->stats.ccc_calls_elided += transfers.size();
-      return {};
+      st.node->stats.ccc_calls_elided += e.transfers.size();
+      return true;
     }
-    NodeRun::AvailEntry e;
-    e.transfers = transfers;
-    for (const auto& tr : transfers)
-      e.versions[tr.array] = st.write_version[tr.array];
-    st.avail[&loop] = std::move(e);
-    return transfers;
+    NodeRun::AvailEntry a;
+    a.entry = &e;
+    for (const auto& tr : e.transfers)
+      a.versions[tr.array] = st.write_version[tr.array];
+    st.avail[&loop] = std::move(a);
+    return false;
   }
 
   // ---- Compiler-directed coherence (Figure 2 call sequence) ----
@@ -610,14 +587,13 @@ class Executor {
                t.now());
   }
 
-  void ccc_epilogue(const hpf::ParallelLoop& loop, const CommPlan& plan,
-                    NodeRun& st) {
+  void ccc_epilogue(const CommPlan& plan, NodeRun& st) {
     Node& n = *st.node;
     sim::Task& t = *st.task;
     proto::Stache& p = *stache_;
-    const std::size_t bs = cluster_.block_size();
-    const std::size_t payload =
-        cfg_.opt.bulk_transfer ? cfg_.opt.max_payload : bs;
+    const std::size_t payload = cfg_.opt.bulk_transfer
+                                    ? cfg_.opt.max_payload
+                                    : cluster_.block_size();
 
     const sim::Time t0 = t.now();
     // Non-owner writes return to the owner.
@@ -636,8 +612,6 @@ class Executor {
     if (auto* tr = cluster_.tracer())
       tr->span(sim::Tracer::compute_track(n.id()), "ccc", "ccc_epilogue", t0,
                t.now());
-    (void)loop;
-    (void)bs;
   }
 
   // ---- Message-passing backend ----
@@ -854,7 +828,10 @@ class Executor {
   std::unique_ptr<mp::MpRuntime> mp_;
   std::unique_ptr<irreg::IrregRuntime> irreg_;
   core::LayoutMap layouts_;
-  Bindings base_bind_;
+  // After layouts_ (filled in the ctor body; the table reads it lazily).
+  core::PlanTable table_{prog_, layouts_, cluster_.nnodes(),
+                         cluster_.block_size(),
+                         cfg_.opt.mode == Mode::kShmemOpt};
   std::vector<NodeRun> nodes_;
 };
 

@@ -71,15 +71,16 @@ std::size_t run_bytes(const std::vector<Run>& runs) {
   return total;
 }
 
-std::vector<Run> block_align_inner(const std::vector<Run>& runs,
+std::vector<Run> block_align_inner(std::vector<Run> runs,
                                    std::size_t block_size) {
-  std::vector<Run> out;
-  for (const auto& r : runs) {
+  std::size_t kept = 0;
+  for (const Run& r : runs) {
     const GAddr lo = (r.addr + block_size - 1) / block_size * block_size;
     const GAddr hi = (r.addr + r.len) / block_size * block_size;
-    if (hi > lo) out.push_back(Run{lo, static_cast<std::size_t>(hi - lo)});
+    if (hi > lo) runs[kept++] = Run{lo, static_cast<std::size_t>(hi - lo)};
   }
-  return out;
+  runs.resize(kept);
+  return runs;
 }
 
 }  // namespace fgdsm::hpf

@@ -72,8 +72,10 @@ std::size_t run_bytes(const std::vector<Run>& runs);
 // Shrink each run to the blocks fully contained in it — the paper's
 // shmem_limits subsetting (§4.2): compiler-controlled ranges must not claim
 // blocks shared with unanalyzed data. Runs that do not cover a whole block
-// vanish (their data stays with the default protocol).
-std::vector<Run> block_align_inner(const std::vector<Run>& runs,
+// vanish (their data stays with the default protocol). Compacts `runs` in
+// place, so a caller that moves a scratch vector in and back allocates
+// nothing.
+std::vector<Run> block_align_inner(std::vector<Run> runs,
                                    std::size_t block_size);
 
 }  // namespace fgdsm::hpf

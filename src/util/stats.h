@@ -26,10 +26,10 @@ struct NodeStats {
   std::uint64_t ccc_runtime_calls = 0;     // mk_writable/implicit_*/limits
   std::uint64_t ccc_calls_elided = 0;      // removed by run-time overhead elim
 
-  // Host-side planner cache (core::PlanCache): loop visits served from the
-  // cached schedule vs. visits that re-ran section analysis + planning.
-  // These measure wall-clock work saved, not simulated behavior — cached
-  // and fresh plans are identical by construction.
+  // Host-side plan lookups: loop visits served by the node's own record of
+  // its last core::PlanTable entry (unchanged key) vs. visits that went to
+  // the shared table. These measure wall-clock work, not simulated
+  // behavior — every plan comes from the same pure analysis.
   std::uint64_t plan_cache_hits = 0;
   std::uint64_t plan_cache_misses = 0;
 

@@ -15,6 +15,7 @@
 #include <string>
 #include <vector>
 
+#include "bench/common.h"
 #include "src/apps/apps.h"
 #include "src/exec/batch.h"
 #include "src/exec/executor.h"
@@ -150,6 +151,28 @@ TEST(OptionsStrict, KnownFlagsPass) {
   const char* argv[] = {"bench", "--trace=x.json", "--scale=0.5"};
   util::Options o(3, argv);
   o.check_known({"trace", "scale"});  // must not exit
+}
+
+// A misspelled --app must not filter every run out and print empty tables.
+TEST(OptionsStrictDeathTest, UnknownAppExits2WithSuggestion) {
+  const char* jacobl[] = {"bench_fig3", "--app=jacobl"};
+  EXPECT_EXIT((void)bench::BenchConfig::from_args(2, jacobl),
+              ::testing::ExitedWithCode(2),
+              "unknown --app=jacobl \\(did you mean --app=jacobi\\?\\)");
+  // Too far for a typo suggestion (a transposition is two edits in four
+  // letters): the valid names are listed instead.
+  const char* spvm[] = {"bench_scale", "--app=spvm"};
+  EXPECT_EXIT((void)bench::BenchConfig::from_args(2, spvm),
+              ::testing::ExitedWithCode(2),
+              "unknown --app=spvm \\(expected one of: spmv pde .*jacobi\\)");
+}
+
+TEST(OptionsStrict, RegistryAppsAndSpmvPass) {
+  for (const char* app : {"jacobi", "lu", "spmv"}) {
+    const std::string flag = std::string("--app=") + app;
+    const char* argv[] = {"bench", flag.c_str()};
+    EXPECT_EQ(bench::BenchConfig::from_args(2, argv).only_app, app);
+  }
 }
 
 // ---------------------------------------------------------------------------

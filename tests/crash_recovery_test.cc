@@ -17,6 +17,11 @@
 //     latency to a computable constant.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -247,6 +252,59 @@ TEST(CrashRecovery, IrregularInspectorExecutorRecoversToo) {
   for (const auto& ns : rec.stats.node) t += ns;
   EXPECT_EQ(t.crashes, 1u);
   EXPECT_GT(t.recoveries, 0u);
+}
+
+// End times of every span of category `cat` in a Chrome trace written by
+// sim::Tracer (ts and dur follow the cat key, in microseconds).
+std::vector<sim::Time> span_ends(const std::string& path,
+                                 const std::string& cat) {
+  std::ifstream f(path);
+  const std::string text{std::istreambuf_iterator<char>(f),
+                         std::istreambuf_iterator<char>()};
+  const auto ns_after = [&](std::size_t from, const std::string& key) {
+    const std::size_t at = text.find(key, from) + key.size();
+    return static_cast<sim::Time>(
+        std::llround(std::stod(text.substr(at, 32)) * 1000));
+  };
+  std::vector<sim::Time> ends;
+  const std::string tag = "\"cat\": \"" + cat + "\"";
+  for (std::size_t at = text.find(tag); at != std::string::npos;
+       at = text.find(tag, at + 1))
+    ends.push_back(ns_after(at, "\"ts\": ") + ns_after(at, "\"dur\": "));
+  return ends;
+}
+
+// A crash while the inspector's needs exchange is in flight: some nodes
+// have finished the exchange and recorded the schedule, others have not.
+// Rollback must restore every node's record with the rest of its state, or
+// the finished nodes replay while the others re-inspect and wait forever
+// for needs nobody sends. The window comes from the inspect spans of the
+// same run without the crash (a bare fault spec keeps the reliable channel
+// on, so the timeline is the one the crash interrupts): from the first
+// node done with the exchange to the last.
+TEST(CrashRecovery, CrashDuringNeedsExchangeRecovers) {
+  const auto prog = apps::spmv(4096, 8, 4, /*pattern=*/0);
+  exec::RunConfig traced = crash_cfg("1", 8, 1);
+  traced.trace_path = ::testing::TempDir() + "fgdsm_needs_exchange.json";
+  const exec::RunResult clean = exec::run(prog, traced);
+  const std::vector<sim::Time> ends = span_ends(traced.trace_path, "inspect");
+  std::remove(traced.trace_path.c_str());
+  ASSERT_EQ(ends.size(), 8u);  // one inspection per node, then replays
+  const auto [first, last] = std::minmax_element(ends.begin(), ends.end());
+  ASSERT_LT(*first, *last);
+
+  for (int k = 0; k < 6; ++k) {
+    const std::string spec =
+        "crash=7@" + std::to_string(*first + (*last - *first) * k / 5);
+    SCOPED_TRACE(spec);
+    exec::RunResult rec;
+    ASSERT_NO_THROW(rec = exec::run(prog, crash_cfg(spec, 8, 1)));
+    expect_scalars_identical(clean, rec);
+    util::NodeStats t;
+    for (const auto& ns : rec.stats.node) t += ns;
+    EXPECT_EQ(t.crashes, 1u);
+    EXPECT_GT(t.recoveries, 0u);
+  }
 }
 
 // ---------------------------------------------------------------------------

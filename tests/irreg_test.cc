@@ -103,9 +103,9 @@ TEST(Irreg, ScheduleBeatsDefaultProtocolOnMessages) {
             unopt.stats.totals().messages_sent);
 }
 
-// Schedule-cache amortization (CHAOS/PARTI): the indirection arrays never
+// Schedule reuse (CHAOS/PARTI amortization): the indirection arrays never
 // change inside the time loop, so each node inspects exactly once and every
-// later visit replays the cached schedule. Without the cache, every visit
+// later visit replays its recorded schedule. Without reuse, every visit
 // re-inspects. Numerics are identical either way; only time differs.
 TEST(Irreg, ScheduleCacheAmortizesInspection) {
   const std::int64_t iters = 6;
@@ -114,7 +114,7 @@ TEST(Irreg, ScheduleCacheAmortizesInspection) {
        {core::shmem_opt_full(), core::msg_passing()}) {
     RunConfig on = config(base, 4);
     RunConfig off = on;
-    off.opt.plan_cache = false;
+    off.opt.reuse_schedule = false;
     const RunResult a = run(prog, on);
     const RunResult b = run(prog, off);
     const std::string label = base.label();
@@ -135,7 +135,7 @@ TEST(Irreg, ScheduleCacheAmortizesInspection) {
     // strictly slower, but numerically identical.
     EXPECT_LT(a.stats.elapsed_ns, b.stats.elapsed_ns) << label;
     EXPECT_EQ(a.scalars, b.scalars) << label;
-    expect_match(a, b, label + " cache-on vs cache-off");
+    expect_match(a, b, label + " reuse vs re-inspect");
   }
 }
 
