@@ -33,6 +33,7 @@
 #include "src/sim/fault.h"
 #include "src/sim/network.h"
 #include "src/sim/task.h"
+#include "src/tempest/cluster.h"
 
 namespace fgdsm {
 namespace {
@@ -117,26 +118,36 @@ void expect_scalars_identical(const exec::RunResult& a,
     EXPECT_EQ(v, b.scalars.at(name)) << name;
 }
 
+// Under flat collectives the tree's root is the coordinator vertex, which
+// takes no part in the barrier; under binomial it is node 0's own vertex.
+// Rollback must reset both kinds of root.
 TEST(CrashRecovery, ScheduledCrashRecoversBitIdentically) {
   const auto prog = apps::jacobi(96, 6);
-  const exec::RunResult clean = exec::run(prog, crash_cfg("", 4, 0));
-  // Kill node 2 a third of the way through the fault-free timeline.
-  const std::string spec =
-      "crash=2@" + std::to_string(clean.stats.elapsed_ns / 3);
-  const exec::RunResult rec = exec::run(prog, crash_cfg(spec, 4, 4));
+  for (const tempest::Collectives topo :
+       {tempest::Collectives::kFlat, tempest::Collectives::kBinomial}) {
+    SCOPED_TRACE(tempest::to_string(topo));
+    exec::RunConfig clean_cfg = crash_cfg("", 4, 0);
+    clean_cfg.cluster.collectives = topo;
+    const exec::RunResult clean = exec::run(prog, clean_cfg);
+    // Kill node 2 a third of the way through the fault-free timeline.
+    exec::RunConfig cfg = crash_cfg(
+        "crash=2@" + std::to_string(clean.stats.elapsed_ns / 3), 4, 4);
+    cfg.cluster.collectives = topo;
+    const exec::RunResult rec = exec::run(prog, cfg);
 
-  expect_scalars_identical(clean, rec);
+    expect_scalars_identical(clean, rec);
 
-  // The crash and the repair must actually have happened (non-vacuity).
-  util::NodeStats t;
-  for (const auto& ns : rec.stats.node) t += ns;
-  EXPECT_EQ(t.crashes, 1u);
-  EXPECT_GT(t.recoveries, 0u);
-  EXPECT_GT(t.checkpoints, 0u);
-  EXPECT_GT(t.checkpoint_bytes, 0u);
-  EXPECT_GT(t.rollback_ns, 0u);
-  // Detection + rollback + replay cost simulated time.
-  EXPECT_GT(rec.stats.elapsed_ns, clean.stats.elapsed_ns);
+    // The crash and the repair must actually have happened (non-vacuity).
+    util::NodeStats t;
+    for (const auto& ns : rec.stats.node) t += ns;
+    EXPECT_EQ(t.crashes, 1u);
+    EXPECT_GT(t.recoveries, 0u);
+    EXPECT_GT(t.checkpoints, 0u);
+    EXPECT_GT(t.checkpoint_bytes, 0u);
+    EXPECT_GT(t.rollback_ns, 0u);
+    // Detection + rollback + replay cost simulated time.
+    EXPECT_GT(rec.stats.elapsed_ns, clean.stats.elapsed_ns);
+  }
 }
 
 TEST(CrashRecovery, ProbabilisticCrashesRecoverBitIdentically) {
@@ -304,6 +315,61 @@ TEST(CrashRecovery, CrashDuringNeedsExchangeRecovers) {
     for (const auto& ns : rec.stats.node) t += ns;
     EXPECT_EQ(t.crashes, 1u);
     EXPECT_GT(t.recoveries, 0u);
+  }
+}
+
+// ---------------------------------------------------------------------------
+// Checkpoint accounting.
+
+// Enters the barrier `depth` host frames below the program body. Each frame
+// keeps a live local across the call, so none of them is a tail call.
+void barrier_at_depth(tempest::Node& n, sim::Task& t, int depth) {
+  volatile char frame[512];
+  frame[0] = static_cast<char>(depth);
+  if (depth == 0)
+    n.barrier(t);
+  else
+    barrier_at_depth(n, t, depth - 1);
+  frame[1] = frame[0];
+}
+
+// A checkpoint is charged for the blocks and tags it captured. The fiber
+// stack it also saves holds the simulator's own frames, whose size depends
+// on the compiler and on the host call depth, so it must not move
+// simulated time.
+TEST(CheckpointAccounting, ChargeIsIndependentOfHostCallDepth) {
+  auto run_at = [](int depth) {
+    tempest::ClusterConfig cfg;
+    cfg.nnodes = 4;
+    cfg.checkpoint_every = 1;
+    tempest::Cluster c(cfg);
+    c.allocate("x", 16 * cfg.page_size);
+    return c.run([&](tempest::Node& n, sim::Task& t) {
+      for (int r = 0; r < 3; ++r) {
+        t.charge(1000 * (n.id() + 1));
+        barrier_at_depth(n, t, depth);
+      }
+    });
+  };
+  const util::RunStats shallow = run_at(0);
+  const util::RunStats deep = run_at(8);
+  EXPECT_GT(shallow.totals().checkpoint_bytes, 0u);
+  EXPECT_EQ(shallow.elapsed_ns, deep.elapsed_ns);
+  EXPECT_EQ(shallow.totals().checkpoint_bytes, deep.totals().checkpoint_bytes);
+}
+
+// Each capture is counted once, on every node: the initial image plus one
+// per K-th barrier.
+TEST(CheckpointAccounting, CountsEachCaptureOnce) {
+  const int k = 4;
+  for (const hpf::Program& prog :
+       {apps::pde(18, 3), apps::shallow(33, 17, 3)}) {
+    SCOPED_TRACE(prog.name);
+    const exec::RunResult r = exec::run(prog, crash_cfg("", 4, k));
+    for (const util::NodeStats& ns : r.stats.node) {
+      EXPECT_GE(ns.barriers, static_cast<std::uint64_t>(k));
+      EXPECT_EQ(ns.checkpoints, 1 + ns.barriers / k);
+    }
   }
 }
 
