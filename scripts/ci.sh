@@ -17,7 +17,8 @@
 #   scripts/ci.sh crash      crash gauntlet: fail-stop crashes with
 #                            checkpoint/rollback recovery across bench_paper
 #                            and bench_irreg at 8 and 256 nodes, two seeds
-#                            each; recovered results must be bit-identical
+#                            each (plus one 256-node binomial-collectives
+#                            leg); recovered results must be bit-identical
 #                            to the fault-free baseline and byte-identical
 #                            across --sim-threads={1,4} and --jobs={1,4};
 #                            a crash with --checkpoint-every=0 must exit 87
@@ -173,6 +174,21 @@ case "$job" in
       results/crash_n256_seed1.json results/crash_n256_seed2.json
     python3 scripts/check_chaos.py --crash results/crash_baseline_n256.json \
       results/crash_n256_seed1.json results/crash_n256_seed2.json
+    # The same crash under binomial collectives, whose root is node 0's own
+    # vertex; under flat it is the coordinator vertex, which takes no part.
+    build/bench/bench_table3 --nodes=256 --app=jacobi --scale=0.02 \
+      --collectives=binomial --jobs="$jobs" --check-coherence \
+      --json=results/crash_baseline_n256_binomial.json
+    build/bench/bench_table3 --nodes=256 --app=jacobi --scale=0.02 \
+      --collectives=binomial --jobs="$jobs" --check-coherence \
+      --faults="crash=7@15000000,crashp=0.0002,seed=1" --checkpoint-every=4 \
+      --json=results/crash_n256_binomial_seed1.json
+    python3 scripts/check_results_json.py \
+      results/crash_baseline_n256_binomial.json \
+      results/crash_n256_binomial_seed1.json
+    python3 scripts/check_chaos.py --crash \
+      results/crash_baseline_n256_binomial.json \
+      results/crash_n256_binomial_seed1.json
     # Irregular inspector-executor path: the rebuilt communication schedule
     # after a rollback must gather exactly the same remote rows.
     build/bench/bench_irreg --pattern=band --scale=0.05 --jobs="$jobs" \

@@ -30,6 +30,9 @@
 #endif
 #if defined(FGDSM_TSAN_FIBERS)
 #include <sanitizer/tsan_interface.h>
+// The compiler's function-entry hook: pushes one entry on the current
+// fiber's shadow call stack.
+extern "C" void __tsan_func_entry(void* call_pc);
 #endif
 #if !defined(__x86_64__)
 #include <ucontext.h>
@@ -481,6 +484,23 @@ void Task::restore(const Snapshot& s, Time resume_at) {
     std::memcpy(stack_.top() - s.stack.size(), s.stack.data(),
                 s.stack.size());
   }
+#if defined(FGDSM_TSAN_FIBERS)
+  // TSan keeps a shadow call stack per fiber: an instrumented function
+  // pushes an entry on entry and pops it on return. unwind() popped entries
+  // only in frames that run a cleanup, so the count no longer matches, and
+  // each restored frame pops one entry as it returns; past the start, TSan
+  // faults. Start the fiber on a fresh context holding one placeholder per
+  // 16 restored bytes: the stack pointer is 16-byte aligned at every call,
+  // so no suspended frame is smaller, and the returns never run out.
+  __tsan_destroy_fiber(san_.tsan_fiber);
+  san_.tsan_fiber = __tsan_create_fiber(0);
+  __tsan_set_fiber_name(san_.tsan_fiber, name_.c_str());
+  void* const caller = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(san_.tsan_fiber, 0);
+  for (std::size_t i = 0; i < s.stack.size() / 16; ++i)
+    __tsan_func_entry(__builtin_return_address(0));
+  __tsan_switch_to_fiber(caller, 0);
+#endif
   if (state_ == State::kBlocked) {
     wake(resume_at);
   } else {

@@ -1,6 +1,6 @@
 // The simulated cluster: engine + network + nodes + the global shared
-// segment layout, plus the handler dispatch table and the coordinator state
-// for barriers and reductions.
+// segment layout, plus the handler dispatch table and the collective tree
+// that barriers and reductions run over.
 #pragma once
 
 #include <array>
@@ -112,73 +112,72 @@ class Cluster {
   const sim::CostModel& costs() const { return cfg_.costs; }
   Node& node(int i) { return *nodes_[static_cast<std::size_t>(i)]; }
 
-  // ---- Coordinator state ----
-  // Centralized (kFlat): node 0 counts arrivals. Tree topologies: every
-  // node counts arrivals from its children in the configured shape (binary,
-  // binomial, or two-level groups — see Collectives); the release flows
-  // back down the same shape.
-  struct BarrierState {
-    int arrived = 0;
-  } barrier_state;
-  std::vector<int> tree_arrived;        // per node: children heard this round
-  std::vector<char> tree_self_arrived;  // per node: own arrival this round
-  std::vector<double> tree_partial;     // per node: own contribution
-  // Per node, one slot per child (same index as tree_children(node)).
-  // Child contributions are buffered here and folded in child order only
-  // once the subtree is complete — never in arrival order, which chaos
-  // delays can permute (floating-point combines are order-sensitive, and
-  // the determinism contract says faults may move timing, not results).
-  std::vector<std::vector<double>> tree_red_contrib;
-  std::vector<int> tree_red_arrived;    // reduction children heard
-  std::vector<char> tree_red_self;      // own contribution made
-  // Per node (a single shared scalar would be written concurrently by every
-  // partition's reduction path under --sim-threads).
-  std::vector<int> tree_red_op;         // reduction op this round
+  // ---- Collectives ----
+  // Barrier and allreduce run over one tree of vertices, whatever the
+  // topology. Vertex i < nnodes is node i's participant. Under kFlat the
+  // root is one extra vertex, nnodes, hosted on node 0: the platform's
+  // coordinator. It takes no part itself; it counts every node's arrival,
+  // node 0's included (by loopback), and releases every node by message.
+  // The tree topologies are rooted at node 0's participant. Arrivals flow
+  // up the tree, releases back down it, and each vertex's state is written
+  // only from its host node's partition.
+  //
+  // Task-context entry points (Node::barrier, Node::allreduce): record
+  // node n's own arrival, or its contribution, and send whatever that
+  // completes. The release posts n.barrier_sem (n.reduce_sem, after
+  // setting n.reduce_result).
+  void barrier_arrive(Node& n, sim::Task& task);
+  void reduce_arrive(Node& n, sim::Task& task, double v, Node::ReduceOp op);
 
-  // ---- Collective tree shapes ----
-  // Pure shape functions (usable without a Cluster — the unit tests assert
-  // parent/child sets directly). For kFlat they describe the centralized
-  // star (node 0 fans out to everyone) for diagnostics; the flat path never
-  // routes through the tree handlers.
+  // Pure shape functions over vertices, usable without a Cluster (the unit
+  // tests assert parent/child sets directly).
   static int resolve_group(int nnodes, int group);  // 0 -> ceil(sqrt(n))
-  static int collective_parent(Collectives topo, int node, int nnodes,
+  static int collective_root(Collectives topo, int nnodes);
+  static int collective_parent(Collectives topo, int vertex, int nnodes,
                                int group = 0);
-  static std::vector<int> collective_children(Collectives topo, int node,
+  static std::vector<int> collective_children(Collectives topo, int vertex,
                                               int nnodes, int group = 0);
   // Longest root-to-leaf hop count of the shape (0 for a single node).
   static int collective_depth(Collectives topo, int nnodes, int group = 0);
 
-  // Table lookups for the configured topology (built by
-  // register_tree_handlers; valid only when collectives != kFlat).
-  int tree_parent(int node) const {
-    return tree_parent_[static_cast<std::size_t>(node)];
-  }
-  const std::vector<int>& tree_children(int node) const {
-    return tree_children_[static_cast<std::size_t>(node)];
-  }
-  int tree_nchildren(int node) const {
-    return static_cast<int>(tree_children(node).size());
-  }
-  // Barrier/reduction tree steps shared by task- and handler-context
-  // arrivals; `send` abstracts who pays the injection cost.
-  using SendFn = std::function<void(sim::Message)>;
-  void tree_barrier_step(int node, sim::Time t, const SendFn& send);
-  void tree_reduce_step(int node, sim::Time t, const SendFn& send);
-  static double reduce_identity(int op);
-  static double reduce_combine(int op, double a, double b);
-  // Contributions are folded in node-id order once all have arrived, so a
-  // reduction's floating-point result depends only on the values and the
-  // node count — not on message timing (results are comparable across
-  // modes and optimization levels).
-  struct ReduceState {
-    int arrived = 0;
-    int op = 0;
-    std::vector<double> contrib;
-  } reduce_state;
-
  private:
   void register_builtin_handlers();
-  void register_tree_handlers();
+
+  // ---- Collective tree (see barrier_arrive) ----
+  // One collective round at one vertex: children heard so far, and whether
+  // the host node's own arrival is in (participants only).
+  struct Round {
+    int heard = 0;
+    bool self = false;
+  };
+  struct Vertex {
+    int parent = -1;            // -1 at the root
+    int slot = 0;               // index in the parent's children
+    std::vector<int> children;  // ascending: fan-outs send in this order
+    Round barrier;
+    Round reduce;
+    int op = -1;        // this round's reduction op; -1 = none seen yet
+    double own = 0.0;   // the host node's own contribution
+    // One slot per child. Child values are buffered here and folded in
+    // child order once the subtree is complete — never in arrival order,
+    // which chaos delays can permute (floating-point combines are
+    // order-sensitive, and faults may move timing, not results).
+    std::vector<double> contrib;
+  };
+  Vertex& vertex(int v) { return vertices_[static_cast<std::size_t>(v)]; }
+  bool participant(int v) const { return v < cfg_.nnodes; }
+  int host(int v) const { return participant(v) ? v : 0; }
+  // The vertex on `node` that its children's arrivals report to: node 0
+  // collects for the root (under kFlat, the coordinator vertex; its own
+  // vertex then has no children), every other node for its own vertex.
+  int collector(int node) const { return node == 0 ? root_ : node; }
+  using SendFn = std::function<void(sim::Message)>;
+  int child_arrival(int node, const sim::Message& m);
+  bool complete_round(int v, Round& r);
+  void note_op(Vertex& x, int op);
+  void barrier_step(int v, sim::Time t, const SendFn& send);
+  void reduce_step(int v, sim::Time t, const SendFn& send);
+  void fan_out(int v, MsgType type, std::int64_t arg, const SendFn& send);
 
   // ---- Checkpoint / rollback recovery (fail-stop crashes) ----
   // One node's share of a checkpoint. Memory is captured per block, only for
@@ -205,20 +204,21 @@ class Cluster {
     std::vector<NodeCheckpoint> nodes;
     std::vector<std::shared_ptr<void>> host_blobs;  // per registered hook
   };
-  // Barrier-completion bookkeeping shared by the flat and tree coordinators:
-  // advance the (monotonic, never rolled back) barrier epoch, draw
-  // probabilistic crashes for it, and request a checkpoint on every K-th
-  // epoch. Runs at the root-completion quiescent point, before any release
-  // is sent. Returns true when this is a checkpoint epoch: the caller must
-  // then SKIP its inline release fan-out — the capture itself runs at the
-  // engine's window barrier (the request event runs inside one partition's
-  // drain, where other partitions' task fibers may still be executing on
-  // their host workers and cannot be snapshotted), and the releases are
-  // replayed one window later by finish_barrier_release so no node moves
-  // past the barrier before the capture sees it.
+  // Barrier-completion bookkeeping at the collective root: advance the
+  // (monotonic, never rolled back) barrier epoch, draw probabilistic
+  // crashes for it, and request a checkpoint on every K-th epoch. Runs at
+  // the root-completion quiescent point, before any release is sent.
+  // Returns true when this is a checkpoint epoch: the caller must then SKIP
+  // its inline release fan-out — the capture itself runs at the engine's
+  // window barrier (the request event runs inside one partition's drain,
+  // where other partitions' task fibers may still be executing on their
+  // host workers and cannot be snapshotted), and the releases are replayed
+  // one window later by finish_barrier_release so no node moves past the
+  // barrier before the capture sees it.
   bool on_barrier_complete(sim::Time t);
   // Deferred release fan-out for checkpoint epochs: same messages/costs as
-  // the inline path, charged to node 0's protocol processor at time t.
+  // the inline path, charged to the root's host (node 0) protocol
+  // processor at time t.
   void finish_barrier_release(sim::Time t);
   void capture_checkpoint(sim::Time t, bool at_barrier);
   // Engine recovery hook: true = rolled back and rescheduled, keep running;
@@ -235,9 +235,10 @@ class Cluster {
   std::unique_ptr<sim::FaultInjector> fault_;
   std::unique_ptr<sim::ReliableChannel> channel_;
   std::vector<std::unique_ptr<Node>> nodes_;
-  // Configured collective shape, precomputed once (empty under kFlat).
-  std::vector<int> tree_parent_;
-  std::vector<std::vector<int>> tree_children_;
+  // The configured collective tree, built once; vertices_[root_] is its
+  // root.
+  std::vector<Vertex> vertices_;
+  int root_ = 0;
   std::array<Handler, static_cast<std::size_t>(MsgType::kCount)> handlers_;
   std::size_t segment_bytes_ = 0;
   std::vector<std::pair<std::string, GAddr>> regions_;
