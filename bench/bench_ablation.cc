@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace fgdsm;
-  const bench::BenchConfig bc = bench::BenchConfig::from_args(argc, argv);
+  const bench::BenchConfig bc = bench::BenchConfig::from_args(argc, argv, {});
   bench::JsonReport jr("ablation", bc);
 
   // ---- 1. Block-size sweep on jacobi ----

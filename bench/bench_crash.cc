@@ -103,7 +103,7 @@ bool scalars_identical(const std::map<std::string, double>& a,
 
 int crash_main(int argc, char** argv) {
   bench::BenchConfig cfg = bench::BenchConfig::from_args(
-      argc, argv,
+      argc, argv, {"jacobi"},
       {"nodes-list", "intervals", "crash-interval", "crashp", "sweeps"});
   util::Options o(argc, argv);  // re-parse for the harness-specific flags
   const std::vector<int> node_counts = parse_int_list(

@@ -107,7 +107,7 @@ int main(int argc, char** argv) {
   using namespace fgdsm;
   // Accepts the common flags (--jobs etc.) for uniform driving by
   // run_experiments.sh; the producer-consumer pair is fixed-size.
-  const bench::BenchConfig bc = bench::BenchConfig::from_args(argc, argv);
+  const bench::BenchConfig bc = bench::BenchConfig::from_args(argc, argv, {});
   const auto def = measure(false, 9);
   const auto opt = measure(true, 9);
   std::printf("Figure 1: protocol messages per producer-consumer transfer\n");

@@ -15,7 +15,8 @@
 
 int main(int argc, char** argv) {
   using namespace fgdsm;
-  const bench::BenchConfig bc = bench::BenchConfig::from_args(argc, argv);
+  const bench::BenchConfig bc =
+      bench::BenchConfig::from_args(argc, argv, bench::registry_names());
   // Header reports only experiment parameters — never --jobs, so output
   // files compare byte-identical across job counts.
   std::printf(

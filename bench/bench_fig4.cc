@@ -15,7 +15,8 @@
 
 int main(int argc, char** argv) {
   using namespace fgdsm;
-  const bench::BenchConfig bc = bench::BenchConfig::from_args(argc, argv);
+  const bench::BenchConfig bc =
+      bench::BenchConfig::from_args(argc, argv, bench::registry_names());
   std::printf(
       "Figure 4: normalized execution time, dual-cpu (scale=%.2f, %d "
       "nodes)\n",

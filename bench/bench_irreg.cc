@@ -25,7 +25,7 @@
 int main(int argc, char** argv) {
   using namespace fgdsm;
   const bench::BenchConfig bc =
-      bench::BenchConfig::from_args(argc, argv, {"pattern"});
+      bench::BenchConfig::from_args(argc, argv, {"spmv"}, {"pattern"});
   const util::Options o(argc, argv);
   const std::string pattern_name = o.get("pattern", "band");
   std::int64_t pattern = 0;

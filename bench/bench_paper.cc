@@ -16,7 +16,8 @@
 
 int main(int argc, char** argv) {
   using namespace fgdsm;
-  const bench::BenchConfig bc = bench::BenchConfig::from_args(argc, argv);
+  const bench::BenchConfig bc =
+      bench::BenchConfig::from_args(argc, argv, bench::registry_names());
   std::printf(
       "Figure 3 + Table 3 (scale=%.2f, %d nodes, %zuB blocks)\n",
       bc.scale, bc.nodes, bc.block);

@@ -169,7 +169,8 @@ void measure(Point& p, const exec::ExperimentSpec& spec, int reps) {
 
 int scale_main(int argc, char** argv) {
   bench::BenchConfig cfg = bench::BenchConfig::from_args(
-      argc, argv, {"nodes-list", "perf-json", "reps", "sweeps", "iters"});
+      argc, argv, {"jacobi", "spmv"},
+      {"nodes-list", "perf-json", "reps", "sweeps", "iters"});
   util::Options o(argc, argv);  // re-parse for the harness-specific flags
   const std::string nodes_list = o.get("nodes-list", "8,64,256");
   const std::string perf_json = o.get("perf-json", "");

@@ -134,7 +134,7 @@ int main(int argc, char** argv) {
   using namespace fgdsm;
   // Accepts the common flags (--jobs etc.) for uniform driving by
   // run_experiments.sh; the microbenchmarks themselves are fixed-size.
-  const bench::BenchConfig bc = bench::BenchConfig::from_args(argc, argv);
+  const bench::BenchConfig bc = bench::BenchConfig::from_args(argc, argv, {});
   const sim::Time rtt = measure_roundtrip(16);
   const double bw = measure_bandwidth_mbps();
   const sim::Time miss2_dual = measure_read_miss(true, 2);

@@ -13,11 +13,13 @@ int main(int argc, char** argv) {
   using namespace fgdsm;
   // Accepts the common flags (--jobs etc.) for uniform driving by
   // run_experiments.sh; the inventory is computed, not simulated.
-  const bench::BenchConfig bc = bench::BenchConfig::from_args(argc, argv);
+  const bench::BenchConfig bc =
+      bench::BenchConfig::from_args(argc, argv, bench::registry_names());
   bench::JsonReport jr("table2", bc);
   util::Table t({"Application", "Problem Size", "Paper Mem (MB)",
                  "Our Mem (MB)", "Arrays", "Distribution"});
   for (const auto& app : apps::registry()) {
+    if (!bc.selected(app.name)) continue;
     const hpf::Program prog = app.paper();
     hpf::Bindings b = prog.sizes;
     b.set(hpf::kSymNProcs, 8);

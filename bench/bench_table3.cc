@@ -15,7 +15,8 @@
 
 int main(int argc, char** argv) {
   using namespace fgdsm;
-  const bench::BenchConfig bc = bench::BenchConfig::from_args(argc, argv);
+  const bench::BenchConfig bc =
+      bench::BenchConfig::from_args(argc, argv, bench::registry_names());
   std::printf(
       "Table 3: communication time and miss-count reductions (scale=%.2f, "
       "%d nodes)\n",

@@ -9,8 +9,9 @@
 //                   coordinator; the tree shapes are the scaling ablation,
 //                   twolevel takes an optional group size G, 0 = auto)
 //   --block=<b>     coherence block size in bytes (default 128)
-//   --app=<name>    restrict to one application (a registry app or spmv;
-//                   any other name exits 2 with a suggestion)
+//   --app=<name>    restrict to one of the applications the harness runs
+//                   (any other name exits 2 with a suggestion; harnesses
+//                   whose experiments are fixed reject --app)
 //   --jobs=<n>      host threads for independent runs (default 1; results
 //                   are byte-identical at any job count)
 //   --full          shorthand for --scale=1.0
@@ -90,6 +91,14 @@ inline int g_sim_threads = 1;
 inline tempest::Collectives g_collectives = tempest::Collectives::kFlat;
 inline int g_collective_group = 0;
 
+// The names of every app in apps::registry(): the suite the paper harnesses
+// run.
+inline std::vector<std::string> registry_names() {
+  std::vector<std::string> names;
+  for (const auto& a : apps::registry()) names.push_back(a.name);
+  return names;
+}
+
 struct BenchConfig {
   double scale = 0.15;
   int nodes = 8;
@@ -107,9 +116,13 @@ struct BenchConfig {
   tempest::Collectives collectives = tempest::Collectives::kFlat;
   int collective_group = 0;    // twolevel fan-out; 0 = auto
 
+  // `apps` names the applications the harness runs, one of which --app may
+  // select; any other name exits 2 with a suggestion. A harness whose
+  // experiments are fixed passes {} and rejects --app as an unknown flag.
   // `extra_known` declares harness-specific flags beyond the shared set
   // (strict mode rejects everything else).
   static BenchConfig from_args(int argc, const char* const* argv,
+                               const std::vector<std::string>& apps,
                                const std::vector<std::string>& extra_known =
                                    {}) {
     util::Options o(argc, argv);
@@ -117,6 +130,7 @@ struct BenchConfig {
         "scale", "nodes", "block", "app", "jobs", "full", "json", "trace",
         "per-loop", "check-coherence", "faults", "watchdog-ns",
         "sim-threads", "collectives", "checkpoint-every"};
+    if (apps.empty()) std::erase(known, "app");
     known.insert(known.end(), extra_known.begin(), extra_known.end());
     o.check_known(known);
     BenchConfig c;
@@ -134,17 +148,15 @@ struct BenchConfig {
     c.jobs = static_cast<int>(o.get_int("jobs", 1));
     if (o.has("app")) {
       c.only_app = o.get("app");
-      std::vector<std::string> names = {"spmv"};
-      for (const auto& a : apps::registry()) names.push_back(a.name);
-      if (std::find(names.begin(), names.end(), *c.only_app) == names.end()) {
+      if (std::find(apps.begin(), apps.end(), *c.only_app) == apps.end()) {
         const std::string hint =
-            util::Options::closest_match(*c.only_app, names);
+            util::Options::closest_match(*c.only_app, apps);
         std::fprintf(stderr, "fgdsm: unknown --app=%s", c.only_app->c_str());
         if (!hint.empty()) {
           std::fprintf(stderr, " (did you mean --app=%s?)", hint.c_str());
         } else {
           std::fprintf(stderr, " (expected one of:");
-          for (const auto& name : names)
+          for (const auto& name : apps)
             std::fprintf(stderr, " %s", name.c_str());
           std::fprintf(stderr, ")");
         }

@@ -45,6 +45,11 @@
 #                            determinism, PDES partitions, scale, crash
 #                            recovery) run on 4 real engine workers. Task
 #                            fibers announce every stack switch to TSan
+#   scripts/ci.sh fixedpoint the simulated-behaviour fixed point: regenerate
+#                            results/bench_paper.txt, bench_fig4.txt and
+#                            bench_irreg.txt at --scale=0.5 with the default
+#                            build type; each must match the committed copy
+#                            byte for byte
 # Extra cmake args may follow the job name.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -312,9 +317,9 @@ case "$job" in
     }
     python3 scripts/check_chaos.py results/simthreads_st1.json \
       results/simthreads_chaos_st1.json results/simthreads_chaos_st4.json
-    # 256 nodes: above the flat threshold the fault injector and channel
-    # keep lazy per-link state, written from every partition's worker. A
-    # chaos + crash run must still replay byte-identically.
+    # 256 nodes: the fault injector and channel keep lazy per-link state,
+    # written from every partition's worker. A chaos + crash run must still
+    # replay byte-identically.
     for st in 1 4; do
       FGDSM_HOST_CORES=4 build/bench/bench_table3 --nodes=256 --app=jacobi \
         --scale=0.02 --sim-threads="$st" --check-coherence \
@@ -344,9 +349,28 @@ case "$job" in
       FGDSM_HOST_CORES=4 "build-tsan/tests/${t}_test"
     done
     ;;
+  fixedpoint)
+    # Simulated behaviour is the repo's fixed point: a change that keeps it
+    # must reproduce the committed reference tables exactly. They were
+    # generated with the default build type, so configure with it even if
+    # this build tree was last configured for Release (perf, scale).
+    cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo "$@"
+    cmake --build build -j "$jobs" --target bench_paper bench_fig4 bench_irreg
+    mkdir -p build/fixedpoint
+    for h in bench_paper bench_fig4 bench_irreg; do
+      build/bench/$h --scale=0.5 --jobs="$jobs" >"build/fixedpoint/$h.txt"
+      cmp "results/$h.txt" "build/fixedpoint/$h.txt" || {
+        echo "fixedpoint: $h --scale=0.5 differs from results/$h.txt" >&2
+        diff "results/$h.txt" "build/fixedpoint/$h.txt" | head -40 >&2
+        exit 1
+      }
+    done
+    echo "fixedpoint: bench_paper, bench_fig4 and bench_irreg at" \
+      "--scale=0.5 match results/*.txt byte for byte"
+    ;;
   *)
     echo "unknown job '$job' (expected: verify | sanitize | chaos | crash |" \
-      "perf | scale | simthreads | tsan)" >&2
+      "perf | scale | simthreads | tsan | fixedpoint)" >&2
     exit 2
     ;;
 esac

@@ -20,25 +20,15 @@ ReliableChannel::ReliableChannel(Engine& engine, Network& net, int nnodes,
       net_(net),
       nnodes_(nnodes),
       cfg_(cfg),
+      tx_sparse_(static_cast<std::size_t>(nnodes)),
+      rx_sparse_(static_cast<std::size_t>(nnodes)),
       deliver_(static_cast<std::size_t>(nnodes)) {
   FGDSM_ASSERT(nnodes >= 1);
   FGDSM_ASSERT_MSG(cfg_.rto_ns > 0, "channel rto must be positive");
   FGDSM_ASSERT(cfg_.max_retries >= 0);
-  if (flat()) {
-    // Paper scale: the historical dense layout, no per-message hashing.
-    tx_.resize(static_cast<std::size_t>(nnodes) *
-               static_cast<std::size_t>(nnodes));
-    rx_.resize(static_cast<std::size_t>(nnodes) *
-               static_cast<std::size_t>(nnodes));
-  } else {
-    // Large clusters: per-link books materialize on first traffic only.
-    tx_sparse_.resize(static_cast<std::size_t>(nnodes));
-    rx_sparse_.resize(static_cast<std::size_t>(nnodes));
-  }
 }
 
 ReliableChannel::TxLink& ReliableChannel::tx(int src, int dst) {
-  if (flat()) return tx_[link(src, dst)];
   auto [it, created] =
       tx_sparse_[static_cast<std::size_t>(src)].try_emplace(dst);
   if (created && initial_seq_ > 0) {
@@ -50,7 +40,6 @@ ReliableChannel::TxLink& ReliableChannel::tx(int src, int dst) {
 }
 
 ReliableChannel::RxLink& ReliableChannel::rx(int src, int dst) {
-  if (flat()) return rx_[link(src, dst)];
   auto [it, created] =
       rx_sparse_[static_cast<std::size_t>(dst)].try_emplace(src);
   if (created && initial_seq_ > 0) {
@@ -61,14 +50,12 @@ ReliableChannel::RxLink& ReliableChannel::rx(int src, int dst) {
 }
 
 ReliableChannel::TxLink* ReliableChannel::tx_find(int src, int dst) {
-  if (flat()) return &tx_[link(src, dst)];
   auto& m = tx_sparse_[static_cast<std::size_t>(src)];
   auto it = m.find(dst);
   return it == m.end() ? nullptr : &it->second;
 }
 
 ReliableChannel::RxLink* ReliableChannel::rx_find(int src, int dst) {
-  if (flat()) return &rx_[link(src, dst)];
   auto& m = rx_sparse_[static_cast<std::size_t>(dst)];
   auto it = m.find(src);
   return it == m.end() ? nullptr : &it->second;
@@ -83,21 +70,10 @@ void ReliableChannel::attach(int node, Network::DeliverFn deliver) {
 }
 
 void ReliableChannel::set_initial_seq(std::uint64_t seq) {
-  initial_seq_ = seq;
-  for (TxLink& t : tx_) {
-    FGDSM_ASSERT_MSG(t.next_seq == 0 && t.live_count == 0,
-                     "set_initial_seq after traffic started");
-    t.next_seq = seq;
-    t.acked = seq;
-    t.win_base = seq + 1;
-  }
-  for (RxLink& r : rx_) {
-    r.cum = seq;
-    r.last_ack_sent = seq;
-  }
-  // Sparse layout: links created later inherit initial_seq_ in tx()/rx().
+  // Links created later inherit initial_seq_ in tx()/rx().
   for (const auto& m : tx_sparse_)
     FGDSM_ASSERT_MSG(m.empty(), "set_initial_seq after traffic started");
+  initial_seq_ = seq;
 }
 
 ReliableChannel::TxSlot* ReliableChannel::find_slot(TxLink& t,
@@ -306,8 +282,6 @@ void ReliableChannel::reset_for_recovery() {
   // direction, so any copy still in flight from the abandoned timeline
   // compares <= the base and is suppressed as a duplicate.
   std::uint64_t base = initial_seq_;
-  for (const TxLink& t : tx_) base = std::max(base, t.next_seq);
-  for (const RxLink& r : rx_) base = std::max(base, r.cum);
   for (const auto& m : tx_sparse_)
     for (const auto& [d, t] : m) base = std::max(base, t.next_seq);
   for (const auto& m : rx_sparse_)
@@ -326,8 +300,6 @@ void ReliableChannel::reset_for_recovery() {
     r.ack_timer_armed = false;
     r.ooo.clear();
   };
-  for (TxLink& t : tx_) reset_tx(t);
-  for (RxLink& r : rx_) reset_rx(r);
   for (auto& m : tx_sparse_)
     for (auto& [d, t] : m) reset_tx(t);
   for (auto& m : rx_sparse_)
@@ -337,29 +309,11 @@ void ReliableChannel::reset_for_recovery() {
 }
 
 std::size_t ReliableChannel::resident_links() const {
-  // Distinct directed links with resident (sparse) or touched (flat) state.
-  std::vector<std::pair<int, int>> pairs = active_links();
-  if (!flat()) return pairs.size();
-  std::size_t n = 0;
-  for (const auto& [s, d] : pairs) {
-    const TxLink& t = tx_[link(s, d)];
-    const RxLink& r = rx_[link(s, d)];
-    if (t.next_seq > initial_seq_ || !t.ring.empty() ||
-        r.cum > initial_seq_ || !r.ooo.empty() || r.ack_timer_armed)
-      ++n;
-  }
-  return n;
+  return active_links().size();
 }
 
 std::vector<std::pair<int, int>> ReliableChannel::active_links() const {
   std::vector<std::pair<int, int>> pairs;
-  if (flat()) {
-    pairs.reserve(static_cast<std::size_t>(nnodes_) *
-                  static_cast<std::size_t>(nnodes_));
-    for (int s = 0; s < nnodes_; ++s)
-      for (int d = 0; d < nnodes_; ++d) pairs.emplace_back(s, d);
-    return pairs;
-  }
   for (int s = 0; s < nnodes_; ++s)
     for (const auto& [d, t] : tx_sparse_[static_cast<std::size_t>(s)])
       pairs.emplace_back(s, d);
@@ -376,13 +330,11 @@ std::string ReliableChannel::describe_state() const {
   for (const auto& [s, d] : active_links()) {
     {
       auto tx_at = [&](int a, int b) -> const TxLink* {
-        if (flat()) return &tx_[link(a, b)];
         const auto& m = tx_sparse_[static_cast<std::size_t>(a)];
         auto it = m.find(b);
         return it == m.end() ? nullptr : &it->second;
       };
       auto rx_at = [&](int a, int b) -> const RxLink* {
-        if (flat()) return &rx_[link(a, b)];
         const auto& m = rx_sparse_[static_cast<std::size_t>(b)];
         auto it = m.find(a);
         return it == m.end() ? nullptr : &it->second;

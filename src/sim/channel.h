@@ -24,22 +24,18 @@
 // soak (the earlier 32-bit fields, compared with plain </>, misordered after
 // 2^32 messages on one link).
 //
-// Link-state residency: at paper scale (nnodes <= kFlatLinkNodes) the
-// per-link books live in flat nnodes^2 vectors indexed src*nnodes+dst — the
-// historical fast path, untouched. Larger clusters switch to per-source
-// hash maps where a link's book is allocated on its first traffic, so
-// resident state grows with *active* links rather than nodes^2 (a 1024-node
-// cluster would otherwise hold ~1M tx+rx records before the first message).
-// Lazily created links inherit initial_seq_ exactly as the flat path does,
-// and every map is keyed/iterated deterministically (sorted on iteration),
-// preserving bit-identity.
+// Link-state residency: the per-link books live in per-node hash maps
+// where a link's book is allocated on its first traffic, so resident state
+// grows with *active* links rather than nodes^2 (a 1024-node cluster would
+// otherwise hold ~1M tx+rx records before the first message). Lazily
+// created links inherit initial_seq_, and every map is iterated in sorted
+// (src, dst) order, preserving bit-identity.
 //
 // The channel exists only in chaos mode (tempest::Cluster creates it iff
 // --faults is given); a fault-free configuration keeps the original direct
 // Network::send path, so reliability costs nothing when unused. Determinism:
-// all per-link state lives in plain arrays keyed by (src,dst) and all
-// timers go through the engine's (time, seq) order, so runs are bit-identical
-// for a given seed.
+// all per-link state is keyed by (src,dst) and all timers go through the
+// engine's (time, seq) order, so runs are bit-identical for a given seed.
 #pragma once
 
 #include <cstdint>
@@ -119,13 +115,9 @@ class ReliableChannel {
   // Must be called before any traffic flows.
   void set_initial_seq(std::uint64_t seq);
 
-  // Number of directed links with resident per-link state (allocated lazily
-  // above kFlatLinkNodes; counted by traffic below it). Idle links
+  // Number of directed links with resident per-link state. Idle links
   // contribute nothing — the scaling tests assert this.
   std::size_t resident_links() const;
-
-  // Node-count threshold for the flat vs lazy link-state layout.
-  static constexpr int kFlatLinkNodes = 64;
 
  private:
   struct TxSlot {
@@ -147,21 +139,15 @@ class ReliableChannel {
     std::vector<Message> ooo;  // out-of-order arrivals, sorted by ch_seq
   };
 
-  std::size_t link(int src, int dst) const {
-    return static_cast<std::size_t>(src) * static_cast<std::size_t>(nnodes_) +
-           static_cast<std::size_t>(dst);
-  }
-  bool flat() const { return nnodes_ <= kFlatLinkNodes; }
-
-  // Get-or-create accessors (lazy above kFlatLinkNodes; created links
-  // inherit initial_seq_). References stay valid across later creations —
-  // unordered_map never invalidates references on rehash.
+  // Get-or-create accessors (created links inherit initial_seq_).
+  // References stay valid across later creations — unordered_map never
+  // invalidates references on rehash.
   TxLink& tx(int src, int dst);
   RxLink& rx(int src, int dst);
   // Lookup-only variants: null when the link has no resident state yet.
   TxLink* tx_find(int src, int dst);
   RxLink* rx_find(int src, int dst);
-  // Sorted (src,dst) pairs with link state (all pairs in the flat layout).
+  // Sorted (src,dst) pairs with link state.
   std::vector<std::pair<int, int>> active_links() const;
   util::NodeStats* stats_for(int node) {
     return static_cast<std::size_t>(node) < stats_.size() ? stats_[node]
@@ -188,13 +174,11 @@ class ReliableChannel {
   Network& net_;
   int nnodes_;
   ChannelConfig cfg_;
-  // Flat layout (nnodes <= kFlatLinkNodes): nnodes^2 vectors, the original
-  // fast path. Sparse layout: per-source maps keyed by dst, populated on a
-  // link's first traffic.
-  std::vector<TxLink> tx_;                   // sender side (flat)
-  std::vector<RxLink> rx_;                   // receiver side (flat)
-  std::vector<std::unordered_map<int, TxLink>> tx_sparse_;  // per src
-  std::vector<std::unordered_map<int, RxLink>> rx_sparse_;  // per dst's src
+  // Per-node maps populated on a link's first traffic: the sender side
+  // indexed by src and keyed by dst, the receiver side indexed by dst and
+  // keyed by src.
+  std::vector<std::unordered_map<int, TxLink>> tx_sparse_;
+  std::vector<std::unordered_map<int, RxLink>> rx_sparse_;
   std::uint64_t initial_seq_ = 0;            // inherited by lazy links
   std::vector<Network::DeliverFn> deliver_;  // app sinks, per node
   std::vector<util::NodeStats*> stats_;

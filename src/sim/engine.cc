@@ -22,6 +22,13 @@ struct PendingStall {
   std::string reason;
 };
 
+std::string watchdog_reason(Time stalled_for, Time threshold) {
+  std::ostringstream os;
+  os << "watchdog: no compute-task progress for " << stalled_for
+     << " virtual ns (threshold " << threshold << ")";
+  return os.str();
+}
+
 // Sense-free generation barrier: spin briefly (windows are ~microseconds of
 // simulated work), then yield so an oversubscribed host still makes
 // progress. The release/acquire pair on phase_ is the happens-before edge
@@ -117,69 +124,14 @@ bool Engine::front_precedes(const EventQueue& a, const EventQueue& b) {
                                       : a.top_seq() < b.top_seq();
 }
 
-void Engine::run() {
-  FGDSM_ASSERT_MSG(!running_, "Engine::run is not reentrant");
-  // Scope guard so every exit — normal return, StallError from the watchdog,
-  // or an exception escaping an event callback — releases the flag and the
-  // engine stays usable for a subsequent run().
-  struct RunningGuard {
-    bool& flag;
-    explicit RunningGuard(bool& f) : flag(f) { flag = true; }
-    ~RunningGuard() { flag = false; }
-  } guard(running_);
-  if (parts_.size() == 1)
-    run_single();
-  else
-    run_windowed();
-  check_deadlock();
-}
-
-// The historical serial loop: one partition, no window boundary, watchdog
-// checked per handler event. Byte-for-byte the pre-partitioning behavior.
-void Engine::run_single() {
-  Partition& p = parts_[0];
-  p.last_progress = p.now;
-  const Engine* prev_e = tls_engine();
-  Partition* prev_p = tls_partition();
-  struct TlsGuard {
-    const Engine* pe;
-    Partition* pp;
-    ~TlsGuard() {
-      tls_engine() = pe;
-      tls_partition() = pp;
-    }
-  } tls_guard{prev_e, prev_p};
-  tls_engine() = this;
-  tls_partition() = &p;
-  while (!p.events.empty() || !p.resumes.empty()) {
-    const bool is_resume = !front_precedes(p.events, p.resumes);
-    EventQueue& q = is_resume ? p.resumes : p.events;
-    Time t;
-    InlineFn fn = q.pop(&t);
-    p.now = t;
-    now_ = t;
-    if (is_resume) {
-      p.last_progress = t;
-    } else if (watchdog_ns_ > 0 && t - p.last_progress > watchdog_ns_ &&
-               any_task_unfinished()) {
-      // Handler/timer events keep firing (e.g. retransmissions cycling on a
-      // dead link) but no compute task has run for a full stall window:
-      // the simulation is spinning, not progressing.
-      std::ostringstream os;
-      os << "watchdog: no compute-task progress for " << (t - p.last_progress)
-         << " virtual ns (threshold " << watchdog_ns_ << ")";
-      fail_stall(os.str());
-    }
-    ++p.events_processed;
-    fn();
-  }
-}
-
 // Drain one partition's events strictly below the window boundary. Failures
 // are captured on the partition (not thrown across the barrier) so every
 // partition still completes its window — matching serial execution order —
 // and the coordinator rethrows deterministically.
 void Engine::drain_partition(Partition& p, Time wend) {
+  // A lone partition's one window spans the whole run, so its watchdog
+  // checks every handler event against the partition's own last progress.
+  const bool watch_events = watchdog_ns_ > 0 && parts_.size() == 1;
   const Engine* prev_e = tls_engine();
   Partition* prev_p = tls_partition();
   tls_engine() = this;
@@ -195,7 +147,15 @@ void Engine::drain_partition(Partition& p, Time wend) {
       Time t;
       InlineFn fn = q.pop(&t);
       p.now = t;
-      if (is_resume) p.last_progress = t;
+      if (is_resume) {
+        p.last_progress = t;
+      } else if (watch_events && t - p.last_progress > watchdog_ns_ &&
+                 any_task_unfinished()) {
+        // Handler/timer events keep firing (e.g. retransmissions cycling on
+        // a dead link) but no compute task has run for a full stall window:
+        // the simulation is spinning, not progressing.
+        throw PendingStall{watchdog_reason(t - p.last_progress, watchdog_ns_)};
+      }
       ++p.events_processed;
       fn();
     }
@@ -264,9 +224,20 @@ void Engine::throw_partition_error() {
 }
 
 // Conservative synchronous-window PDES (see the file comment in engine.h).
-void Engine::run_windowed() {
+void Engine::run() {
+  FGDSM_ASSERT_MSG(!running_, "Engine::run is not reentrant");
+  // Scope guard so every exit — normal return, StallError from the watchdog,
+  // or an exception escaping an event callback — releases the flag and the
+  // engine stays usable for a subsequent run().
+  struct RunningGuard {
+    bool& flag;
+    explicit RunningGuard(bool& f) : flag(f) { flag = true; }
+    ~RunningGuard() { flag = false; }
+  } guard(running_);
   const int nparts = static_cast<int>(parts_.size());
-  const Time wla = window_lookahead();
+  // A lone partition has no cross-partition latency to respect: its window
+  // is unbounded (a finite one would only make tasks yield at boundaries).
+  const Time wla = nparts == 1 ? kTimeInfinity : window_lookahead();
   int want = sim_threads_ < nparts ? sim_threads_ : nparts;
   if (want < 1) want = 1;
   const int granted =
@@ -280,7 +251,6 @@ void Engine::run_windowed() {
     p.stalled = false;
     p.stall_reason.clear();
   }
-  windowed_running_ = true;
   tasks_done_snapshot_ = !any_task_unfinished_raw();
 
   // Worker crew: partition i is drained by worker i % nworkers for the
@@ -303,15 +273,15 @@ void Engine::run_windowed() {
       }
     });
   }
-  bool released = false;
+  // Leaving the loop, normally or by a throw, commits the latest event time
+  // any partition reached: after a failure now() is the failing event's.
   const auto release_crew = [&] {
-    if (released) return;
-    released = true;
     stop.store(true, std::memory_order_release);
     start.arrive_and_wait();
     for (std::thread& th : crew) th.join();
     if (granted > 0) HostBudget::instance().release(granted);
-    windowed_running_ = false;
+    now_ = max_partition_now();
+    window_end_ = kTimeInfinity;
   };
 
   try {
@@ -336,7 +306,7 @@ void Engine::run_windowed() {
       }
       now_ = safe;
       tasks_done_snapshot_ = !any_task_unfinished_raw();
-      if (watchdog_ns_ > 0 && !tasks_done_snapshot_) {
+      if (watchdog_ns_ > 0 && nparts > 1 && !tasks_done_snapshot_) {
         Time progress = 0;
         for (const Partition& p : parts_)
           progress = std::max(progress, p.last_progress);
@@ -345,10 +315,8 @@ void Engine::run_windowed() {
             for (Partition& p : parts_) p.last_progress = p.now;
             continue;
           }
-          std::ostringstream os;
-          os << "watchdog: no compute-task progress for " << (safe - progress)
-             << " virtual ns (threshold " << watchdog_ns_ << ")";
-          compose_and_throw_stall(os.str());
+          compose_and_throw_stall(
+              watchdog_reason(safe - progress, watchdog_ns_));
         }
       }
       window_end_ =
@@ -384,12 +352,12 @@ void Engine::run_windowed() {
       }
       throw_partition_error();
     }
-    for (const Partition& p : parts_) now_ = std::max(now_, p.now);
   } catch (...) {
     release_crew();
     throw;
   }
   release_crew();
+  check_deadlock();
 }
 
 bool Engine::any_task_unfinished_raw() const {
@@ -416,10 +384,9 @@ std::string Engine::describe_blocked_tasks() const {
 }
 
 void Engine::fail_stall(const std::string& reason) const {
-  // Inside a windowed drain the full report cannot be composed here (it
-  // reads cross-partition state); defer to the coordinator.
-  if (windowed_running_ && tls_engine() == this && tls_partition() != nullptr)
-    throw PendingStall{reason};
+  // Inside a drain the full report cannot be composed here (it reads
+  // cross-partition state); defer to the coordinator.
+  if (current_partition() != nullptr) throw PendingStall{reason};
   compose_and_throw_stall(reason);
 }
 

@@ -10,8 +10,7 @@
 // run in scheduling order (seq is a per-partition total order across both
 // queues), so every run of the same program is bit-identical.
 //
-// Parallel mode (conservative synchronous-window PDES): with more than one
-// partition, run() repeatedly
+// The run loop (conservative synchronous-window PDES) repeatedly
 //   1. computes the global safe time S = min over all partitions of the
 //      earliest pending event, and the window boundary
 //      W = S + min-link-latency (set_window_lookahead; the cluster wires in
@@ -31,11 +30,9 @@
 // the task lookahead below: nothing one partition does during [S, W) can be
 // observed by another partition before W, because every cross-partition
 // influence crosses the wire (>= min link latency). merge() asserts this
-// invariant on every cross event.
-//
-// A single-partition engine (the default, and every serial/1-node run) takes
-// the historical non-windowed path: one loop popping the global (time, seq)
-// minimum, with no barriers and no worker threads.
+// invariant on every cross event. A single-partition engine (the default,
+// and every serial/1-node run) has no cross-partition influence, so its
+// window is unbounded: one pass pops its (time, seq) minimum to the end.
 //
 // Events come in two kinds:
 //   - ordinary events ("handler" events: message deliveries, timers) — a
@@ -45,8 +42,8 @@
 //     may run ahead of another task's pending resume by strictly less than
 //     the engine's *lookahead* (conservative-PDES style): lookahead must be
 //     a lower bound on the latency with which one task's actions can affect
-//     another (here: message injection + wire latency). In windowed runs the
-//     window boundary W additionally caps every task's clock; both bounds
+//     another (here: message injection + wire latency). The window
+//     boundary W additionally caps every task's clock; both bounds
 //     preserve causality and break the livelock of equal-timestamp tasks
 //     yielding to each other unconditionally.
 // next_event_time() reports only ordinary events; the run loop interleaves
@@ -55,7 +52,7 @@
 // Reentrancy invariant (changed shape in the --sim-threads refactor): an
 // Engine remains a fully self-contained value — no simulation RESULT ever
 // depends on process-global mutable state — but a multi-partition engine is
-// no longer confined to one host thread. During a windowed run() the engine
+// no longer confined to one host thread. During run() the engine
 // fans partitions out over an internal worker crew; everything a partition's
 // events touch (its node's memory, tags, per-link channel state, its task's
 // fiber) is owned by exactly one partition, partitions are statically pinned
@@ -145,7 +142,7 @@ class Engine {
     return node;
   }
 
-  // Desired worker threads for windowed runs (clamped to the partition
+  // Desired worker threads for run() (clamped to the partition
   // count and the process-wide sim::HostBudget grant at run() time). The
   // thread count never affects simulated results — only wall time.
   void set_sim_threads(int n) { sim_threads_ = n < 1 ? 1 : n; }
@@ -234,12 +231,10 @@ class Engine {
   // every call site.
   int current_partition_id() const { return current_partition_index(); }
 
-  // Current window boundary: no task in a windowed run may advance its
-  // clock past this (cross-partition events merged at the barrier may land
-  // exactly here). Infinity outside windowed runs.
-  Time window_end() const {
-    return windowed_running_ ? window_end_ : kTimeInfinity;
-  }
+  // Current window boundary: no task may advance its clock past this
+  // (cross-partition events merged at the barrier may land exactly here).
+  // Infinity outside run() and throughout a single-partition run.
+  Time window_end() const { return window_end_; }
 
   // Minimum cross-task influence latency (see file comment). Must be >= 2 to
   // guarantee progress between equal-timestamp tasks; the cluster layer sets
@@ -252,16 +247,19 @@ class Engine {
   // if the watchdog detects a virtual-time stall (see set_watchdog).
   // Reusable: the running flag is released on every exit path (including
   // exceptions thrown out of event callbacks), so a caught failure does not
-  // poison later run() calls on the same engine.
+  // poison later run() calls on the same engine. After a throw, now() is
+  // the time of the latest event any partition processed.
   void run();
 
   // ---- Progress watchdog (--watchdog-ns) ----
   // With stall_ns > 0, the run loop fails with StallError whenever event
   // time moves stall_ns past the last compute-task resume while unfinished
   // tasks remain — i.e. handlers/timers keep firing (retransmissions) but no
-  // task makes progress. 0 disables the watchdog (the default). Windowed
-  // runs check at window granularity (S - last progress), which bounds the
-  // detection delay by one window and keeps the check deterministic.
+  // task makes progress. 0 disables the watchdog (the default). Several
+  // partitions are checked at window granularity (S - last progress), which
+  // bounds the detection delay by one window and keeps the check
+  // deterministic; a single partition, whose one window spans the run, is
+  // checked at every handler event against its own last progress.
   void set_watchdog(Time stall_ns) { watchdog_ns_ = stall_ns; }
 
   // Extra diagnostic context appended to every stall report (the cluster
@@ -270,7 +268,7 @@ class Engine {
     stall_reporter_ = std::move(fn);
   }
 
-  // ---- Crash recovery hook (windowed runs) ----
+  // ---- Crash recovery hook ----
   // Called single-threaded from the coordinator, between window barriers,
   // whenever the run would otherwise fail or finish with unfinished tasks:
   // (a) a partition stalled (channel retry-budget exhaustion — the crash
@@ -279,13 +277,12 @@ class Engine {
   // running" (the hook typically rolled the cluster back to a checkpoint and
   // scheduled fresh resume events); false to proceed with the normal
   // failure path. The hook may itself throw (e.g. CrashError when no
-  // checkpoint exists). No hook, or a single-partition engine, behaves
-  // exactly as before.
+  // checkpoint exists).
   void set_recovery_hook(std::function<bool()> fn) {
     recovery_hook_ = std::move(fn);
   }
 
-  // ---- Window hook (windowed runs) ----
+  // ---- Window hook ----
   // Called single-threaded from the coordinator at every window barrier,
   // right after the cross-partition merge: every partition has fully drained
   // its window, so all task fibers are host-quiescent and may be inspected.
@@ -308,9 +305,9 @@ class Engine {
 
   // Compose `reason` + blocked-task dump + reporter context and throw
   // StallError. Also the failure entry point for the reliable channel's
-  // retry-budget exhaustion. Inside a windowed drain the composition is
-  // deferred: the reason unwinds the partition, the window completes on the
-  // other partitions, and the coordinator composes the full report
+  // retry-budget exhaustion. Inside a drain the composition is deferred:
+  // the reason unwinds the partition, the window completes on the other
+  // partitions, and the coordinator composes the full report
   // single-threaded at the barrier (identical text at any --sim-threads).
   [[noreturn]] void fail_stall(const std::string& reason) const;
 
@@ -320,11 +317,13 @@ class Engine {
   // True while any registered task has not run to completion. The reliable
   // channel uses this to distinguish a real stall (work remains) from
   // transport cleanup after the program finished (a lost final ack is moot).
-  // During a windowed run this returns the barrier-published snapshot (at
-  // most one window stale) so mid-window callers on any worker observe the
-  // same deterministic value at any --sim-threads.
+  // During a run with several partitions this returns the barrier-published
+  // snapshot (at most one window stale) so mid-window callers on any worker
+  // observe the same deterministic value at any --sim-threads. A single
+  // partition has no concurrent reader and its one window spans the run, so
+  // it reads the live value.
   bool any_task_unfinished() const {
-    if (windowed_running_) return !tasks_done_snapshot_;
+    if (running_ && parts_.size() > 1) return !tasks_done_snapshot_;
     return any_task_unfinished_raw();
   }
 
@@ -436,8 +435,6 @@ class Engine {
   // True if a's front event should run before b's ((time, seq) order).
   static bool front_precedes(const EventQueue& a, const EventQueue& b);
 
-  void run_single();    // historical path: one partition, no windows
-  void run_windowed();  // conservative synchronous-window PDES
   void drain_partition(Partition& p, Time wend);
   void merge_cross(std::vector<CrossEvent>& scratch);
   void throw_partition_error();
@@ -457,7 +454,6 @@ class Engine {
   // Window state: written by the coordinator between barriers, read by
   // workers during the window (the barrier provides the ordering).
   Time window_end_ = kTimeInfinity;
-  bool windowed_running_ = false;
   bool tasks_done_snapshot_ = false;
   std::vector<Task*> tasks_;
   bool running_ = false;

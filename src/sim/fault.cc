@@ -119,13 +119,9 @@ FaultInjector::FaultInjector(const FaultConfig& cfg, int nnodes,
                              Time default_window)
     : cfg_(cfg),
       nnodes_(nnodes),
-      window_(cfg.delay_ns > 0 ? cfg.delay_ns : default_window) {
+      window_(cfg.delay_ns > 0 ? cfg.delay_ns : default_window),
+      link_sparse_(static_cast<std::size_t>(nnodes)) {
   FGDSM_ASSERT(nnodes >= 1);
-  if (nnodes <= kFlatLinkNodes)
-    link_count_.resize(static_cast<std::size_t>(nnodes) *
-                       static_cast<std::size_t>(nnodes));
-  else
-    link_sparse_.resize(static_cast<std::size_t>(nnodes));
   FGDSM_ASSERT_MSG(window_ > 0, "fault delay window must be positive");
 }
 
@@ -152,7 +148,7 @@ bool FaultInjector::crash_at_barrier(int node, std::uint64_t epoch) const {
 }
 
 FaultInjector::Decision FaultInjector::decide(int src, int dst) {
-  const std::uint64_t n = link_counter(src, dst)++;
+  const std::uint64_t n = link_sparse_[static_cast<std::size_t>(src)][dst]++;
   Decision d;
   util::NodeStats* st =
       static_cast<std::size_t>(src) < stats_.size() ? stats_[src] : nullptr;

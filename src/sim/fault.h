@@ -101,31 +101,16 @@ class FaultInjector {
   std::uint64_t hash(int src, int dst, std::uint64_t n, std::uint64_t salt)
       const;
 
-  // Per-link message index. At paper scale (<= kFlatLinkNodes) a flat
-  // nnodes^2 vector — the historical layout, untouched. Above that the
-  // counters live in one hash map per source node, keyed by destination,
-  // and materialize on a link's first wire crossing, so an idle link costs
-  // nothing (a 1024-node cluster would otherwise hold ~1M counters up
-  // front). decide() always runs in the source node's event partition, so
-  // under --sim-threads each map is only ever touched by one worker. The
-  // hash() draw is keyed on (seed, link, index) either way, so fault
-  // sequences are bit-identical across layouts.
-  std::uint64_t& link_counter(int src, int dst) {
-    const auto s = static_cast<std::size_t>(src);
-    if (!link_count_.empty())
-      return link_count_[s * static_cast<std::size_t>(nnodes_) +
-                         static_cast<std::size_t>(dst)];
-    return link_sparse_[s][dst];  // value-initialized to 0 on first use
-  }
-
-  // Node-count threshold for the flat vs lazy counter layout.
-  static constexpr int kFlatLinkNodes = 64;
-
   FaultConfig cfg_;
   int nnodes_;
   Time window_;
-  std::vector<std::uint64_t> link_count_;  // flat layout (small clusters)
-  std::vector<std::unordered_map<int, std::uint64_t>> link_sparse_;  // per src
+  // Per-link message index: one hash map per source node, keyed by
+  // destination, whose counters materialize (at 0) on a link's first wire
+  // crossing, so an idle link costs nothing (a 1024-node cluster would
+  // otherwise hold ~1M counters up front). decide() always runs in the
+  // source node's event partition, so under --sim-threads each map is only
+  // ever touched by one worker.
+  std::vector<std::unordered_map<int, std::uint64_t>> link_sparse_;
   std::vector<util::NodeStats*> stats_;
 };
 

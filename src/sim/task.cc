@@ -370,10 +370,9 @@ Time Task::advance_limit() const {
   // We may never pass a pending ordinary event (its handler can mutate state
   // we observe), and may run ahead of another task's pending resume only by
   // strictly less than the engine lookahead (that task's future actions
-  // cannot affect us sooner than resume + lookahead). In a windowed run the
-  // window boundary additionally caps the clock: events from other
-  // partitions may land exactly at W, and the queries above only see this
-  // partition's queues.
+  // cannot affect us sooner than resume + lookahead). The window boundary
+  // additionally caps the clock: events from other partitions may land
+  // exactly at W, and the queries above only see this partition's queues.
   const Time ev = engine_.next_event_time();
   const Time rs = engine_.next_resume_time();
   const Time rs_limit = rs >= kTimeInfinity - engine_.lookahead()
@@ -404,10 +403,10 @@ void Task::charge(Time dt) {
 
 void Task::sync() {
   // Process every ordinary event <= now, and let any task that could still
-  // produce such an event (pending resume <= now - lookahead) run first. In
-  // a windowed run a clock at/past the boundary also yields: events from
-  // other partitions merged at the barrier may still land at <= now, and
-  // they become visible locally only once the window advances.
+  // produce such an event (pending resume <= now - lookahead) run first. A
+  // clock at/past the window boundary also yields: events from other
+  // partitions merged at the barrier may still land at <= now, and they
+  // become visible locally only once the window advances.
   while (engine_.next_event_time() <= clock_ ||
          engine_.next_resume_time() <= clock_ - engine_.lookahead() ||
          engine_.window_end() <= clock_)

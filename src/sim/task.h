@@ -4,7 +4,7 @@
 // Implementation: each Task runs its body on a fiber with its own mmap'd
 // stack. Exactly one of {the partition's engine loop, one of its tasks}
 // executes at any host instant: a task belongs to one event partition
-// (set_partition), and windowed runs pin each partition to one worker thread
+// (set_partition), and the engine pins each partition to one worker thread
 // for the whole run, so the simulation stays deterministic and data-race-free
 // by construction. A baton pass is a register-only stack switch in user space
 // (on x86-64: callee-saved registers, MXCSR and the x87 control word; a few

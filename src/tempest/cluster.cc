@@ -626,8 +626,8 @@ util::RunStats Cluster::run(
   }
   // Explicit fail-stop schedules (--faults=crash=N@T). Single-node runs
   // have no peers to detect or recover a crash, so injection is skipped
-  // there (matching run_single, which has no recovery hooks); out-of-range
-  // nodes are tolerated so one fault spec can serve several cluster sizes.
+  // there (as is the recovery hook); out-of-range nodes are tolerated so
+  // one fault spec can serve several cluster sizes.
   if (fault_ != nullptr && cfg_.nnodes > 1) {
     for (const std::pair<int, sim::Time>& cr : cfg_.faults.crashes) {
       const int nd = cr.first;

@@ -156,23 +156,48 @@ TEST(OptionsStrict, KnownFlagsPass) {
 // A misspelled --app must not filter every run out and print empty tables.
 TEST(OptionsStrictDeathTest, UnknownAppExits2WithSuggestion) {
   const char* jacobl[] = {"bench_fig3", "--app=jacobl"};
-  EXPECT_EXIT((void)bench::BenchConfig::from_args(2, jacobl),
-              ::testing::ExitedWithCode(2),
-              "unknown --app=jacobl \\(did you mean --app=jacobi\\?\\)");
+  EXPECT_EXIT(
+      (void)bench::BenchConfig::from_args(2, jacobl, bench::registry_names()),
+      ::testing::ExitedWithCode(2),
+      "unknown --app=jacobl \\(did you mean --app=jacobi\\?\\)");
   // Too far for a typo suggestion (a transposition is two edits in four
   // letters): the valid names are listed instead.
   const char* spvm[] = {"bench_scale", "--app=spvm"};
-  EXPECT_EXIT((void)bench::BenchConfig::from_args(2, spvm),
+  EXPECT_EXIT((void)bench::BenchConfig::from_args(2, spvm, {"jacobi", "spmv"}),
               ::testing::ExitedWithCode(2),
-              "unknown --app=spvm \\(expected one of: spmv pde .*jacobi\\)");
+              "unknown --app=spvm \\(expected one of: jacobi spmv\\)");
+}
+
+// So must a real app the harness does not run: the paper suite has no spmv,
+// bench_scale no lu, and bench_irreg runs spmv only.
+TEST(OptionsStrictDeathTest, AppTheHarnessDoesNotRunExits2) {
+  const char* spmv[] = {"bench_paper", "--app=spmv"};
+  EXPECT_EXIT(
+      (void)bench::BenchConfig::from_args(2, spmv, bench::registry_names()),
+      ::testing::ExitedWithCode(2), "unknown --app=spmv \\(");
+  const char* lu[] = {"bench_scale", "--app=lu"};
+  EXPECT_EXIT((void)bench::BenchConfig::from_args(2, lu, {"jacobi", "spmv"}),
+              ::testing::ExitedWithCode(2),
+              "unknown --app=lu \\(expected one of: jacobi spmv\\)");
+  const char* jacobi[] = {"bench_irreg", "--app=jacobi"};
+  EXPECT_EXIT((void)bench::BenchConfig::from_args(2, jacobi, {"spmv"}),
+              ::testing::ExitedWithCode(2), "unknown --app=jacobi \\(");
+  // A harness whose experiments are fixed takes no --app at all.
+  EXPECT_EXIT((void)bench::BenchConfig::from_args(2, jacobi, {}),
+              ::testing::ExitedWithCode(2), "unknown option --app");
 }
 
 TEST(OptionsStrict, RegistryAppsAndSpmvPass) {
-  for (const char* app : {"jacobi", "lu", "spmv"}) {
+  for (const char* app : {"jacobi", "lu"}) {
     const std::string flag = std::string("--app=") + app;
     const char* argv[] = {"bench", flag.c_str()};
-    EXPECT_EQ(bench::BenchConfig::from_args(2, argv).only_app, app);
+    EXPECT_EQ(
+        bench::BenchConfig::from_args(2, argv, bench::registry_names())
+            .only_app,
+        app);
   }
+  const char* spmv[] = {"bench_irreg", "--app=spmv"};
+  EXPECT_EQ(bench::BenchConfig::from_args(2, spmv, {"spmv"}).only_app, "spmv");
 }
 
 // ---------------------------------------------------------------------------

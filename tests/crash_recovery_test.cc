@@ -468,5 +468,31 @@ TEST(ChannelDetection, BackoffCapBoundsDetectionLatency) {
   }
 }
 
+TEST(ChannelDetection, FinishedProgramDropsLostFinalAck) {
+  // A task sends to a peer that never acks, then finishes. When the
+  // retransmission timer fires the program is done, so the channel must
+  // drop the copy instead of spending its (zero) retry budget: run()
+  // returns normally. A stale "tasks unfinished" view would stall here.
+  sim::Engine engine;
+  sim::CostModel costs;
+  sim::Network net(engine, costs, 2);
+  sim::ChannelConfig ccfg;
+  ccfg.rto_ns = 1000;
+  ccfg.max_retries = 0;
+  sim::ReliableChannel ch(engine, net, 2, ccfg);
+  ch.attach(0, [](sim::Message&&, sim::Time) {});
+  ch.attach(1, [](sim::Message&&, sim::Time) {});
+  ch.set_down_probe([](int node) { return node == 1; });
+  sim::Task sender(engine, "sender", [&](sim::Task& t) {
+    sim::Message m;
+    m.src = 0;
+    m.dst = 1;
+    m.type = 7;
+    ch.send(t.now(), std::move(m));
+  });
+  sender.start();
+  EXPECT_NO_THROW(engine.run());
+}
+
 }  // namespace
 }  // namespace fgdsm

@@ -229,6 +229,75 @@ TEST(Determinism, PreEliminationSkipsRedundantTransfers) {
   EXPECT_LT(pre.stats.elapsed_ns, full.stats.elapsed_ns);
 }
 
+TEST(Determinism, PreEliminationReshipsRewrittenReads) {
+  // +pre may elide a transfer only while nothing wrote its array since the
+  // last time it was shipped. One time loop reads a stable array and an
+  // array a writer loop rewrites every iteration: the stable read ships
+  // once, the rewritten read every time.
+  using hpf::AffineExpr;
+  const AffineExpr N = AffineExpr::sym("n");
+  const AffineExpr I = AffineExpr::sym("i"), J = AffineExpr::sym("j");
+  hpf::Program prog;
+  prog.name = "mixed";
+  prog.arrays.push_back({"stable", {N, N}, hpf::DistKind::kBlock});
+  prog.arrays.push_back({"hot", {N, N}, hpf::DistKind::kBlock});
+  prog.arrays.push_back({"out", {N, N}, hpf::DistKind::kBlock});
+  prog.sizes.set("n", 64);
+  prog.sizes.set("steps", 5);
+
+  auto consumer = [&](const char* name, const char* src) {
+    hpf::ParallelLoop l;
+    l.name = name;
+    l.dist = hpf::LoopVar{"j", AffineExpr(1), N - 2};
+    l.free.push_back(hpf::LoopVar{"i", AffineExpr(0), N - 1});
+    l.home_array = "out";
+    l.home_sub = J;
+    l.reads = {{src, {I, J - 1}}};
+    l.writes = {{"out", {I, J}}};
+    l.body = [src = std::string(src)](hpf::BodyCtx& c) {
+      auto s = hpf::view2(c, src);
+      auto o = hpf::view2(c, "out");
+      const std::int64_t n = c.sym("n");
+      for (std::int64_t i = 0; i < n; ++i)
+        o(i, c.dist()) += s(i, c.dist() - 1);
+    };
+    return l;
+  };
+  hpf::ParallelLoop writer;  // rewrites `hot` each iteration
+  writer.name = "write-hot";
+  writer.dist = hpf::LoopVar{"j", AffineExpr(0), N - 1};
+  writer.free.push_back(hpf::LoopVar{"i", AffineExpr(0), N - 1});
+  writer.home_array = "hot";
+  writer.home_sub = J;
+  writer.writes = {{"hot", {I, J}}};
+  writer.body = [](hpf::BodyCtx& c) {
+    auto h = hpf::view2(c, "hot");
+    const std::int64_t n = c.sym("n");
+    for (std::int64_t i = 0; i < n; ++i) h(i, c.dist()) += 1.0;
+  };
+
+  hpf::TimeLoop tl;
+  tl.counter = "t";
+  tl.count = AffineExpr::sym("steps");
+  tl.phases.push_back(hpf::Phase::make(consumer("read-stable", "stable")));
+  tl.phases.push_back(hpf::Phase::make(std::move(writer)));
+  tl.phases.push_back(hpf::Phase::make(consumer("read-hot", "hot")));
+  prog.phases.push_back(hpf::Phase::make(std::move(tl)));
+
+  RunConfig c;
+  c.cluster.nnodes = 4;
+  c.opt = core::shmem_opt_full();
+  const RunResult full = run(prog, c);
+  c.opt = core::shmem_opt_pre();
+  const RunResult pre = run(prog, c);
+  // 5 iterations: full ships stable 5x + hot 5x; pre ships stable 1x +
+  // hot 5x -> expect a reduction of roughly (5-1)/(5+5) = 40%.
+  const double ratio =
+      static_cast<double>(pre.stats.totals().ccc_blocks_sent) /
+      static_cast<double>(full.stats.totals().ccc_blocks_sent);
+  EXPECT_NEAR(ratio, 0.6, 0.05);
+}
+
 TEST(Determinism, SmallerBlocksShrinkEdgeLosses) {
   // grav's 129-point columns: with 32-byte blocks, far more of each ghost
   // column is compiler-controllable than with 128-byte blocks.

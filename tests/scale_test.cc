@@ -5,9 +5,8 @@
 //   - --nodes is guarded: the config layer rejects counts the index/bitmask
 //     arithmetic was never validated for;
 //   - per-link channel state is resident only for links that carried
-//     traffic (above ReliableChannel::kFlatLinkNodes it is lazily
-//     allocated; a 256-node channel with three active links holds three
-//     link books, not 65536);
+//     traffic (it is allocated lazily; a 256-node channel with three active
+//     links holds three link books, not 65536);
 //   - the directory's SharerSet keeps the historic one-word fast path for
 //     nodes 0-63 and spills above it without changing iteration order;
 //   - whole-application runs at 64 and 256 nodes are bit-identical across
@@ -125,9 +124,7 @@ struct ChannelHarness {
 
 TEST(LazyLinkState, IdleLinksAllocateNothingAt256Nodes) {
   ChannelHarness h(256);
-  // 256 > kFlatLinkNodes, so construction must not materialize any of the
-  // 65536 per-link books.
-  ASSERT_GT(256, sim::ReliableChannel::kFlatLinkNodes);
+  // Construction must not materialize any of the 65536 per-link books.
   EXPECT_EQ(h.channel->resident_links(), 0u);
 
   // Traffic on three directed links; everything else stays idle.
@@ -143,7 +140,7 @@ TEST(LazyLinkState, IdleLinksAllocateNothingAt256Nodes) {
 }
 
 TEST(LazyLinkState, FlatPathCountsOnlyTraffickedLinks) {
-  ChannelHarness h(8);  // <= kFlatLinkNodes: historic flat vectors
+  ChannelHarness h(8);  // the paper's cluster size uses the same layout
   EXPECT_EQ(h.channel->resident_links(), 0u);
   h.send(1, 2);
   h.engine.run();

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <string>
 #include <vector>
 
 #include "src/sim/engine.h"
+#include "src/sim/task.h"
 #include "src/util/assert.h"
 
 namespace fgdsm::sim {
@@ -62,6 +65,31 @@ TEST(Engine, ExceptionPropagates) {
   Engine e;
   e.schedule(1, [] { throw std::runtime_error("boom"); });
   EXPECT_THROW(e.run(), std::runtime_error);
+}
+
+TEST(Engine, SinglePartitionWatchdogChecksEveryHandlerEvent) {
+  // One partition drains the whole run in one window, so the watchdog must
+  // fire at the first handler event past the threshold: the timer at 1100,
+  // not at some later window boundary. (The timer stops at 5000, so a run
+  // without that check ends in a deadlock error instead of spinning.)
+  Engine e;
+  e.set_watchdog(1000);
+  Task blocked(e, "blocked", [](Task& t) { t.block(); });
+  blocked.start();
+  std::function<void()> tick = [&] {
+    if (e.now() < 5000) e.schedule(e.now() + 100, tick);
+  };
+  e.schedule(100, tick);
+  try {
+    e.run();
+    FAIL() << "a blocked task under a live timer must trip the watchdog";
+  } catch (const StallError& err) {
+    EXPECT_NE(std::string(err.what()).find(
+                  "no compute-task progress for 1100 virtual ns"),
+              std::string::npos)
+        << err.what();
+  }
+  EXPECT_EQ(e.now(), 1100);
 }
 
 }  // namespace
