@@ -1,14 +1,13 @@
 #include "src/tempest/node.h"
 
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstring>
 #include <unordered_set>
-
-#if defined(__linux__)
-#include <sys/mman.h>
-#include <unistd.h>
-#endif
 
 #include "src/sim/trace.h"
 #include "src/tempest/cluster.h"
@@ -36,6 +35,18 @@ Node::Node(Cluster& cluster, int id) : cluster_(cluster), id_(id) {
   drain_sem.set_name("drain");
 }
 
+void* Node::map_zeroed(std::size_t bytes) {
+  void* p = mmap(nullptr, bytes, PROT_READ | PROT_WRITE,
+                 MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE, -1, 0);
+  FGDSM_ASSERT_MSG(p != MAP_FAILED, "mmap of " << bytes
+                                               << " bytes of node memory "
+                                                  "failed: "
+                                               << std::strerror(errno));
+  return p;
+}
+
+void Node::Unmapper::operator()(void* p) const { munmap(p, bytes); }
+
 void Node::finalize_memory(std::size_t segment_bytes, std::size_t nblocks,
                            bool dual_cpu) {
   dual_cpu_ = dual_cpu;
@@ -43,11 +54,9 @@ void Node::finalize_memory(std::size_t segment_bytes, std::size_t nblocks,
   mem_bytes_ = segment_bytes;
   tags_ = make_zero_buf<Access>(nblocks);
   ntags_ = nblocks;
-  FGDSM_ASSERT(segment_bytes == 0 || mem_ != nullptr);
-  FGDSM_ASSERT(nblocks == 0 || tags_ != nullptr);
   // Bootstrap state: the home node of a block holds it writable (its backing
   // store *is* the block's home storage); everyone else starts Invalid. The
-  // directory starts Idle, matching this. calloc-zeroed tags are already
+  // directory starts Idle, matching this. Freshly mapped tags are already
   // kInvalid, so only the home-owned runs are written — one page in nnodes
   // of the tag array is ever touched here, keeping per-node startup cost
   // O(segment / nnodes) rather than O(segment).
@@ -77,7 +86,6 @@ const std::byte* Node::mem(GAddr a) const {
 }
 
 std::size_t Node::resident_mem_bytes() const {
-#if defined(__linux__)
   if (mem_bytes_ == 0) return 0;
   const std::size_t page = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
   const std::uintptr_t base = reinterpret_cast<std::uintptr_t>(mem_.get());
@@ -91,9 +99,6 @@ std::size_t Node::resident_mem_bytes() const {
   for (unsigned char v : incore)
     if (v & 1) resident += page;
   return resident;
-#else
-  return 0;
-#endif
 }
 
 // Both ensure_* routines loop until one *yield-free* pass over the footprint

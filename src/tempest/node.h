@@ -6,7 +6,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <cstdlib>
 #include <memory>
 #include <utility>
 #include <vector>
@@ -39,7 +38,7 @@ class Node {
   std::byte* mem(GAddr a);
   const std::byte* mem(GAddr a) const;
   // Bytes of this node's segment backing the OS has actually committed
-  // (resident pages). Scaling diagnostics; 0 when unsupported.
+  // (resident pages, per mincore). Scaling diagnostics; 0 if mincore fails.
   std::size_t resident_mem_bytes() const;
   template <typename T>
   T* ptr(GAddr a) {
@@ -173,20 +172,24 @@ class Node {
   void schedule_next_handler(sim::Time earliest);
   void execute_one_handler();
 
-  // Zero-initialized buffer backed by calloc: for multi-megabyte segments
-  // the allocator hands back untouched kernel zero pages, so physical
-  // memory is committed only where the run actually reads or writes. Every
-  // node "backs the whole segment", but a 1024-node cluster must not pay
-  // 1024 eager copies of it — the old vector's value-initialization wrote
-  // (and thus committed) every byte up front.
-  struct FreeDeleter {
-    void operator()(void* p) const { std::free(p); }
+  // Zero-filled buffer mapped straight from the kernel (private, anonymous,
+  // no swap reservation), so physical memory is committed only where the
+  // run actually reads or writes. Every node "backs the whole segment", but
+  // a 1024-node cluster must not pay 1024 eager copies of it. calloc is not
+  // enough: once the process frees a large mmapped block, glibc raises its
+  // mmap threshold, and later segment-sized callocs reuse freed heap
+  // memory, which calloc must memset (committing every page).
+  struct Unmapper {
+    std::size_t bytes;  // no initializer: unique_ptr value-initializes it
+    void operator()(void* p) const;
   };
   template <typename T>
-  using ZeroBuf = std::unique_ptr<T[], FreeDeleter>;
+  using ZeroBuf = std::unique_ptr<T[], Unmapper>;
+  static void* map_zeroed(std::size_t bytes);
   template <typename T>
   static ZeroBuf<T> make_zero_buf(std::size_t n) {
-    return ZeroBuf<T>(static_cast<T*>(std::calloc(n ? n : 1, sizeof(T))));
+    const std::size_t bytes = (n ? n : 1) * sizeof(T);
+    return ZeroBuf<T>(static_cast<T*>(map_zeroed(bytes)), Unmapper{bytes});
   }
 
   Cluster& cluster_;
