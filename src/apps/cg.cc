@@ -16,6 +16,7 @@
 namespace fgdsm::apps {
 
 using hpf::AffineExpr;
+using hpf::ArrayHandle;
 using hpf::BodyCtx;
 using hpf::DistKind;
 using hpf::LoopVar;
@@ -58,6 +59,10 @@ Program cg(std::int64_t nrows, std::int64_t ncols, std::int64_t iters) {
   prog.sizes.set("nr", nrows);
   prog.sizes.set("nc", ncols);
   prog.sizes.set("iters", iters);
+  const ArrayHandle AT = prog.handle("at"), ATR = prog.handle("atr"),
+                    Q = prog.handle("q"), R = prog.handle("r"),
+                    W = prog.handle("w"), P = prog.handle("p"),
+                    X = prog.handle("x");
 
   // ---- Initialization ----
   {
@@ -69,10 +74,10 @@ Program cg(std::int64_t nrows, std::int64_t ncols, std::int64_t iters) {
     init.home_sub = I;
     init.writes = {{"at", {J, I}}, {"q", {I}}, {"r", {I}}};
     init.cost_per_iter_ns = costs::kInitNs;
-    init.body = [](BodyCtx& c) {
-      auto at = view2(c, "at");
-      auto q = view1(c, "q");
-      auto r = view1(c, "r");
+    init.body = [AT, Q, R](BodyCtx& c) {
+      auto at = view2(c, AT);
+      auto q = view1(c, Q);
+      auto r = view1(c, R);
       const std::int64_t nr = c.sym("nr"), nc = c.sym("nc");
       const std::int64_t i = c.dist();
       for (std::int64_t j = 0; j < nc; ++j) at(j, i) = a_elem(i, j, nr);
@@ -90,9 +95,9 @@ Program cg(std::int64_t nrows, std::int64_t ncols, std::int64_t iters) {
     init.home_sub = J;
     init.writes = {{"atr", {I, J}}, {"w", {J}}};
     init.cost_per_iter_ns = costs::kInitNs;
-    init.body = [](BodyCtx& c) {
-      auto atr = view2(c, "atr");
-      auto w = view1(c, "w");
+    init.body = [ATR, W](BodyCtx& c) {
+      auto atr = view2(c, ATR);
+      auto w = view1(c, W);
       const std::int64_t nr = c.sym("nr");
       const std::int64_t j = c.dist();
       for (std::int64_t i = 0; i < nr; ++i) atr(i, j) = a_elem(i, j, nr);
@@ -114,10 +119,10 @@ Program cg(std::int64_t nrows, std::int64_t ncols, std::int64_t iters) {
     wloop.cost_per_iter_ns = costs::kCgMatvecNs;
     wloop.has_reduce = true;
     wloop.reduce_scalar = "rho";
-    wloop.body = [](BodyCtx& c) {
-      auto atr = view2(c, "atr");
-      auto r = view1(c, "r");
-      auto w = view1(c, "w");
+    wloop.body = [ATR, R, W](BodyCtx& c) {
+      auto atr = view2(c, ATR);
+      auto r = view1(c, R);
+      auto w = view1(c, W);
       const std::int64_t nr = c.sym("nr");
       const std::int64_t j = c.dist();
       double acc = 0.0;
@@ -139,9 +144,9 @@ Program cg(std::int64_t nrows, std::int64_t ncols, std::int64_t iters) {
     pl.reads = {{"w", {J}}};
     pl.writes = {{"p", {J}}};
     pl.cost_per_iter_ns = costs::kCgVecNs;
-    pl.body = [first](BodyCtx& c) {
-      auto w = view1(c, "w");
-      auto p = view1(c, "p");
+    pl.body = [first, W, P](BodyCtx& c) {
+      auto w = view1(c, W);
+      auto p = view1(c, P);
       const std::int64_t j = c.dist();
       p(j) = first ? w(j) : w(j) + c.scalar("beta") * p(j);
     };
@@ -166,10 +171,10 @@ Program cg(std::int64_t nrows, std::int64_t ncols, std::int64_t iters) {
     ql.cost_per_iter_ns = costs::kCgMatvecNs;
     ql.has_reduce = true;
     ql.reduce_scalar = "qq";
-    ql.body = [](BodyCtx& c) {
-      auto at = view2(c, "at");
-      auto p = view1(c, "p");
-      auto q = view1(c, "q");
+    ql.body = [AT, P, Q](BodyCtx& c) {
+      auto at = view2(c, AT);
+      auto p = view1(c, P);
+      auto q = view1(c, Q);
       const std::int64_t nc = c.sym("nc");
       const std::int64_t i = c.dist();
       double acc = 0.0;
@@ -198,9 +203,9 @@ Program cg(std::int64_t nrows, std::int64_t ncols, std::int64_t iters) {
     xl.reads = {{"p", {J}}};
     xl.writes = {{"x", {J}}};
     xl.cost_per_iter_ns = costs::kCgVecNs;
-    xl.body = [](BodyCtx& c) {
-      auto x = view1(c, "x");
-      auto p = view1(c, "p");
+    xl.body = [X, P](BodyCtx& c) {
+      auto x = view1(c, X);
+      auto p = view1(c, P);
       x(c.dist()) += c.scalar("alpha") * p(c.dist());
     };
     tl.phases.push_back(Phase::make(std::move(xl)));
@@ -214,9 +219,9 @@ Program cg(std::int64_t nrows, std::int64_t ncols, std::int64_t iters) {
     rl.reads = {{"q", {I}}, {"r", {I}}};
     rl.writes = {{"r", {I}}};
     rl.cost_per_iter_ns = costs::kCgVecNs;
-    rl.body = [](BodyCtx& c) {
-      auto r = view1(c, "r");
-      auto q = view1(c, "q");
+    rl.body = [R, Q](BodyCtx& c) {
+      auto r = view1(c, R);
+      auto q = view1(c, Q);
       r(c.dist()) -= c.scalar("alpha") * q(c.dist());
     };
     tl.phases.push_back(Phase::make(std::move(rl)));
@@ -252,8 +257,8 @@ Program cg(std::int64_t nrows, std::int64_t ncols, std::int64_t iters) {
     sum.cost_per_iter_ns = costs::kReduceNs;
     sum.has_reduce = true;
     sum.reduce_scalar = "checksum";
-    sum.body = [](BodyCtx& c) {
-      auto x = view1(c, "x");
+    sum.body = [X](BodyCtx& c) {
+      auto x = view1(c, X);
       const std::int64_t j = c.dist();
       // Replicated x: every node contributes its slice only once — use the
       // block partition of j by node id to avoid double counting.

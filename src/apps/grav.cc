@@ -17,6 +17,7 @@
 namespace fgdsm::apps {
 
 using hpf::AffineExpr;
+using hpf::ArrayHandle;
 using hpf::BodyCtx;
 using hpf::DistKind;
 using hpf::LoopVar;
@@ -38,6 +39,8 @@ Program grav(std::int64_t n, std::int64_t iters) {
   prog.arrays.push_back({"rho", {M, M, M}, DistKind::kBlock});
   prog.sizes.set("m", n + 1);
   prog.sizes.set("iters", iters);
+  const ArrayHandle PHI = prog.handle("phi"), PHINEW = prog.handle("phinew"),
+                    RHO = prog.handle("rho");
 
   {
     ParallelLoop init2d;
@@ -48,9 +51,9 @@ Program grav(std::int64_t n, std::int64_t iters) {
     init2d.home_sub = J;
     init2d.writes = {{"phi", {I, J}}, {"phinew", {I, J}}};
     init2d.cost_per_iter_ns = costs::kInitNs;
-    init2d.body = [](BodyCtx& c) {
-      auto phi = view2(c, "phi");
-      auto phinew = view2(c, "phinew");
+    init2d.body = [PHI, PHINEW](BodyCtx& c) {
+      auto phi = view2(c, PHI);
+      auto phinew = view2(c, PHINEW);
       const std::int64_t m = c.sym("m");
       const std::int64_t j = c.dist();
       for (std::int64_t i = 0; i < m; ++i) {
@@ -70,8 +73,8 @@ Program grav(std::int64_t n, std::int64_t iters) {
     init3d.home_sub = K;
     init3d.writes = {{"rho", {I, J, K}}};
     init3d.cost_per_iter_ns = costs::kInitNs;
-    init3d.body = [](BodyCtx& c) {
-      auto rho = view3(c, "rho");
+    init3d.body = [RHO](BodyCtx& c) {
+      auto rho = view3(c, RHO);
       const std::int64_t m = c.sym("m");
       const std::int64_t k = c.dist();
       for (std::int64_t j = 0; j < m; ++j)
@@ -112,8 +115,8 @@ Program grav(std::int64_t n, std::int64_t iters) {
     mom.cost_per_iter_ns = costs::kGravMomentNs;
     mom.has_reduce = true;
     mom.reduce_scalar = "moment_sum";
-    mom.body = [](BodyCtx& c) {
-      auto phi = view2(c, "phi");
+    mom.body = [PHI](BodyCtx& c) {
+      auto phi = view2(c, PHI);
       const std::int64_t m = c.sym("m");
       const std::int64_t j = c.dist();
       const std::int64_t kp = c.sym("kp");
@@ -152,8 +155,8 @@ Program grav(std::int64_t n, std::int64_t iters) {
     mass.cost_per_iter_ns = costs::kReduceNs;
     mass.has_reduce = true;
     mass.reduce_scalar = "total_mass";
-    mass.body = [](BodyCtx& c) {
-      auto rho = view3(c, "rho");
+    mass.body = [RHO](BodyCtx& c) {
+      auto rho = view3(c, RHO);
       const std::int64_t m = c.sym("m");
       const std::int64_t k = c.dist();
       double acc = 0.0;
@@ -180,9 +183,9 @@ Program grav(std::int64_t n, std::int64_t iters) {
                    {"phi", {I, J + 1}}};
     relax.writes = {{"phinew", {I, J}}};
     relax.cost_per_iter_ns = costs::kGravRelaxNs;
-    relax.body = [](BodyCtx& c) {
-      auto phi = view2(c, "phi");
-      auto phinew = view2(c, "phinew");
+    relax.body = [PHI, PHINEW](BodyCtx& c) {
+      auto phi = view2(c, PHI);
+      auto phinew = view2(c, PHINEW);
       const std::int64_t m = c.sym("m");
       const std::int64_t j = c.dist();
       const double g =
@@ -203,9 +206,9 @@ Program grav(std::int64_t n, std::int64_t iters) {
     copy.reads = {{"phinew", {I, J}}};
     copy.writes = {{"phi", {I, J}}};
     copy.cost_per_iter_ns = costs::kInitNs;
-    copy.body = [](BodyCtx& c) {
-      auto phi = view2(c, "phi");
-      auto phinew = view2(c, "phinew");
+    copy.body = [PHI, PHINEW](BodyCtx& c) {
+      auto phi = view2(c, PHI);
+      auto phinew = view2(c, PHINEW);
       const std::int64_t m = c.sym("m");
       const std::int64_t j = c.dist();
       for (std::int64_t i = 1; i < m - 1; ++i) phi(i, j) = phinew(i, j);
@@ -226,8 +229,8 @@ Program grav(std::int64_t n, std::int64_t iters) {
     sum.cost_per_iter_ns = costs::kReduceNs;
     sum.has_reduce = true;
     sum.reduce_scalar = "checksum";
-    sum.body = [](BodyCtx& c) {
-      auto phi = view2(c, "phi");
+    sum.body = [PHI](BodyCtx& c) {
+      auto phi = view2(c, PHI);
       const std::int64_t m = c.sym("m");
       const std::int64_t j = c.dist();
       double acc = 0.0;

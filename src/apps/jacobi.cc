@@ -11,6 +11,7 @@
 namespace fgdsm::apps {
 
 using hpf::AffineExpr;
+using hpf::ArrayHandle;
 using hpf::ArrayRef;
 using hpf::BodyCtx;
 using hpf::DistKind;
@@ -22,7 +23,8 @@ using hpf::TimeLoop;
 
 namespace {
 
-ParallelLoop sweep(const char* name, const char* src, const char* dst) {
+ParallelLoop sweep(const Program& prog, const char* name, const char* src,
+                   const char* dst) {
   const AffineExpr N = AffineExpr::sym("n");
   const AffineExpr I = AffineExpr::sym("i"), J = AffineExpr::sym("j");
   ParallelLoop loop;
@@ -38,9 +40,9 @@ ParallelLoop sweep(const char* name, const char* src, const char* dst) {
                 {src, {I, J + 1}}};
   loop.writes = {{dst, {I, J}}};
   loop.cost_per_iter_ns = costs::kJacobiSweepNs;
-  loop.body = [src = std::string(src), dst = std::string(dst)](BodyCtx& c) {
-    auto u = view2(c, src);
-    auto v = view2(c, dst);
+  loop.body = [U = prog.handle(src), V = prog.handle(dst)](BodyCtx& c) {
+    auto u = view2(c, U);
+    auto v = view2(c, V);
     const std::int64_t n = c.sym("n");
     const std::int64_t j = c.dist();
     for (std::int64_t i = 1; i < n - 1; ++i)
@@ -62,6 +64,7 @@ Program jacobi(std::int64_t n, std::int64_t sweeps) {
   prog.sizes.set("n", n);
   // Two sweeps per time step (u->v, v->u); `sweeps` counts single sweeps.
   prog.sizes.set("steps", (sweeps + 1) / 2);
+  const ArrayHandle U = prog.handle("u"), V = prog.handle("v");
 
   // Initialization: a deterministic boundary-value problem. Writes the
   // whole of both arrays (cold write faults populate ownership, as on the
@@ -75,9 +78,9 @@ Program jacobi(std::int64_t n, std::int64_t sweeps) {
     init.home_sub = J;
     init.writes = {{"u", {I, J}}, {"v", {I, J}}};
     init.cost_per_iter_ns = costs::kInitNs;
-    init.body = [](BodyCtx& c) {
-      auto u = view2(c, "u");
-      auto v = view2(c, "v");
+    init.body = [U, V](BodyCtx& c) {
+      auto u = view2(c, U);
+      auto v = view2(c, V);
       const std::int64_t n = c.sym("n");
       const std::int64_t j = c.dist();
       for (std::int64_t i = 0; i < n; ++i) {
@@ -94,8 +97,8 @@ Program jacobi(std::int64_t n, std::int64_t sweeps) {
   TimeLoop tl;
   tl.counter = "t";
   tl.count = AffineExpr::sym("steps");
-  tl.phases.push_back(Phase::make(sweep("sweep-uv", "u", "v")));
-  tl.phases.push_back(Phase::make(sweep("sweep-vu", "v", "u")));
+  tl.phases.push_back(Phase::make(sweep(prog, "sweep-uv", "u", "v")));
+  tl.phases.push_back(Phase::make(sweep(prog, "sweep-vu", "v", "u")));
   prog.phases.push_back(Phase::make(std::move(tl)));
 
   // Checksum: sum of u over owned columns.
@@ -110,8 +113,8 @@ Program jacobi(std::int64_t n, std::int64_t sweeps) {
     sum.cost_per_iter_ns = costs::kReduceNs;
     sum.has_reduce = true;
     sum.reduce_scalar = "checksum";
-    sum.body = [](BodyCtx& c) {
-      auto u = view2(c, "u");
+    sum.body = [U](BodyCtx& c) {
+      auto u = view2(c, U);
       const std::int64_t n = c.sym("n");
       const std::int64_t j = c.dist();
       double acc = 0;

@@ -14,6 +14,7 @@
 namespace fgdsm::apps {
 
 using hpf::AffineExpr;
+using hpf::ArrayHandle;
 using hpf::BodyCtx;
 using hpf::DistKind;
 using hpf::LoopVar;
@@ -30,6 +31,7 @@ Program lu(std::int64_t n) {
                    K = AffineExpr::sym("k");
   prog.arrays.push_back({"a", {N, N}, DistKind::kCyclic});
   prog.sizes.set("n", n);
+  const ArrayHandle A = prog.handle("a");
 
   {
     ParallelLoop init;
@@ -40,8 +42,8 @@ Program lu(std::int64_t n) {
     init.home_sub = J;
     init.writes = {{"a", {I, J}}};
     init.cost_per_iter_ns = costs::kInitNs;
-    init.body = [](BodyCtx& c) {
-      auto a = view2(c, "a");
+    init.body = [A](BodyCtx& c) {
+      auto a = view2(c, A);
       const std::int64_t n = c.sym("n");
       const std::int64_t j = c.dist();
       for (std::int64_t i = 0; i < n; ++i) {
@@ -68,8 +70,8 @@ Program lu(std::int64_t n) {
     scale.reads = {{"a", {I, J}}, {"a", {K, K}}};
     scale.writes = {{"a", {I, J}}};
     scale.cost_per_iter_ns = costs::kLuScaleNs;
-    scale.body = [](BodyCtx& c) {
-      auto a = view2(c, "a");
+    scale.body = [A](BodyCtx& c) {
+      auto a = view2(c, A);
       const std::int64_t n = c.sym("n");
       const std::int64_t k = c.dist();  // == the column being scaled
       const double pivot = a(k, k);
@@ -90,8 +92,8 @@ Program lu(std::int64_t n) {
     upd.reads = {{"a", {I, J}}, {"a", {I, K}}, {"a", {K, J}}};
     upd.writes = {{"a", {I, J}}};
     upd.cost_per_iter_ns = costs::kLuUpdateNs;
-    upd.body = [](BodyCtx& c) {
-      auto a = view2(c, "a");
+    upd.body = [A](BodyCtx& c) {
+      auto a = view2(c, A);
       const std::int64_t n = c.sym("n");
       const std::int64_t k = c.sym("k");
       const std::int64_t j = c.dist();
@@ -115,8 +117,8 @@ Program lu(std::int64_t n) {
     sum.cost_per_iter_ns = costs::kReduceNs;
     sum.has_reduce = true;
     sum.reduce_scalar = "checksum";
-    sum.body = [](BodyCtx& c) {
-      auto a = view2(c, "a");
+    sum.body = [A](BodyCtx& c) {
+      auto a = view2(c, A);
       const std::int64_t n = c.sym("n");
       const std::int64_t j = c.dist();
       double acc = std::log(std::abs(a(j, j)));

@@ -13,6 +13,7 @@
 namespace fgdsm::apps {
 
 using hpf::AffineExpr;
+using hpf::ArrayHandle;
 using hpf::BodyCtx;
 using hpf::DistKind;
 using hpf::LoopVar;
@@ -23,7 +24,7 @@ using hpf::TimeLoop;
 
 namespace {
 
-ParallelLoop half_sweep(const char* name, int color) {
+ParallelLoop half_sweep(const Program& prog, const char* name, int color) {
   const AffineExpr N = AffineExpr::sym("n");
   const AffineExpr I = AffineExpr::sym("i"), J = AffineExpr::sym("j"),
                    K = AffineExpr::sym("k");
@@ -42,9 +43,10 @@ ParallelLoop half_sweep(const char* name, int color) {
   // Half the points update per sweep; the cost constant reflects the full
   // masked traversal of the plane.
   loop.cost_per_iter_ns = costs::kPdeRelaxNs / 2.0;
-  loop.body = [color](BodyCtx& c) {
-    auto u = view3(c, "u");
-    auto f = view3(c, "f");
+  loop.body = [color, U = prog.handle("u"),
+               F = prog.handle("f")](BodyCtx& c) {
+    auto u = view3(c, U);
+    auto f = view3(c, F);
     const std::int64_t n = c.sym("n");
     const std::int64_t k = c.dist();
     const double w = 1.15;  // over-relaxation
@@ -73,6 +75,8 @@ Program pde(std::int64_t n, std::int64_t iters) {
   prog.arrays.push_back({"r", {N, N, N}, DistKind::kBlock});  // residual work
   prog.sizes.set("n", n);
   prog.sizes.set("iters", iters);
+  const ArrayHandle U = prog.handle("u"), F = prog.handle("f"),
+                    R = prog.handle("r");
 
   {
     ParallelLoop init;
@@ -84,10 +88,10 @@ Program pde(std::int64_t n, std::int64_t iters) {
     init.home_sub = K;
     init.writes = {{"u", {I, J, K}}, {"f", {I, J, K}}, {"r", {I, J, K}}};
     init.cost_per_iter_ns = costs::kInitNs;
-    init.body = [](BodyCtx& c) {
-      auto u = view3(c, "u");
-      auto f = view3(c, "f");
-      auto r = view3(c, "r");
+    init.body = [U, F, R](BodyCtx& c) {
+      auto u = view3(c, U);
+      auto f = view3(c, F);
+      auto r = view3(c, R);
       const std::int64_t n = c.sym("n");
       const std::int64_t k = c.dist();
       for (std::int64_t j = 0; j < n; ++j)
@@ -106,8 +110,8 @@ Program pde(std::int64_t n, std::int64_t iters) {
   TimeLoop tl;
   tl.counter = "t";
   tl.count = AffineExpr::sym("iters");
-  tl.phases.push_back(Phase::make(half_sweep("relax-red", 0)));
-  tl.phases.push_back(Phase::make(half_sweep("relax-black", 1)));
+  tl.phases.push_back(Phase::make(half_sweep(prog, "relax-red", 0)));
+  tl.phases.push_back(Phase::make(half_sweep(prog, "relax-black", 1)));
   prog.phases.push_back(Phase::make(std::move(tl)));
 
   // Residual norm (the RELAX driver's convergence quantity).
@@ -127,10 +131,10 @@ Program pde(std::int64_t n, std::int64_t iters) {
     res.cost_per_iter_ns = costs::kPdeRelaxNs / 2.0;
     res.has_reduce = true;
     res.reduce_scalar = "residual";
-    res.body = [](BodyCtx& c) {
-      auto u = view3(c, "u");
-      auto f = view3(c, "f");
-      auto r = view3(c, "r");
+    res.body = [U, F, R](BodyCtx& c) {
+      auto u = view3(c, U);
+      auto f = view3(c, F);
+      auto r = view3(c, R);
       const std::int64_t n = c.sym("n");
       const std::int64_t k = c.dist();
       double acc = 0.0;

@@ -7,6 +7,7 @@
 //
 // Arrays are REAL*8 here (the original is REAL*4): communication volume
 // doubles but every pattern is preserved; see DESIGN.md deviations.
+#include <array>
 #include <cmath>
 
 #include "src/apps/apps.h"
@@ -15,6 +16,7 @@
 namespace fgdsm::apps {
 
 using hpf::AffineExpr;
+using hpf::ArrayHandle;
 using hpf::BodyCtx;
 using hpf::DistKind;
 using hpf::LoopVar;
@@ -39,6 +41,13 @@ Program shallow(std::int64_t nx, std::int64_t ny, std::int64_t steps) {
   prog.sizes.set("nx", nx);
   prog.sizes.set("ny", ny);
   prog.sizes.set("steps", steps);
+  const ArrayHandle U = prog.handle("u"), V = prog.handle("v"),
+                    P = prog.handle("p"), UNEW = prog.handle("unew"),
+                    VNEW = prog.handle("vnew"), PNEW = prog.handle("pnew"),
+                    UOLD = prog.handle("uold"), VOLD = prog.handle("vold"),
+                    POLD = prog.handle("pold"), CU = prog.handle("cu"),
+                    CV = prog.handle("cv"), Z = prog.handle("z"),
+                    H = prog.handle("h");
 
   // ---- Initial conditions ----
   {
@@ -52,15 +61,17 @@ Program shallow(std::int64_t nx, std::int64_t ny, std::int64_t steps) {
                           "vold", "pold", "cu", "cv", "z", "h"})
       init.writes.push_back({a, {I, J}});
     init.cost_per_iter_ns = costs::kInitNs * 3;
-    init.body = [](BodyCtx& c) {
+    init.body = [U, V, P, UOLD, VOLD, POLD,
+                 zeroed = std::array{UNEW, VNEW, PNEW, CU, CV, Z,
+                                     H}](BodyCtx& c) {
       const std::int64_t nx = c.sym("nx");
       const std::int64_t j = c.dist();
-      auto u = view2(c, "u");
-      auto v = view2(c, "v");
-      auto p = view2(c, "p");
-      auto uold = view2(c, "uold");
-      auto vold = view2(c, "vold");
-      auto pold = view2(c, "pold");
+      auto u = view2(c, U);
+      auto v = view2(c, V);
+      auto p = view2(c, P);
+      auto uold = view2(c, UOLD);
+      auto vold = view2(c, VOLD);
+      auto pold = view2(c, POLD);
       for (std::int64_t i = 0; i < nx; ++i) {
         const double a = 1e6 * std::cos(2.0 * M_PI * i / 200.0);
         const double b = std::sin(2.0 * M_PI * j / 200.0);
@@ -72,7 +83,7 @@ Program shallow(std::int64_t nx, std::int64_t ny, std::int64_t steps) {
         vold(i, j) = v(i, j);
         pold(i, j) = p(i, j);
       }
-      for (const char* a2 : {"unew", "vnew", "pnew", "cu", "cv", "z", "h"}) {
+      for (const ArrayHandle& a2 : zeroed) {
         auto w = view2(c, a2);
         for (std::int64_t i = 0; i < nx; ++i) w(i, j) = 0.0;
       }
@@ -109,14 +120,14 @@ Program shallow(std::int64_t nx, std::int64_t ny, std::int64_t steps) {
     l100.writes = {{"cu", {I, J}}, {"cv", {I, J}}, {"z", {I, J}},
                    {"h", {I, J}}};
     l100.cost_per_iter_ns = costs::kShallowLoopNs;
-    l100.body = [](BodyCtx& c) {
-      auto u = view2(c, "u");
-      auto v = view2(c, "v");
-      auto p = view2(c, "p");
-      auto cu = view2(c, "cu");
-      auto cv = view2(c, "cv");
-      auto z = view2(c, "z");
-      auto h = view2(c, "h");
+    l100.body = [U, V, P, CU, CV, Z, H](BodyCtx& c) {
+      auto u = view2(c, U);
+      auto v = view2(c, V);
+      auto p = view2(c, P);
+      auto cu = view2(c, CU);
+      auto cv = view2(c, CV);
+      auto z = view2(c, Z);
+      auto h = view2(c, H);
       const std::int64_t nx = c.sym("nx"), ny = c.sym("ny");
       const std::int64_t j = c.dist();
       const double fsdx = 4.0 / kDx, fsdy = 4.0 / kDy;
@@ -157,10 +168,10 @@ Program shallow(std::int64_t nx, std::int64_t ny, std::int64_t steps) {
     wrap.writes = {{"cu", {I, J}}, {"cv", {I, J}}, {"z", {I, J}},
                    {"h", {I, J}}};
     wrap.cost_per_iter_ns = costs::kInitNs;
-    wrap.body = [](BodyCtx& c) {
+    wrap.body = [wrapped = std::array{CU, CV, Z, H}](BodyCtx& c) {
       const std::int64_t nx = c.sym("nx");
       const std::int64_t j = c.dist();
-      for (const char* a : {"cu", "cv", "z", "h"}) {
+      for (const ArrayHandle& a : wrapped) {
         auto w = view2(c, a);
         for (std::int64_t i = 0; i < nx; ++i) {
           // Column wrap plus the local row wrap.
@@ -189,17 +200,18 @@ Program shallow(std::int64_t nx, std::int64_t ny, std::int64_t steps) {
                   {"h", {I, J}},      {"h", {I - 1, J}}, {"h", {I, J - 1}}};
     l200.writes = {{"unew", {I, J}}, {"vnew", {I, J}}, {"pnew", {I, J}}};
     l200.cost_per_iter_ns = costs::kShallowLoopNs;
-    l200.body = [](BodyCtx& c) {
-      auto uold = view2(c, "uold");
-      auto vold = view2(c, "vold");
-      auto pold = view2(c, "pold");
-      auto cu = view2(c, "cu");
-      auto cv = view2(c, "cv");
-      auto z = view2(c, "z");
-      auto h = view2(c, "h");
-      auto unew = view2(c, "unew");
-      auto vnew = view2(c, "vnew");
-      auto pnew = view2(c, "pnew");
+    l200.body = [UOLD, VOLD, POLD, CU, CV, Z, H, UNEW, VNEW,
+                 PNEW](BodyCtx& c) {
+      auto uold = view2(c, UOLD);
+      auto vold = view2(c, VOLD);
+      auto pold = view2(c, POLD);
+      auto cu = view2(c, CU);
+      auto cv = view2(c, CV);
+      auto z = view2(c, Z);
+      auto h = view2(c, H);
+      auto unew = view2(c, UNEW);
+      auto vnew = view2(c, VNEW);
+      auto pnew = view2(c, PNEW);
       const std::int64_t nx = c.sym("nx");
       const std::int64_t j = c.dist();
       const double tdt = c.scalar("tdt");
@@ -237,16 +249,17 @@ Program shallow(std::int64_t nx, std::int64_t ny, std::int64_t steps) {
     l300.writes = {{"u", {I, J}},    {"v", {I, J}},    {"p", {I, J}},
                    {"uold", {I, J}}, {"vold", {I, J}}, {"pold", {I, J}}};
     l300.cost_per_iter_ns = costs::kShallowLoopNs;
-    l300.body = [](BodyCtx& c) {
-      auto u = view2(c, "u");
-      auto v = view2(c, "v");
-      auto p = view2(c, "p");
-      auto unew = view2(c, "unew");
-      auto vnew = view2(c, "vnew");
-      auto pnew = view2(c, "pnew");
-      auto uold = view2(c, "uold");
-      auto vold = view2(c, "vold");
-      auto pold = view2(c, "pold");
+    l300.body = [U, V, P, UNEW, VNEW, PNEW, UOLD, VOLD,
+                 POLD](BodyCtx& c) {
+      auto u = view2(c, U);
+      auto v = view2(c, V);
+      auto p = view2(c, P);
+      auto unew = view2(c, UNEW);
+      auto vnew = view2(c, VNEW);
+      auto pnew = view2(c, PNEW);
+      auto uold = view2(c, UOLD);
+      auto vold = view2(c, VOLD);
+      auto pold = view2(c, POLD);
       const std::int64_t nx = c.sym("nx");
       const std::int64_t j = c.dist();
       for (std::int64_t i = 0; i < nx; ++i) {
@@ -277,8 +290,8 @@ Program shallow(std::int64_t nx, std::int64_t ny, std::int64_t steps) {
     sum.cost_per_iter_ns = costs::kReduceNs;
     sum.has_reduce = true;
     sum.reduce_scalar = std::string("checksum_") + a;
-    sum.body = [a = std::string(a)](BodyCtx& c) {
-      auto w = view2(c, a);
+    sum.body = [A = prog.handle(a)](BodyCtx& c) {
+      auto w = view2(c, A);
       const std::int64_t nx = c.sym("nx");
       const std::int64_t j = c.dist();
       double acc = 0.0;

@@ -31,6 +31,7 @@
 namespace fgdsm::apps {
 
 using hpf::AffineExpr;
+using hpf::ArrayHandle;
 using hpf::BodyCtx;
 using hpf::DistKind;
 using hpf::LoopVar;
@@ -71,6 +72,8 @@ Program spmv(std::int64_t n, std::int64_t k, std::int64_t iters,
   prog.sizes.set("k", k);
   prog.sizes.set("iters", iters);
   prog.sizes.set("pattern", pattern);
+  const ArrayHandle A = prog.handle("a"), COL = prog.handle("col"),
+                    X = prog.handle("x"), Y = prog.handle("y");
 
   {
     ParallelLoop init;
@@ -81,11 +84,11 @@ Program spmv(std::int64_t n, std::int64_t k, std::int64_t iters,
     init.home_sub = J;
     init.writes = {{"a", {I, J}}, {"col", {I, J}}, {"x", {J}}, {"y", {J}}};
     init.cost_per_iter_ns = costs::kInitNs;
-    init.body = [](BodyCtx& c) {
-      auto a = view2(c, "a");
-      auto col = view2(c, "col");
-      auto x = view1(c, "x");
-      auto y = view1(c, "y");
+    init.body = [A, COL, X, Y](BodyCtx& c) {
+      auto a = view2(c, A);
+      auto col = view2(c, COL);
+      auto x = view1(c, X);
+      auto y = view1(c, Y);
       const std::int64_t nn = c.sym("n"), kk = c.sym("k");
       const std::int64_t pat = c.sym("pattern");
       const std::int64_t j = c.dist();
@@ -118,11 +121,11 @@ Program spmv(std::int64_t n, std::int64_t k, std::int64_t iters,
     mv.cost_per_iter_ns = costs::kCgMatvecNs;
     mv.has_reduce = true;
     mv.reduce_scalar = "ynorm";
-    mv.body = [](BodyCtx& c) {
-      auto a = view2(c, "a");
-      auto col = view2(c, "col");
-      auto x = view1(c, "x");
-      auto y = view1(c, "y");
+    mv.body = [A, COL, X, Y](BodyCtx& c) {
+      auto a = view2(c, A);
+      auto col = view2(c, COL);
+      auto x = view1(c, X);
+      auto y = view1(c, Y);
       const std::int64_t kk = c.sym("k");
       const std::int64_t j = c.dist();
       double acc = 0.0;
@@ -153,9 +156,9 @@ Program spmv(std::int64_t n, std::int64_t k, std::int64_t iters,
     xl.reads = {{"y", {J}}};
     xl.writes = {{"x", {J}}};
     xl.cost_per_iter_ns = costs::kCgVecNs;
-    xl.body = [](BodyCtx& c) {
-      auto x = view1(c, "x");
-      auto y = view1(c, "y");
+    xl.body = [X, Y](BodyCtx& c) {
+      auto x = view1(c, X);
+      auto y = view1(c, Y);
       x(c.dist()) = c.scalar("scale") * y(c.dist());
     };
     tl.phases.push_back(Phase::make(std::move(xl)));
@@ -174,8 +177,8 @@ Program spmv(std::int64_t n, std::int64_t k, std::int64_t iters,
     sum.cost_per_iter_ns = costs::kReduceNs;
     sum.has_reduce = true;
     sum.reduce_scalar = "checksum";
-    sum.body = [](BodyCtx& c) {
-      auto x = view1(c, "x");
+    sum.body = [X](BodyCtx& c) {
+      auto x = view1(c, X);
       const std::int64_t j = c.dist();
       c.contribute(x(j) * static_cast<double>((j % 7) + 1));
     };

@@ -61,6 +61,15 @@ struct IndirectRef {
 
 enum class ReduceOp { kSum, kMax, kMin };
 
+// An array resolved when a program is built: its index in Program::arrays,
+// plus its name. Loop bodies hand handles to BodyCtx so the executor finds
+// the array by index, not by comparing names. The handle owns the name
+// because programs are copied, so it cannot point into one.
+struct ArrayHandle {
+  std::size_t index = 0;
+  std::string name;
+};
+
 // Execution-time context handed to loop bodies; implemented by the executor.
 class BodyCtx {
  public:
@@ -81,6 +90,12 @@ class BodyCtx {
   // Raw storage access (this node's backing of the shared segment).
   virtual double* data(const std::string& array) = 0;
   virtual const ArrayLayout& layout(const std::string& array) const = 0;
+  // The same by handle. A context that indexes its arrays overrides these;
+  // the defaults look the handle's name up.
+  virtual double* data(const ArrayHandle& array) { return data(array.name); }
+  virtual const ArrayLayout& layout(const ArrayHandle& array) const {
+    return layout(array.name);
+  }
 };
 
 // Lightweight column-major views for bodies.
@@ -102,14 +117,19 @@ struct View3 {
     return p[i + (j + k * n1) * n0];
   }
 };
-inline View1 view1(BodyCtx& c, const std::string& a) {
+// `A` names the array: an ArrayHandle, or a name.
+template <typename A>
+View1 view1(BodyCtx& c, const A& a) {
   return View1{c.data(a)};
 }
-inline View2 view2(BodyCtx& c, const std::string& a) {
+template <typename A>
+View2 view2(BodyCtx& c, const A& a) {
   return View2{c.data(a), c.layout(a).extents[0]};
 }
-inline View3 view3(BodyCtx& c, const std::string& a) {
-  return View3{c.data(a), c.layout(a).extents[0], c.layout(a).extents[1]};
+template <typename A>
+View3 view3(BodyCtx& c, const A& a) {
+  const ArrayLayout& l = c.layout(a);
+  return View3{c.data(a), l.extents[0], l.extents[1]};
 }
 
 struct ParallelLoop {
@@ -205,12 +225,16 @@ struct Program {
   std::vector<Phase> phases;
   Bindings sizes;  // default problem-size symbol values
 
-  const ArrayDecl& array(const std::string& n) const {
-    for (const auto& a : arrays)
-      if (a.name == n) return a;
+  std::size_t index_of(const std::string& n) const {
+    for (std::size_t i = 0; i < arrays.size(); ++i)
+      if (arrays[i].name == n) return i;
     FGDSM_ASSERT_MSG(false, "unknown array " << n);
     __builtin_unreachable();
   }
+  const ArrayDecl& array(const std::string& n) const {
+    return arrays[index_of(n)];
+  }
+  ArrayHandle handle(const std::string& n) const { return {index_of(n), n}; }
 };
 
 }  // namespace fgdsm::hpf
