@@ -50,6 +50,10 @@
 #                            bench_irreg.txt at --scale=0.5 with the default
 #                            build type; each must match the committed copy
 #                            byte for byte
+#   scripts/ci.sh perfbench  the repository benchmark (perfbench/) builds
+#                            and runs: its two self-checks, then every
+#                            workload once in both trace modes, each of
+#                            which must exit 0
 # Extra cmake args may follow the job name.
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -368,9 +372,24 @@ case "$job" in
     echo "fixedpoint: bench_paper, bench_fig4 and bench_irreg at" \
       "--scale=0.5 match results/*.txt byte for byte"
     ;;
+  perfbench)
+    # perfbench/ builds the simulator from src/ and calls into its layers
+    # directly (BodyCtx, Bindings, chunk_footprint, ref_section,
+    # irreg::scan, Node::ensure_chunk). No other job builds it, so an API
+    # change that breaks it would otherwise first show when the benchmark
+    # runs. run.py configures and builds it on first use.
+    for w in paper8 scale256 chaos8_st4; do
+      for tr in 0 1; do
+        python3 perfbench/run.py --workload "$w" --seed 1 --seconds 0 \
+          --trace "$tr"
+      done
+    done
+    ctest --test-dir "${CARGO_TARGET_DIR:-.bench_build}/perfbench" \
+      --output-on-failure
+    ;;
   *)
     echo "unknown job '$job' (expected: verify | sanitize | chaos | crash |" \
-      "perf | scale | simthreads | tsan | fixedpoint)" >&2
+      "perf | scale | simthreads | tsan | fixedpoint | perfbench)" >&2
     exit 2
     ;;
 esac

@@ -44,9 +44,6 @@ found=0
 for bin in "$BIN"/bench_*; do
   [[ -x "$bin" ]] || continue
   name="$(basename "$bin")"
-  # bench_micro is a google-benchmark binary (host microbenchmarks, own
-  # flag syntax); it is not part of the paper-results sweep.
-  [[ "$name" == bench_micro ]] && continue
   # bench_selfperf measures the simulator itself (host throughput, allocs);
   # it rejects --jobs and is gated separately by scripts/ci.sh perf.
   [[ "$name" == bench_selfperf ]] && continue
