@@ -72,7 +72,7 @@ Counts measure(bool optimized, int iters) {
         if (n.id() == 3 && it == 0) proto.implicit_writable(n, t, b, b);
         n.barrier(t);
         if (n.id() == 2)
-          proto.send_blocks(n, t, a, cfg.block_size, {3}, cfg.block_size);
+          proto.send_blocks(n, t, a, cfg.block_size, 3, cfg.block_size);
         if (n.id() == 3) {
           proto.ready_to_recv(n, t, 1);
           double v;

@@ -72,7 +72,7 @@ int main() {
       }
       n.barrier(t);
       if (n.id() == 0)
-        proto.send_blocks(n, t, col, 512, {1}, /*max_payload=*/512);
+        proto.send_blocks(n, t, col, 512, 1, /*max_payload=*/512);
       if (n.id() == 1) {
         proto.ready_to_recv(n, t, 4);
         if (it == 0) show(c, b0, b1, "C. after send/ready_to_recv");

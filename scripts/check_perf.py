@@ -137,7 +137,7 @@ def main():
                     f"{c['normalized_events_per_mop']:.6f} ev/Mop vs baseline "
                     f"{b['normalized_events_per_mop']:.6f}")
                 status = "FAIL"
-        alloc_cap = b["allocs_per_event"] * (1.0 + tol) + 0.25
+        alloc_cap = b["allocs_per_event"] * (1.0 + tol) + 0.01
         if c["allocs_per_event"] > alloc_cap:
             failures.append(
                 f"{name}: allocs/event grew {b['allocs_per_event']:.2f} -> "

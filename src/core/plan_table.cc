@@ -74,8 +74,8 @@ const PlanTable::Entry& PlanTable::get(
   Slot& slot = sit->second;
   if (fresh) slot.symbols = plan_key_symbols(loop, prog_);
 
-  std::vector<std::int64_t> key;
-  key.reserve(slot.symbols.size() + extra.size());
+  std::vector<std::int64_t>& key = key_;
+  key.clear();
   for (const auto& sym : slot.symbols) key.push_back(b.get(sym));
   key.insert(key.end(), extra.begin(), extra.end());
   auto it = slot.entries.find(key);
@@ -94,7 +94,7 @@ const PlanTable::Entry& PlanTable::get(
   for (int me = 0; me < np_; ++me)
     e.plans.push_back(plan_from_transfers(e.transfers, layouts_, me,
                                           block_size_, block_align_));
-  return slot.entries.emplace(std::move(key), std::move(e)).first->second;
+  return slot.entries.emplace(key, std::move(e)).first->second;
 }
 
 }  // namespace fgdsm::core

@@ -78,8 +78,9 @@ class PlanTable {
   const std::size_t block_size_;
   const bool block_align_;
 
-  std::mutex mu_;  // guards slots_
+  std::mutex mu_;  // guards slots_ and key_
   std::map<const hpf::ParallelLoop*, Slot> slots_;
+  std::vector<std::int64_t> key_;  // get()'s lookup key, reused
 };
 
 }  // namespace fgdsm::core

@@ -1,9 +1,9 @@
 #include "src/exec/executor.h"
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <memory>
-#include <set>
 
 #include "src/core/plan.h"
 #include "src/core/plan_table.h"
@@ -63,7 +63,7 @@ struct CompiledIndirect {
 };
 // Rebuilt at every visit, never checkpointed: no checkpoint is taken inside
 // a visit's chunk loop. The vectors keep their capacity across visits, so
-// steady state allocates nothing.
+// compiling allocates only while a visit needs more than any before it.
 struct CompiledVisit {
   std::vector<hpf::CompiledFree> free;
   std::vector<hpf::CompiledSub> subs;
@@ -89,7 +89,9 @@ struct NodeRun {
   // entry holding it).
   std::map<std::string, std::int64_t> write_version;
   struct AvailEntry {
-    std::map<std::string, std::int64_t> versions;  // per array at comm time
+    // The write version of each of entry's transfers' arrays at comm time,
+    // by transfer index.
+    std::vector<std::int64_t> versions;
     const core::PlanTable::Entry* entry = nullptr;
   };
   std::map<const hpf::ParallelLoop*, AvailEntry> avail;
@@ -105,11 +107,15 @@ struct NodeRun {
   // Per-parallel-loop counter deltas, accumulated at phase boundaries.
   std::map<std::string, util::NodeStats> loop_stats;
 
-  // Hot-path scratch, reused across chunks and timesteps so the steady
-  // state allocates nothing: inspector need-list temporaries (spmv
-  // re-inspects every step), the current visit's compiled references, and
-  // per-chunk footprint temporaries.
+  // Hot-path scratch, reused across chunks and visits so that a node's
+  // later visits to a loop allocate nothing: inspector need-list
+  // temporaries (spmv without schedule reuse re-inspects every step), an
+  // irregular loop's plan-key extras, the current visit's compiled
+  // references, and per-chunk footprint temporaries. None of it is
+  // checkpointed; each visit rebuilds what it reads.
   irreg::ScanScratch irreg_scratch;
+  std::vector<const std::string*> index_arrays;
+  std::vector<std::int64_t> plan_extra;
   CompiledVisit visit;
   hpf::ConcreteSection fp_section;
   std::vector<Node::Extent> read_runs, write_runs;
@@ -500,12 +506,20 @@ class Executor {
     Node& n = *st.node;
     sim::Task& t = *st.task;
 
-    std::vector<std::int64_t> extra;
-    {
-      std::set<std::string> idx;
-      for (const auto& ir : loop.ind_reads) idx.insert(ir.index_array);
-      for (const auto& name : idx) extra.push_back(st.write_version[name]);
-    }
+    // The key's extra values: the write version of each distinct
+    // indirection array, in name order.
+    std::vector<const std::string*>& names = st.index_arrays;
+    names.clear();
+    for (const auto& ir : loop.ind_reads) names.push_back(&ir.index_array);
+    const auto by_name = [](const std::string* a, const std::string* b) {
+      return *a < *b;
+    };
+    std::sort(names.begin(), names.end(), by_name);
+    std::vector<std::int64_t>& extra = st.plan_extra;
+    extra.clear();
+    for (std::size_t i = 0; i < names.size(); ++i)
+      if (i == 0 || by_name(names[i - 1], names[i]))
+        extra.push_back(st.write_version[*names[i]]);
 
     if (cfg_.opt.reuse_schedule) {
       if (const auto* e = recorded(loop, st, extra)) {
@@ -542,29 +556,20 @@ class Executor {
   // copies open). Otherwise records `e` as the last communicated set.
   bool available(const hpf::ParallelLoop& loop, NodeRun& st,
                  const core::PlanTable::Entry& e) {
-    auto it = st.avail.find(&loop);
-    bool skip = it != st.avail.end() &&
-                (it->second.entry == &e ||
-                 transfers_eq(it->second.entry->transfers, e.transfers));
-    if (skip) {
-      for (const auto& tr : e.transfers) {
-        auto vit = it->second.versions.find(tr.array);
-        if (vit == it->second.versions.end() ||
-            vit->second != st.write_version[tr.array]) {
-          skip = false;
-          break;
-        }
-      }
-    }
+    NodeRun::AvailEntry& a = st.avail[&loop];
+    bool skip = a.entry != nullptr &&
+                (a.entry == &e ||
+                 transfers_eq(a.entry->transfers, e.transfers));
+    for (std::size_t i = 0; skip && i < e.transfers.size(); ++i)
+      skip = a.versions[i] == st.write_version[e.transfers[i].array];
     if (skip) {
       st.node->stats.ccc_calls_elided += e.transfers.size();
       return true;
     }
-    NodeRun::AvailEntry a;
     a.entry = &e;
+    a.versions.clear();
     for (const auto& tr : e.transfers)
-      a.versions[tr.array] = st.write_version[tr.array];
-    st.avail[&loop] = std::move(a);
+      a.versions.push_back(st.write_version[tr.array]);
     return false;
   }
 
@@ -615,7 +620,7 @@ class Executor {
 
     t0 = t.now();
     for (const auto& s : plan.sends)
-      p.send_blocks(n, t, s.run.addr, s.run.len, {s.dst}, payload);
+      p.send_blocks(n, t, s.run.addr, s.run.len, s.dst, payload);
     p.ready_to_recv(n, t, plan.expected_pre);
     st.node->stats.ccc_ns += t.now() - t0;
 

@@ -35,14 +35,14 @@ ConcreteInterval local_iters(const ParallelLoop& loop, const Program& prog,
   switch (loop.comp) {
     case ParallelLoop::Comp::kOwnerComputes: {
       const ArrayDecl& home = prog.array(loop.home_array);
-      const auto ext = array_extents(home, b);
+      const std::int64_t last_extent = home.extents.back().eval(b);
       // home_sub must be dist_var + const (unit coefficient) so the owned
       // home indices map back to a strided iteration interval.
       const std::int64_t c = loop.home_sub.coeff(loop.dist.sym);
       FGDSM_ASSERT_MSG(c == 1, "ON HOME subscript must be <distvar> + const");
       const std::int64_t off = eval_with(loop.home_sub, b, loop.dist.sym, 0);
       ConcreteInterval owned =
-          owned_interval(home.dist, p, ext.back(), np);
+          owned_interval(home.dist, p, last_extent, np);
       if (owned.empty()) return {0, -1, 1};
       owned.lo -= off;
       owned.hi -= off;

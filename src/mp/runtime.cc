@@ -25,7 +25,7 @@ MpRuntime::MpRuntime(tempest::Cluster& cluster)
           FGDSM_ASSERT_MSG(epoch > st.epoch,
                            "stale MP message (epoch " << epoch << " < "
                                                       << st.epoch << ")");
-          st.stash[epoch].push_back(std::move(m));
+          st.stash.push_back(std::move(m));
         }
       });
   // Crash recovery: epochs and stashed future-epoch payloads are host state
@@ -48,16 +48,25 @@ void MpRuntime::advance_epoch(Node& node, sim::Task& task) {
   NodeState& st = st_[static_cast<std::size_t>(node.id())];
   task.sync();  // settle handlers due now before flipping the epoch
   ++st.epoch;
-  auto it = st.stash.find(st.epoch);
-  if (it == st.stash.end()) return;
-  for (const sim::Message& m : it->second) {
-    task.charge(cluster_.costs().copy_time(
-        static_cast<std::int64_t>(m.payload.size())));
+  // Apply the new epoch's arrivals in order; later epochs' stay stashed.
+  // The copy charge may yield, and handlers then append to the stash, so
+  // elements are reached by index.
+  std::size_t kept = 0;
+  for (std::size_t i = 0; i < st.stash.size(); ++i) {
+    if (st.stash[i].arg[1] != st.epoch) {
+      if (i != kept) st.stash[kept] = std::move(st.stash[i]);
+      ++kept;
+      continue;
+    }
+    const auto bytes = static_cast<std::int64_t>(st.stash[i].payload.size());
+    task.charge(cluster_.costs().copy_time(bytes));
+    sim::Message& m = st.stash[i];
     apply(node, m);
-    node.recv_sem.post(task.now(),
-                       static_cast<std::int64_t>(m.payload.size()));
+    node.recv_sem.post(task.now(), bytes);
+    cluster_.recycle_payload(m.src, std::move(m.payload));
   }
-  st.stash.erase(it);
+  st.stash.erase(st.stash.begin() + static_cast<std::ptrdiff_t>(kept),
+                 st.stash.end());
 }
 
 void MpRuntime::send(Node& node, sim::Task& task, GAddr addr,

@@ -23,7 +23,6 @@
 #pragma once
 
 #include <cstdint>
-#include <map>
 #include <vector>
 
 #include "src/tempest/cluster.h"
@@ -56,7 +55,8 @@ class MpRuntime {
  private:
   struct NodeState {
     std::int64_t epoch = 0;
-    std::map<std::int64_t, std::vector<sim::Message>> stash;
+    // Early arrivals for later epochs (arg[1]), in arrival order.
+    std::vector<sim::Message> stash;
   };
   void apply(Node& node, const sim::Message& m);
 

@@ -672,35 +672,32 @@ std::int64_t Stache::blocks_in(GAddr addr, std::size_t len) const {
 }
 
 void Stache::send_blocks(Node& node, sim::Task& task, GAddr addr,
-                         std::size_t len, const std::vector<int>& dests,
-                         std::size_t max_payload) {
-  if (len == 0 || dests.empty()) return;
+                         std::size_t len, int dst, std::size_t max_payload) {
+  if (len == 0) return;
   FGDSM_LOG("ccc", "send_blocks@" << node.id() << " addr=" << addr
-                                  << " len=" << len << " dst=" << dests[0]
+                                  << " len=" << len << " dst=" << dst
                                   << " t=" << task.now());
   const std::int64_t nblocks = blocks_in(addr, len);
   ++node.stats.ccc_runtime_calls;
   task.charge(cluster_.costs().ccc_call_overhead);
   FGDSM_ASSERT(max_payload >= cluster_.block_size() &&
                max_payload % cluster_.block_size() == 0);
-  for (int dst : dests) {
-    FGDSM_ASSERT_MSG(dst != node.id(), "send_blocks to self");
-    std::size_t off = 0;
-    while (off < len) {
-      const std::size_t chunk = std::min(max_payload, len - off);
-      sim::Message m;
-      m.dst = dst;
-      m.type = static_cast<std::uint16_t>(MsgType::kDirectData);
-      m.addr = addr + off;
-      m.arg[0] = static_cast<std::int64_t>(chunk / cluster_.block_size());
-      m.payload = cluster_.payload_pool().acquire(chunk);
-      std::memcpy(m.payload.data(), node.mem(addr + off), chunk);
-      node.send(task, std::move(m));
-      ++node.stats.ccc_messages_sent;
-      off += chunk;
-    }
-    node.stats.ccc_blocks_sent += static_cast<std::uint64_t>(nblocks);
+  FGDSM_ASSERT_MSG(dst != node.id(), "send_blocks to self");
+  std::size_t off = 0;
+  while (off < len) {
+    const std::size_t chunk = std::min(max_payload, len - off);
+    sim::Message m;
+    m.dst = dst;
+    m.type = static_cast<std::uint16_t>(MsgType::kDirectData);
+    m.addr = addr + off;
+    m.arg[0] = static_cast<std::int64_t>(chunk / cluster_.block_size());
+    m.payload = cluster_.payload_pool().acquire(chunk);
+    std::memcpy(m.payload.data(), node.mem(addr + off), chunk);
+    node.send(task, std::move(m));
+    ++node.stats.ccc_messages_sent;
+    off += chunk;
   }
+  node.stats.ccc_blocks_sent += static_cast<std::uint64_t>(nblocks);
 }
 
 void Stache::ready_to_recv(Node& node, sim::Task& task,

@@ -97,12 +97,12 @@ class Stache : public tempest::Protocol {
   void implicit_invalidate(Node& node, sim::Task& task, BlockId first,
                            BlockId last);
 
-  // Ship [addr, addr+len) from this node's memory to each destination as
+  // Ship [addr, addr+len) from this node's memory to node `dst` as
   // specially tagged data messages. Contiguous blocks are coalesced into
   // payloads of up to max_payload bytes (the paper's bulk-transfer
   // optimization; pass block_size to disable coalescing).
   void send_blocks(Node& node, sim::Task& task, GAddr addr, std::size_t len,
-                   const std::vector<int>& dests, std::size_t max_payload);
+                   int dst, std::size_t max_payload);
 
   // Block until `nblocks` compiler-directed data blocks have arrived
   // (counting semaphore, §4.2).

@@ -8,6 +8,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
+#include <utility>
 #include <vector>
 
 #include "src/sim/cost_model.h"
@@ -53,6 +54,12 @@ struct Message {
 // overwrites what it sends (block copies, chunk copies), so no stale-data
 // scrubbing is needed. release() is safe for any vector, including empty
 // ones and buffers that never came from the pool.
+//
+// A cluster keeps one pool per event partition, and a payload is consumed
+// in the receiver's partition. release_to() holds such a buffer for the
+// sender's pool until send_home() moves it there at the window barrier, so
+// each producer keeps the buffers it sends instead of allocating while
+// receivers' pools fill.
 class BufferPool {
  public:
   std::vector<std::byte> acquire(std::size_t n) {
@@ -73,6 +80,20 @@ class BufferPool {
     free_.back().clear();
   }
 
+  // Holds a consumed buffer for pools[owner] (see send_home).
+  void release_to(int owner, std::vector<std::byte>&& b) {
+    if (b.capacity() == 0) return;
+    away_.emplace_back(owner, std::move(b));
+  }
+
+  // Releases every buffer held by release_to into its owner's pool. Only
+  // while no partition drains: it writes other partitions' pools.
+  void send_home(std::vector<BufferPool>& pools) {
+    for (auto& [owner, b] : away_)
+      pools[static_cast<std::size_t>(owner)].release(std::move(b));
+    away_.clear();
+  }
+
   // Buffers that had to be newly allocated (pool empty or too small). Flat
   // across iterations in steady state — the basis of the zero-allocation
   // regression tests.
@@ -83,6 +104,7 @@ class BufferPool {
   // 8..32-node run with bulk transfer enabled.
   static constexpr std::size_t kMaxFree = 1024;
   std::vector<std::vector<std::byte>> free_;
+  std::vector<std::pair<int, std::vector<std::byte>>> away_;
   std::uint64_t fresh_allocs_ = 0;
 };
 

@@ -84,8 +84,11 @@ Cluster::Cluster(ClusterConfig cfg)
     });
     engine_.set_recovery_hook([this] { return recover(); });
   }
-  if (cfg_.checkpoint_every > 0 && cfg_.nnodes > 1)
+  // At every window barrier, consumed payloads go home to their senders'
+  // pools, and a capture requested inside the window runs.
+  if (cfg_.nnodes > 1)
     engine_.set_window_hook([this] {
+      for (sim::BufferPool& p : pools_) p.send_home(pools_);
       if (!ckpt_request_) return;
       ckpt_request_ = false;
       capture_checkpoint(ckpt_request_t_, /*at_barrier=*/true);
@@ -479,11 +482,12 @@ void Cluster::capture_checkpoint(sim::Time t, bool at_barrier) {
     }
   }
   ckpt_.t = t;
-  ckpt_.nodes.assign(static_cast<std::size_t>(cfg_.nnodes), NodeCheckpoint{});
+  ckpt_.nodes.resize(static_cast<std::size_t>(cfg_.nnodes));
   ckpt_.host_blobs.clear();
   ckpt_.host_blobs.reserve(host_hooks_.size());
   for (const HostStateHook& h : host_hooks_)
     ckpt_.host_blobs.push_back(h.capture ? h.capture() : nullptr);
+  const std::size_t blocks_per_page = cfg_.page_size / bs;
   for (int i = 0; i < cfg_.nnodes; ++i) {
     Node& n = *nodes_[static_cast<std::size_t>(i)];
     NodeCheckpoint& c = ckpt_.nodes[static_cast<std::size_t>(i)];
@@ -491,14 +495,34 @@ void Cluster::capture_checkpoint(sim::Time t, bool at_barrier) {
     // Memory: only blocks this node can legitimately read, or homes (their
     // backing is the directory's ground truth even while invalid locally),
     // plus capture-always ranges — storage outside the protocol's view.
-    // Everything else re-faults through the protocol after rollback.
-    for (BlockId b = 0; b < nb; ++b)
-      if (c.tags[b] != Access::kInvalid || home_of(b) == i ||
-          capture_always_blocks_[b] != 0)
-        c.blocks.push_back(b);
-    c.data.resize(c.blocks.size() * bs);
-    for (std::size_t k = 0; k < c.blocks.size(); ++k)
-      std::memcpy(c.data.data() + k * bs, n.mem(block_addr(c.blocks[k])), bs);
+    // Everything else re-faults through the protocol after rollback. Homes
+    // are assigned by page, so each page is decided once.
+    c.runs.clear();
+    std::size_t nblocks = 0;
+    const auto take = [&](BlockId first, BlockId end) {
+      if (!c.runs.empty() && c.runs.back().end == first)
+        c.runs.back().end = end;
+      else
+        c.runs.push_back(BlockRun{first, end});
+      nblocks += end - first;
+    };
+    for (BlockId first = 0; first < nb; first += blocks_per_page) {
+      const BlockId end = std::min<BlockId>(first + blocks_per_page, nb);
+      if (home_of(first) == i) {
+        take(first, end);
+        continue;
+      }
+      for (BlockId b = first; b < end; ++b)
+        if (c.tags[b] != Access::kInvalid || capture_always_blocks_[b] != 0)
+          take(b, b + 1);
+    }
+    c.data.resize(nblocks * bs);
+    std::byte* out = c.data.data();
+    for (const BlockRun& r : c.runs) {
+      const std::size_t len = (r.end - r.first) * bs;
+      std::memcpy(out, n.mem(block_addr(r.first)), len);
+      out += len;
+    }
     c.task = n.task()->snapshot();
     // At a barrier capture the completed barrier's never-resent release is
     // folded in as a count of 1: a restored node resumes inside
@@ -560,8 +584,12 @@ bool Cluster::recover() {
     n.reincarnate();
     n.clear_inbox();  // survivors too: queued handlers are dead-timeline work
     std::copy(c.tags.begin(), c.tags.end(), n.tags_data());
-    for (std::size_t k = 0; k < c.blocks.size(); ++k)
-      std::memcpy(n.mem(block_addr(c.blocks[k])), c.data.data() + k * bs, bs);
+    const std::byte* in = c.data.data();
+    for (const BlockRun& r : c.runs) {
+      const std::size_t len = (r.end - r.first) * bs;
+      std::memcpy(n.mem(block_addr(r.first)), in, len);
+      in += len;
+    }
     n.barrier_sem.restore_for_recovery(c.barrier_sem);
     n.reduce_sem.restore_for_recovery(c.reduce_sem);
     n.recv_sem.restore_for_recovery(c.recv_sem);

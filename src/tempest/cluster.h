@@ -18,6 +18,7 @@
 #include "src/tempest/config.h"
 #include "src/tempest/node.h"
 #include "src/tempest/types.h"
+#include "src/util/assert.h"
 #include "src/util/stats.h"
 
 namespace fgdsm::tempest {
@@ -90,11 +91,22 @@ class Cluster {
   // buffers here, and the handler dispatch returns them after the handler
   // consumed the message — steady-state block transfers allocate nothing.
   // Sharded per event partition (selected by the engine's drain context) so
-  // concurrently drained partitions never touch the same free list; a
-  // buffer released in one partition simply re-enters that partition's
-  // pool. Pool choice never affects simulated results.
+  // concurrently drained partitions never touch the same free list. Pool
+  // choice never affects simulated results.
   sim::BufferPool& payload_pool() {
     return pools_[static_cast<std::size_t>(engine_.current_partition_id())];
+  }
+  // Returns a consumed payload to the pool of its sender, node `src`, whose
+  // partition drew it: directly when that is the current partition, else
+  // at the next window barrier.
+  void recycle_payload(int src, std::vector<std::byte>&& payload) {
+    FGDSM_DCHECK(src >= 0 && src < cfg_.nnodes);
+    const int here = engine_.current_partition_id();
+    if (src == here)
+      pools_[static_cast<std::size_t>(here)].release(std::move(payload));
+    else
+      pools_[static_cast<std::size_t>(here)].release_to(src,
+                                                        std::move(payload));
   }
 
   // The one egress point for node traffic: routes through the reliable
@@ -183,10 +195,15 @@ class Cluster {
   // One node's share of a checkpoint. Memory is captured per block, only for
   // blocks the node can legitimately read (tag != kInvalid) or homes —
   // everything else re-faults through the protocol after rollback, exactly
-  // as the paper's fine-grain access control intends.
+  // as the paper's fine-grain access control intends. Every capture reuses
+  // the previous one's vectors.
+  struct BlockRun {
+    BlockId first = 0;
+    BlockId end = 0;  // one past the last block
+  };
   struct NodeCheckpoint {
-    std::vector<BlockId> blocks;   // captured block ids, ascending
-    std::vector<std::byte> data;   // blocks.size() * block_size bytes
+    std::vector<BlockRun> runs;    // captured blocks, ascending, maximal
+    std::vector<std::byte> data;   // the runs' bytes, concatenated
     std::vector<Access> tags;      // full tag array
     sim::Task::Snapshot task;
     std::int64_t barrier_sem = 0;  // value to restore (1 at barrier capture:

@@ -7,7 +7,6 @@
 #include <cerrno>
 #include <cstdio>
 #include <cstring>
-#include <unordered_set>
 
 #include "src/sim/trace.h"
 #include "src/tempest/cluster.h"
@@ -25,6 +24,14 @@ const char* msg_label(sim::Tracer& tr, const char* prefix, MsgType type) {
   char buf[48];
   std::snprintf(buf, sizeof buf, "%s %s", prefix, to_string(type));
   return tr.intern(buf);
+}
+
+// Adds b to an ascending vector; false if it was already there.
+bool insert_sorted(std::vector<BlockId>& set, BlockId b) {
+  const auto it = std::lower_bound(set.begin(), set.end(), b);
+  if (it != set.end() && *it == b) return false;
+  set.insert(it, b);
+  return true;
 }
 }  // namespace
 
@@ -192,8 +199,8 @@ void Node::ensure_chunk(sim::Task& task, const std::vector<Extent>& reads,
   // within a few rounds. (The real platform escapes through per-access
   // faults and timing jitter; the backoff is the deterministic stand-in,
   // charged as miss stall time.)
-  std::unordered_set<BlockId> fetched;
-  std::unordered_set<BlockId> faulted;
+  fetched_.clear();
+  faulted_.clear();
   int contention = 0;
   for (;;) {
     if (contention > 1 && id_ > 0) {
@@ -226,7 +233,8 @@ void Node::ensure_chunk(sim::Task& task, const std::vector<Extent>& reads,
         const BlockId first = cluster_.block_of(e.addr);
         const BlockId last = cluster_.block_of(e.addr + e.len - 1);
         for (BlockId b = first; b <= last && kind == 0; ++b)
-          if (tags_[b] == Access::kInvalid && fetched.count(b) == 0) {
+          if (tags_[b] == Access::kInvalid &&
+              !std::binary_search(fetched_.begin(), fetched_.end(), b)) {
             faulting = b;
             kind = 1;
           }
@@ -235,7 +243,7 @@ void Node::ensure_chunk(sim::Task& task, const std::vector<Extent>& reads,
     }
     if (kind == 0) return;
     FGDSM_ASSERT_MSG(protocol != nullptr, "fault with no protocol installed");
-    if (!faulted.insert(faulting).second) ++contention;
+    if (!insert_sorted(faulted_, faulting)) ++contention;
     FGDSM_LOG("fault", (kind == 2 ? "wr" : "rd")
                            << " node=" << id_ << " blk=" << faulting
                            << " tag=" << static_cast<int>(tags_[faulting])
@@ -248,7 +256,7 @@ void Node::ensure_chunk(sim::Task& task, const std::vector<Extent>& reads,
     } else {
       ++stats.read_misses;
       protocol->on_read_fault(*this, task, faulting);
-      fetched.insert(faulting);
+      insert_sorted(fetched_, faulting);
     }
     stats.miss_ns += task.now() - t0;
     if (auto* tr = cluster_.tracer())
@@ -337,8 +345,8 @@ void Node::execute_one_handler() {
   h(*this, pm.msg, clk);
   proto_res().set_available(clk.t);
   // The handler consumed the message; hand its payload buffer back so the
-  // next block/chunk producer reuses it instead of allocating.
-  cluster_.payload_pool().release(std::move(pm.msg.payload));
+  // sender's next block/chunk reuses it instead of allocating.
+  cluster_.recycle_payload(pm.msg.src, std::move(pm.msg.payload));
   if (auto* tr = cluster_.tracer()) {
     const char* name =
         msg_label(*tr, "h", static_cast<MsgType>(pm.msg.type));

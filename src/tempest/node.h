@@ -203,6 +203,10 @@ class Node {
   sim::Resource proto_res_;
   sim::Task* task_ = nullptr;
   InboxRing inbox_;
+  // ensure_chunk's per-call sets, ascending: read blocks fetched and blocks
+  // faulted so far. Cleared per call; the capacity stays with the node.
+  std::vector<BlockId> fetched_;
+  std::vector<BlockId> faulted_;
   bool handler_active_ = false;
   bool crashed_ = false;  // fail-stopped; written only from our partition
   std::int64_t pending_ckpt_bytes_ = -1;  // -1 = no checkpoint debit pending

@@ -2,8 +2,10 @@
 //   - Engine::run is reusable after an event throws (RAII running-flag);
 //   - ReliableChannel sequence numbers are 64-bit and survive crossing the
 //     former 32-bit wrap point under drops and duplication;
-//   - steady-state operation allocates nothing: the event slab and the
-//     payload pool reach a high-water mark and stay there.
+//   - the event slab and the payload pools reach a high-water mark and stay
+//     there, including a sender's pool whose buffers other partitions
+//     consume. That whole runs allocate nothing once every node has visited
+//     its loops is tests/steady_alloc_test.cc's job.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -172,6 +174,26 @@ TEST(SteadyState, BufferPoolReusesPayloads) {
   }
   EXPECT_EQ(pool.fresh_allocs(), fresh)
       << "payload pool allocated in steady state";
+}
+
+TEST(SteadyState, ConsumedPayloadsReturnToTheSendersPool) {
+  // Partition 0 sends, partition 1 consumes. Held buffers go home at the
+  // window barrier, so the sender's next round reuses them.
+  std::vector<BufferPool> pools(2);
+  const auto round = [&] {
+    std::vector<std::vector<std::byte>> in_flight;
+    in_flight.reserve(16);
+    for (int i = 0; i < 16; ++i) in_flight.push_back(pools[0].acquire(4096));
+    for (auto& b : in_flight) pools[1].release_to(0, std::move(b));
+    for (BufferPool& p : pools) p.send_home(pools);  // the window barrier
+  };
+  round();
+  const std::uint64_t fresh = pools[0].fresh_allocs();
+  EXPECT_EQ(fresh, 16u);
+  for (int r = 0; r < 100; ++r) round();
+  EXPECT_EQ(pools[0].fresh_allocs(), fresh)
+      << "the sender allocated while its buffers sat in the receiver's pool";
+  EXPECT_EQ(pools[1].fresh_allocs(), 0u);
 }
 
 TEST(SteadyState, ChannelRetransmissionRingStopsGrowing) {

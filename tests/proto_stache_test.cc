@@ -266,7 +266,7 @@ TEST(Stache, DirectTransferMovesDataWithoutCoherence) {
     if (n.id() == 0) {
       for (int i = 0; i < 4; ++i) store(n, t, a + 64 * i, 100.0 + i);
       n.barrier(t);  // both prepared
-      proto.send_blocks(n, t, a, 256, {1}, /*max_payload=*/64);
+      proto.send_blocks(n, t, a, 256, 1, /*max_payload=*/64);
       n.barrier(t);
     } else {
       proto.implicit_writable(n, t, b0, b0 + 3);
@@ -296,7 +296,7 @@ TEST(Stache, BulkTransferCoalescesMessages) {
     c.run([&](Node& n, sim::Task& t) {
       if (n.id() == 0) {
         n.barrier(t);
-        proto.send_blocks(n, t, a, 1024, {1}, payload);
+        proto.send_blocks(n, t, a, 1024, 1, payload);
         ccc_msgs = n.stats.ccc_messages_sent;
         n.barrier(t);
       } else {
@@ -324,7 +324,7 @@ TEST(Stache, CccFlushReturnsNonOwnerWrites) {
       // Owner: send current contents, let node 1 write, await flush.
       store(n, t, a, 1.0);
       n.barrier(t);
-      proto.send_blocks(n, t, a, 128, {1}, 128);
+      proto.send_blocks(n, t, a, 128, 1, 128);
       n.barrier(t);
       proto.ready_to_recv(n, t, 2);  // the flush comes back
       got = load(n, t, a);

@@ -1,9 +1,13 @@
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <map>
+#include <string>
 #include <vector>
 
 #include "src/tempest/cluster.h"
 #include "src/tempest/node.h"
+#include "src/tempest/protocol.h"
 #include "src/tempest/types.h"
 #include "src/util/assert.h"
 
@@ -215,6 +219,103 @@ TEST(ClusterRun, ElapsedIsMaxNodeFinish) {
     t.charge(n.id() == 0 ? 100 : 7777);
   });
   EXPECT_EQ(rs.elapsed_ns, 7777);
+}
+
+// ---- ensure_chunk's fault loop ----
+
+// A protocol with no messages: every fault stalls kStall and grants the
+// block locally, then runs `during`, which may revoke tags the way a
+// concurrent remote access would while the fault was outstanding. Faults are
+// logged per node as "r<block>" / "w<block>".
+class ScriptedProtocol final : public Protocol {
+ public:
+  static constexpr sim::Time kStall = sim::kUs;
+  std::map<int, std::vector<std::string>> log;
+  std::function<void(Node&, char, BlockId)> during;
+
+  void on_read_fault(Node& n, sim::Task& t, BlockId b) override {
+    fault(n, t, 'r', b, Access::kReadOnly);
+  }
+  void on_write_fault(Node& n, sim::Task& t, BlockId b) override {
+    fault(n, t, 'w', b, Access::kReadWrite);
+  }
+  void drain(Node&, sim::Task&) override {}
+
+ private:
+  void fault(Node& n, sim::Task& t, char kind, BlockId b, Access grant) {
+    log[n.id()].push_back(kind + std::to_string(b));
+    t.charge(kStall);
+    n.set_access(b, grant);
+    if (during) during(n, kind, b);
+  }
+};
+
+TEST(EnsureChunk, FetchedReadIsNotRefetchedAfterLaterInvalidation) {
+  Cluster c(small_config(4));
+  const GAddr base = c.allocate("arr", 4096);
+  const BlockId w = c.block_of(base + 64);   // page 0: home node 0
+  const BlockId r = c.block_of(base + 320);  // page 1: home node 1
+  ScriptedProtocol proto;
+  int write_faults = 0;
+  proto.during = [&](Node& n, char kind, BlockId b) {
+    // While the read stalls, a competing writer recalls the write block;
+    // the write block's re-fault then sees a remote write invalidate the
+    // read block. Its fetched bytes still serve this chunk.
+    if (kind == 'r' && b == r) n.set_access(w, Access::kInvalid);
+    if (kind == 'w' && b == w && ++write_faults == 2)
+      n.set_access(r, Access::kInvalid);
+  };
+  sim::Time elapsed = 0;
+  auto rs = c.run([&](Node& n, sim::Task& t) {
+    n.protocol = &proto;
+    if (n.id() != 2) return;
+    const sim::Time t0 = t.now();
+    n.ensure_chunk(t, {{c.block_addr(r), 8}}, {{c.block_addr(w), 8}});
+    elapsed = t.now() - t0;
+    EXPECT_EQ(n.access(w), Access::kReadWrite);
+    EXPECT_EQ(n.access(r), Access::kInvalid);
+  });
+  EXPECT_EQ(proto.log[2], (std::vector<std::string>{
+                              "w" + std::to_string(w), "r" + std::to_string(r),
+                              "w" + std::to_string(w)}));
+  EXPECT_EQ(rs.node[2].read_misses, 1u);
+  EXPECT_EQ(rs.node[2].write_misses, 2u);
+  // One re-fault is not contention enough for a backoff.
+  EXPECT_EQ(elapsed, 3 * ScriptedProtocol::kStall);
+  EXPECT_EQ(rs.node[2].miss_ns, 3 * ScriptedProtocol::kStall);
+}
+
+TEST(EnsureChunk, FalseSharingReFaultsBackOffByNodeId) {
+  Cluster c(small_config(4));
+  const GAddr base = c.allocate("arr", 4096);
+  const BlockId w = c.block_of(base + 3 * 256);  // page 3: home node 3
+  ScriptedProtocol proto;
+  std::map<int, int> faults;
+  // A competing writer takes the block back during each of a node's first
+  // four write faults; the fifth grant sticks.
+  proto.during = [&](Node& n, char, BlockId b) {
+    if (++faults[n.id()] <= 4) n.set_access(b, Access::kInvalid);
+  };
+  std::map<int, sim::Time> elapsed;
+  auto rs = c.run([&](Node& n, sim::Task& t) {
+    n.protocol = &proto;
+    if (n.id() != 0 && n.id() != 2) return;
+    const sim::Time t0 = t.now();
+    n.ensure_chunk(t, {}, {{c.block_addr(w), 64}});
+    elapsed[n.id()] = t.now() - t0;
+  });
+  // Re-faults 2, 3 and 4 count contention 2, 3 and 4; each later pass
+  // first backs off (contention - 1) * id * wire_latency. Node 0 never
+  // waits.
+  const sim::Time stalls = 5 * ScriptedProtocol::kStall;
+  const sim::Time wire = c.costs().wire_latency;
+  EXPECT_EQ(elapsed[0], stalls);
+  EXPECT_EQ(elapsed[2], stalls + (1 + 2 + 3) * 2 * wire);
+  for (int id : {0, 2}) {
+    EXPECT_EQ(proto.log[id].size(), 5u) << "node " << id;
+    EXPECT_EQ(rs.node[static_cast<std::size_t>(id)].write_misses, 5u);
+    EXPECT_EQ(rs.node[static_cast<std::size_t>(id)].miss_ns, elapsed[id]);
+  }
 }
 
 TEST(ClusterRun, RunIsOneShot) {
