@@ -42,50 +42,6 @@
 namespace fgdsm {
 namespace {
 
-// Largest m with m*m <= v (integer sqrt, as in bench_scale: libm rounding
-// must not choose the problem size).
-std::int64_t isqrt(std::int64_t v) {
-  std::int64_t m = 0;
-  while ((m + 1) * (m + 1) <= v) ++m;
-  return m;
-}
-
-std::vector<int> parse_int_list(const std::string& s, const char* flag,
-                                int lo, int hi) {
-  std::vector<int> out;
-  std::string item;
-  for (std::size_t i = 0; i <= s.size(); ++i) {
-    if (i < s.size() && s[i] != ',') {
-      item += s[i];
-      continue;
-    }
-    if (item.empty()) continue;
-    const int v = std::atoi(item.c_str());
-    if (v < lo || v > hi) {
-      std::fprintf(stderr, "fgdsm: %s entry '%s' is outside [%d, %d]\n", flag,
-                   item.c_str(), lo, hi);
-      std::exit(2);
-    }
-    out.push_back(v);
-    item.clear();
-  }
-  if (out.empty()) {
-    std::fprintf(stderr, "fgdsm: %s is empty\n", flag);
-    std::exit(2);
-  }
-  return out;
-}
-
-exec::RunResult run_spec(const exec::ExperimentSpec& s) {
-  try {
-    return exec::run(*s.program, s.config);
-  } catch (const sim::CrashError& e) {
-    sim::exit_crash(e);  // unrecoverable fail-stop: exit 87
-  } catch (const sim::StallError& e) {
-    sim::exit_stall(e);
-  }
-}
-
 // The bit-identity gate: every checksum scalar of the recovered run must
 // equal the fault-free baseline's exactly (not approximately).
 bool scalars_identical(const std::map<std::string, double>& a,
@@ -106,10 +62,11 @@ int crash_main(int argc, char** argv) {
       argc, argv, {"jacobi"},
       {"nodes-list", "intervals", "crash-interval", "crashp", "sweeps"});
   util::Options o(argc, argv);  // re-parse for the harness-specific flags
-  const std::vector<int> node_counts = parse_int_list(
+  const std::vector<int> node_counts = bench::parse_int_list(
       o.get("nodes-list", "8,256"), "--nodes-list", 2, tempest::kMaxNodes);
   const std::vector<int> intervals =
-      parse_int_list(o.get("intervals", "1,4,16"), "--intervals", 1, 1 << 20);
+      bench::parse_int_list(o.get("intervals", "1,4,16"), "--intervals", 1,
+                            1 << 20);
   const int crash_interval =
       static_cast<int>(o.get_int("crash-interval", 4));
   const double crashp = o.get_double("crashp", 0.0);
@@ -138,7 +95,7 @@ int crash_main(int argc, char** argv) {
 
   for (const int nodes : node_counts) {
     const std::int64_t n = std::max<std::int64_t>(
-        nodes, tile * isqrt(static_cast<std::int64_t>(nodes)));
+        nodes, tile * bench::isqrt(static_cast<std::int64_t>(nodes)));
     progs.push_back(apps::jacobi(n, sweeps));
     const hpf::Program& prog = progs.back();
 
@@ -159,7 +116,7 @@ int crash_main(int argc, char** argv) {
     std::fprintf(stderr, "[%d nodes] baseline n=%lld...\n", nodes,
                  static_cast<long long>(n));
     const exec::RunResult base =
-        run_spec(spec_for(sim::FaultConfig{}, /*checkpoint_every=*/0));
+        bench::run_spec(spec_for(sim::FaultConfig{}, /*checkpoint_every=*/0));
     const double base_ns = static_cast<double>(base.stats.elapsed_ns);
     t.add_row({std::to_string(nodes), "baseline",
                util::format_ns(base.stats.elapsed_ns), "1.000", "0", "0", "0",
@@ -169,7 +126,8 @@ int crash_main(int argc, char** argv) {
     // 2. Checkpoint-overhead sweep (fault-free).
     for (const int k : intervals) {
       std::fprintf(stderr, "[%d nodes] checkpoint-every=%d...\n", nodes, k);
-      const exec::RunResult r = run_spec(spec_for(sim::FaultConfig{}, k));
+      const exec::RunResult r =
+          bench::run_spec(spec_for(sim::FaultConfig{}, k));
       const util::NodeStats tot = r.stats.totals();
       const double ratio = static_cast<double>(r.stats.elapsed_ns) / base_ns;
       t.add_row({std::to_string(nodes), "ckpt K=" + std::to_string(k),
@@ -198,7 +156,8 @@ int crash_main(int argc, char** argv) {
     std::fprintf(stderr, "[%d nodes] crash run (node %d @ %lld ns)...\n",
                  nodes, nodes / 2,
                  static_cast<long long>(base.stats.elapsed_ns / 3));
-    const exec::RunResult r = run_spec(spec_for(crash_faults, crash_interval));
+    const exec::RunResult r =
+        bench::run_spec(spec_for(crash_faults, crash_interval));
     const util::NodeStats tot = r.stats.totals();
     // recoveries/rollback_ns are counted on every node per rollback, so
     // their ratio is already the per-rollback mean.

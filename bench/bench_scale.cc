@@ -15,33 +15,28 @@
 //
 // Like bench_selfperf this binary also measures the *simulator's* host-side
 // cost at each point — events/sec, allocs/event, and throughput normalized by
-// a fixed splitmix64 calibration loop — because the tentpole claim of this
-// harness is structural: simulator memory and allocation cost must grow with
-// active links and touched pages, not with nodes^2. Runs execute one at a
-// time (the allocation hook counts process-wide), --reps keeps the best wall
-// time, and the simulated results in --json stay byte-identical across
-// --sim-threads and repetition counts.
+// a fixed splitmix64 calibration loop (bench/hostperf.h) — because the
+// tentpole claim of this harness is structural: simulator memory and
+// allocation cost must grow with active links and touched pages, not with
+// nodes^2. Runs execute one at a time (the allocation hook counts
+// process-wide), --reps keeps the best wall time, and the simulated results
+// in --json stay byte-identical across --sim-threads and repetition counts.
 //
 //   --json=<file>       fgdsm-bench-v1 (simulated results only, see
 //                       bench/common.h; gate with scripts/check_results_json.py)
 //   --perf-json=<file>  fgdsm-scale-v1 (host-side numbers per workload point;
 //                       gate against BENCH_SCALE.json with
 //                       scripts/check_perf.py --baseline BENCH_SCALE.json)
-#include <atomic>
-#include <chrono>
-#include <cmath>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <deque>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench/common.h"
+#include "bench/hostperf.h"
 #include "src/apps/apps.h"
 #include "src/core/options.h"
 #include "src/exec/executor.h"
@@ -49,77 +44,11 @@
 #include "src/util/options.h"
 #include "src/util/table.h"
 
-// ---------------------------------------------------------------------------
-// Counting allocator hook (same shape as bench_selfperf): every operator new
-// in the process bumps the counter. Local to this binary.
-// ---------------------------------------------------------------------------
-namespace {
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t align = static_cast<std::size_t>(a);
-  if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align))
-    return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace fgdsm {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
-
-// Fixed-work splitmix64 loop — identical constants to bench_selfperf so the
-// two harnesses' normalized numbers are directly comparable on one host.
-double calibrate_mops() {
-  constexpr std::uint64_t kOps = 200'000'000;
-  std::uint64_t x = 0x9e3779b97f4a7c15ull, acc = 0;
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < kOps; ++i) {
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    acc ^= z ^ (z >> 31);
-  }
-  const double s = seconds_since(t0);
-  if (acc == 0x12345678) std::fprintf(stderr, "calib sentinel\n");
-  return static_cast<double>(kOps) / 1e6 / s;
-}
-
-// Largest m with m*m <= v (integer sqrt; std::sqrt would make the problem
-// size depend on libm rounding).
-std::int64_t isqrt(std::int64_t v) {
-  std::int64_t m = 0;
-  while ((m + 1) * (m + 1) <= v) ++m;
-  return m;
-}
+using bench::Clock;
+using bench::seconds_since;
 
 struct Point {
   std::string app;   // "jacobi" or "spmv"
@@ -148,16 +77,11 @@ struct Point {
 // keeping the best wall time. Simulated results are identical every rep.
 void measure(Point& p, const exec::ExperimentSpec& spec, int reps) {
   for (int r = 0; r < reps; ++r) {
-    const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t a0 = bench::allocation_count();
     const auto t0 = Clock::now();
-    exec::RunResult res;
-    try {
-      res = exec::run(*spec.program, spec.config);
-    } catch (const sim::StallError& e) {
-      sim::exit_stall(e);
-    }
+    exec::RunResult res = bench::run_spec(spec);
     const double s = seconds_since(t0);
-    const std::uint64_t a = g_allocs.load(std::memory_order_relaxed) - a0;
+    const std::uint64_t a = bench::allocation_count() - a0;
     if (r == 0 || s < p.seconds) {
       p.seconds = s;
       p.allocs = a;
@@ -190,30 +114,8 @@ int scale_main(int argc, char** argv) {
     bench::g_collectives = tempest::Collectives::kBinomial;
   }
 
-  std::vector<int> node_counts;
-  {
-    std::string item;
-    for (std::size_t i = 0; i <= nodes_list.size(); ++i) {
-      if (i < nodes_list.size() && nodes_list[i] != ',') {
-        item += nodes_list[i];
-        continue;
-      }
-      if (item.empty()) continue;
-      const int n = std::atoi(item.c_str());
-      if (n < 1 || n > tempest::kMaxNodes) {
-        std::fprintf(stderr,
-                     "fgdsm: --nodes-list entry '%s' is outside [1, %d]\n",
-                     item.c_str(), tempest::kMaxNodes);
-        return 2;
-      }
-      node_counts.push_back(n);
-      item.clear();
-    }
-  }
-  if (node_counts.empty()) {
-    std::fprintf(stderr, "fgdsm: --nodes-list is empty\n");
-    return 2;
-  }
+  const std::vector<int> node_counts = bench::parse_int_list(
+      nodes_list, "--nodes-list", 1, tempest::kMaxNodes);
   cfg.nodes = node_counts.back();  // JSON config block: the largest point
 
   // Per-node work, controlled by --scale: at scale 1 each node owns a
@@ -228,7 +130,7 @@ int scale_main(int argc, char** argv) {
       "Weak scaling (fixed work per node), collectives=%s, block=%zuB, "
       "best of %d\n",
       tempest::to_string(cfg.collectives), cfg.block, reps);
-  const double calib = calibrate_mops();
+  const double calib = bench::calibrate_mops();
   std::printf("calibration: %.0f Mops/s (splitmix64)\n", calib);
 
   std::deque<hpf::Program> progs;  // stable addresses; specs hold pointers
@@ -237,10 +139,8 @@ int scale_main(int argc, char** argv) {
   for (const int nodes : node_counts) {
     if (cfg.selected("jacobi")) {
       // n^2 total elements proportional to nodes: n = tile * sqrt(nodes).
-      const std::int64_t n =
-          std::max<std::int64_t>(nodes, jacobi_tile *
-                                            isqrt(static_cast<std::int64_t>(
-                                                nodes)));
+      const std::int64_t n = std::max<std::int64_t>(
+          nodes, jacobi_tile * bench::isqrt(static_cast<std::int64_t>(nodes)));
       progs.push_back(apps::jacobi(n, sweeps));
       Point p;
       p.app = "jacobi";

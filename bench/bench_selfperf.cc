@@ -4,8 +4,8 @@
 //
 //   events/sec        engine events processed per host second
 //   ns/event          inverse, in host nanoseconds
-//   allocs/event      heap allocations per event (operator new hook in this
-//                     translation unit — counts every allocation the
+//   allocs/event      heap allocations per event (the operator new hook in
+//                     bench/hostperf.cc counts every allocation the
 //                     process makes while the workload runs)
 //
 // over five workloads: the full bench_paper default matrix ("paper"), the
@@ -23,19 +23,15 @@
 //
 // Workloads execute one simulation at a time (--jobs has no analogue here);
 // --reps=N keeps the best wall time of N repetitions.
-#include <atomic>
-#include <chrono>
 #include <cstdio>
 #include <deque>
-#include <cstdlib>
-#include <cstring>
 #include <fstream>
 #include <iostream>
-#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "bench/hostperf.h"
 #include "src/apps/apps.h"
 #include "src/core/options.h"
 #include "src/exec/batch.h"
@@ -46,54 +42,11 @@
 #include "src/util/options.h"
 #include "src/util/table.h"
 
-// ---------------------------------------------------------------------------
-// Counting allocator hook: every operator new in the process bumps the
-// counter. Local to this binary — the library never overrides the global
-// allocator.
-// ---------------------------------------------------------------------------
-namespace {
-// Atomic: the engine's --sim-threads worker crew allocates concurrently.
-// Relaxed is enough — the count is read only between runs, after joins.
-std::atomic<std::uint64_t> g_allocs{0};
-}  // namespace
-
-void* operator new(std::size_t n) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  if (void* p = std::malloc(n ? n : 1)) return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n) { return ::operator new(n); }
-void* operator new(std::size_t n, std::align_val_t a) {
-  g_allocs.fetch_add(1, std::memory_order_relaxed);
-  const std::size_t align = static_cast<std::size_t>(a);
-  if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align))
-    return p;
-  throw std::bad_alloc();
-}
-void* operator new[](std::size_t n, std::align_val_t a) {
-  return ::operator new(n, a);
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete[](void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
-void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
-  std::free(p);
-}
-
 namespace fgdsm {
 namespace {
 
-using Clock = std::chrono::steady_clock;
-
-double seconds_since(Clock::time_point t0) {
-  return std::chrono::duration<double>(Clock::now() - t0).count();
-}
+using bench::Clock;
+using bench::seconds_since;
 
 struct Measurement {
   std::uint64_t events = 0;
@@ -113,39 +66,20 @@ struct Measurement {
   }
 };
 
-// Fixed-work splitmix64 loop: a host-speed yardstick with no allocation and
-// no branches, so workload throughput can be normalized across machines.
-double calibrate_mops() {
-  constexpr std::uint64_t kOps = 200'000'000;
-  std::uint64_t x = 0x9e3779b97f4a7c15ull, acc = 0;
-  const auto t0 = Clock::now();
-  for (std::uint64_t i = 0; i < kOps; ++i) {
-    x += 0x9e3779b97f4a7c15ull;
-    std::uint64_t z = x;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
-    acc ^= z ^ (z >> 31);
-  }
-  const double s = seconds_since(t0);
-  // Defeat dead-code elimination without affecting output determinism.
-  if (acc == 0x12345678) std::fprintf(stderr, "calib sentinel\n");
-  return static_cast<double>(kOps) / 1e6 / s;
-}
-
 // One measured workload: a list of specs executed sequentially, best-of-reps.
 Measurement measure(const std::vector<exec::ExperimentSpec>& specs,
                     int reps) {
   Measurement best;
   for (int r = 0; r < reps; ++r) {
     Measurement m;
-    const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+    const std::uint64_t a0 = bench::allocation_count();
     const auto t0 = Clock::now();
     for (const exec::ExperimentSpec& s : specs) {
       const exec::RunResult res = exec::run(*s.program, s.config);
       m.events += res.engine_events;
     }
     m.seconds = seconds_since(t0);
-    m.allocs = g_allocs.load(std::memory_order_relaxed) - a0;
+    m.allocs = bench::allocation_count() - a0;
     if (r == 0 || m.seconds < best.seconds) best = m;
   }
   return best;
@@ -220,7 +154,7 @@ int selfperf_main(int argc, char** argv) {
   std::printf("Simulator self-performance (scale=%.2f, %d nodes, %zuB "
               "blocks, best of %d)\n",
               scale, nodes, block, reps);
-  const double calib = calibrate_mops();
+  const double calib = bench::calibrate_mops();
   std::printf("calibration: %.0f Mops/s (splitmix64)\n", calib);
 
   // Programs must outlive the spec lists; deque keeps references stable as

@@ -47,7 +47,9 @@
 #pragma once
 
 #include <algorithm>
+#include <cstdint>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <map>
 #include <optional>
@@ -433,18 +435,53 @@ class RunMatrix {
   std::map<std::string, exec::RunResult> results_;
 };
 
-// Single-run convenience used by harnesses that measure one-off cells.
-inline exec::RunResult run_app(const hpf::Program& prog,
-                               const core::Options& opt, int nodes,
-                               bool dual_cpu, std::size_t block) {
-  const exec::ExperimentSpec s = make_spec(prog, opt, nodes, dual_cpu, block);
+// One run outside a RunMatrix, for harnesses that measure cells one at a
+// time. Failures exit as RunMatrix::run does: 87 for an unrecoverable
+// crash, 86 for a stall.
+inline exec::RunResult run_spec(const exec::ExperimentSpec& s) {
   try {
     return exec::run(*s.program, s.config);
   } catch (const sim::CrashError& e) {
-    sim::exit_crash(e);  // unrecoverable fail-stop: exit 87
+    sim::exit_crash(e);
   } catch (const sim::StallError& e) {
     sim::exit_stall(e);
   }
+}
+
+// Largest m with m*m <= v. Weak-scaled problem sizes use it instead of
+// std::sqrt, so libm rounding cannot choose the problem size.
+inline std::int64_t isqrt(std::int64_t v) {
+  std::int64_t m = 0;
+  while ((m + 1) * (m + 1) <= v) ++m;
+  return m;
+}
+
+// A comma-separated list of integers in [lo, hi], e.g. --nodes-list=8,256.
+// An entry outside the range, or an empty list, exits 2 naming the flag.
+inline std::vector<int> parse_int_list(const std::string& s, const char* flag,
+                                       int lo, int hi) {
+  std::vector<int> out;
+  std::string item;
+  for (std::size_t i = 0; i <= s.size(); ++i) {
+    if (i < s.size() && s[i] != ',') {
+      item += s[i];
+      continue;
+    }
+    if (item.empty()) continue;
+    const int v = std::atoi(item.c_str());
+    if (v < lo || v > hi) {
+      std::fprintf(stderr, "fgdsm: %s entry '%s' is outside [%d, %d]\n", flag,
+                   item.c_str(), lo, hi);
+      std::exit(2);
+    }
+    out.push_back(v);
+    item.clear();
+  }
+  if (out.empty()) {
+    std::fprintf(stderr, "fgdsm: %s is empty\n", flag);
+    std::exit(2);
+  }
+  return out;
 }
 
 inline double speedup(const exec::RunResult& serial,

@@ -1,28 +1,32 @@
 #!/usr/bin/env bash
 # Local CI entry point — the same jobs the GitHub Actions workflow runs:
-#   scripts/ci.sh            tier-1 verify: configure, build, ctest, then a
-#                            bench smoke run with --json + --check-coherence
-#                            whose output is schema-validated
+#   scripts/ci.sh            tier-1 verify: configure, build, ctest, then
+#                            bench_paper and bench_irreg smoke runs with
+#                            --json + --check-coherence whose output is
+#                            schema-validated
 #   scripts/ci.sh sanitize   ASan+UBSan build + ctest (the batch runner
 #                            introduces host threads; sanitizers gate races
 #                            and UB in the concurrent path). Task fibers
 #                            announce their stack switches to ASan, so
 #                            use-after-return detection is on everywhere
 #                            but the rollback tests
-#   scripts/ci.sh chaos      fault-injection gauntlet: the full app suite
-#                            under --faults at two seeds with the coherence
-#                            checker on; results must be bit-identical to
-#                            the fault-free baseline, and a 100%-drop run
-#                            must terminate via the stall watchdog (exit 86)
+#   scripts/ci.sh chaos      fault-injection gauntlet: bench_paper's full
+#                            app suite and bench_irreg under --faults at two
+#                            seeds with the coherence checker on; results
+#                            must be bit-identical to the fault-free
+#                            baseline, and a 100%-drop run must terminate
+#                            via the stall watchdog (exit 86)
 #   scripts/ci.sh crash      crash gauntlet: fail-stop crashes with
 #                            checkpoint/rollback recovery across bench_paper
 #                            and bench_irreg at 8 and 256 nodes, two seeds
 #                            each (plus one 256-node binomial-collectives
 #                            leg); recovered results must be bit-identical
 #                            to the fault-free baseline and byte-identical
-#                            across --sim-threads={1,4} and --jobs={1,4};
-#                            a crash with --checkpoint-every=0 must exit 87
-#                            naming the crashed node
+#                            across --sim-threads={1,4} and --jobs={1,4},
+#                            where an explicit crash lands in every
+#                            multi-node run; a crash with
+#                            --checkpoint-every=0 must exit 87 naming the
+#                            crashed node
 #   scripts/ci.sh perf       perf-regression gate: bench_selfperf vs the
 #                            committed BENCH_PERF.json baseline, normalized
 #                            by host calibration, 20% tolerance band
@@ -37,7 +41,7 @@
 #                            applies here too)
 #   scripts/ci.sh simthreads bit-identity matrix for the windowed PDES mode:
 #                            determinism suite + PDES unit tests, then
-#                            bench_table3 fault-free and under chaos at
+#                            bench_paper fault-free and under chaos at
 #                            --sim-threads={1,4}, plus a 256-node chaos +
 #                            crash leg (lazy per-link state) — JSON results
 #                            must be byte-identical across thread counts
@@ -46,10 +50,10 @@
 #                            recovery) run on 4 real engine workers. Task
 #                            fibers announce every stack switch to TSan
 #   scripts/ci.sh fixedpoint the simulated-behaviour fixed point: regenerate
-#                            results/bench_paper.txt, bench_fig4.txt and
-#                            bench_irreg.txt at --scale=0.5 with the default
-#                            build type; each must match the committed copy
-#                            byte for byte
+#                            every tracked results/*.txt (--scale=0.5, or
+#                            --full for a *_full.txt) with the default build
+#                            type; each must match the committed copy byte
+#                            for byte
 #   scripts/ci.sh perfbench  the repository benchmark (perfbench/) builds
 #                            and runs: its two self-checks, then every
 #                            workload once in both trace modes, each of
@@ -71,13 +75,13 @@ case "$job" in
     # Observability smoke: one real bench run exercising the coherence
     # checker and the machine-readable results path end to end.
     mkdir -p results
-    build/bench/bench_table3 --app=jacobi --scale=0.05 --jobs="$jobs" \
-      --check-coherence --json=results/smoke_table3.json
+    build/bench/bench_paper --app=jacobi --scale=0.05 --jobs="$jobs" \
+      --check-coherence --json=results/smoke_paper.json
     # Irregular path smoke: the inspector–executor schedule for the sparse
     # matvec, same coherence + schema gates.
     build/bench/bench_irreg --pattern=band --scale=0.05 --jobs="$jobs" \
       --check-coherence --json=results/smoke_irreg.json
-    python3 scripts/check_results_json.py results/smoke_table3.json \
+    python3 scripts/check_results_json.py results/smoke_paper.json \
       results/smoke_irreg.json
     ;;
   sanitize)
@@ -99,13 +103,13 @@ case "$job" in
     ;;
   chaos)
     cmake -B build -S . "$@"
-    cmake --build build -j "$jobs" --target bench_table3 bench_irreg
+    cmake --build build -j "$jobs" --target bench_paper bench_irreg
     mkdir -p results
     # Fault-free baseline, then the same sweep under chaos at two seeds.
-    build/bench/bench_table3 --scale=0.05 --jobs="$jobs" --check-coherence \
+    build/bench/bench_paper --scale=0.05 --jobs="$jobs" --check-coherence \
       --json=results/chaos_baseline.json
     for seed in 1 2; do
-      build/bench/bench_table3 --scale=0.05 --jobs="$jobs" --check-coherence \
+      build/bench/bench_paper --scale=0.05 --jobs="$jobs" --check-coherence \
         --faults="drop=0.01,dup=0.002,delay=0.05,reorder=0.01,seed=$seed" \
         --json="results/chaos_seed$seed.json"
     done
@@ -130,7 +134,7 @@ case "$job" in
     # Liveness failure path: a fully dead network must terminate with the
     # documented stall exit code and name the dead link — never hang.
     rc=0
-    build/bench/bench_table3 --app=jacobi --scale=0.05 --check-coherence \
+    build/bench/bench_paper --app=jacobi --scale=0.05 --check-coherence \
       --faults="drop=1.0,retries=0,seed=1" >/dev/null 2>results/chaos_stall.log \
       || rc=$?
     if [[ "$rc" -ne 86 ]]; then
@@ -152,14 +156,14 @@ case "$job" in
     # simulation: the same crash schedule at --sim-threads={1,4} and
     # --jobs={1,4} must produce byte-identical JSON.
     cmake -B build -S . "$@"
-    cmake --build build -j "$jobs" --target bench_table3 bench_irreg
+    cmake --build build -j "$jobs" --target bench_paper bench_irreg
     mkdir -p results
-    # Full table-3 suite at 8 nodes: fault-free baseline, then probabilistic
+    # Full paper suite at 8 nodes: fault-free baseline, then probabilistic
     # crashes at two seeds with checkpoints every 4 barriers.
-    build/bench/bench_table3 --scale=0.05 --jobs="$jobs" --check-coherence \
+    build/bench/bench_paper --scale=0.05 --jobs="$jobs" --check-coherence \
       --json=results/crash_baseline.json
     for seed in 1 2; do
-      build/bench/bench_table3 --scale=0.05 --jobs="$jobs" --check-coherence \
+      build/bench/bench_paper --scale=0.05 --jobs="$jobs" --check-coherence \
         --faults="crashp=0.002,seed=$seed" --checkpoint-every=4 \
         --json="results/crash_seed$seed.json"
     done
@@ -169,29 +173,33 @@ case "$job" in
       results/crash_seed1.json results/crash_seed2.json
     # 256 nodes: a coordinated rollback restarts every node from the last
     # checkpoint, so recovery correctness must hold at scale too.
-    build/bench/bench_table3 --nodes=256 --app=jacobi --scale=0.02 \
+    build/bench/bench_paper --nodes=256 --app=jacobi --scale=0.02 \
       --jobs="$jobs" --check-coherence --json=results/crash_baseline_n256.json
-    # One explicit crash lands inside every config's run (shortest is
-    # ~31ms simulated); crashp adds seed-varying extras on top.
+    # Explicit crashes land inside every multi-node run: node 7's at 15 ms
+    # inside the four shared-memory runs (the shortest is ~31 ms
+    # simulated), node 9's at 1 ms inside mp too, which ends at 4.6 ms
+    # (1.8 ms under binomial collectives). The 1-node serial run cannot
+    # crash. crashp adds seed-varying extras on top.
     for seed in 1 2; do
-      build/bench/bench_table3 --nodes=256 --app=jacobi --scale=0.02 \
+      build/bench/bench_paper --nodes=256 --app=jacobi --scale=0.02 \
         --jobs="$jobs" --check-coherence \
-        --faults="crash=7@15000000,crashp=0.0002,seed=$seed" \
+        --faults="crash=7@15000000,crash=9@1000000,crashp=0.0002,seed=$seed" \
         --checkpoint-every=4 --json="results/crash_n256_seed$seed.json"
     done
     python3 scripts/check_results_json.py results/crash_baseline_n256.json \
       results/crash_n256_seed1.json results/crash_n256_seed2.json
     python3 scripts/check_chaos.py --crash results/crash_baseline_n256.json \
       results/crash_n256_seed1.json results/crash_n256_seed2.json
-    # The same crash under binomial collectives, whose root is node 0's own
-    # vertex; under flat it is the coordinator vertex, which takes no part.
-    build/bench/bench_table3 --nodes=256 --app=jacobi --scale=0.02 \
+    # The same crashes under binomial collectives, whose root is node 0's
+    # own vertex; under flat it is the coordinator vertex, which takes no
+    # part.
+    build/bench/bench_paper --nodes=256 --app=jacobi --scale=0.02 \
       --collectives=binomial --jobs="$jobs" --check-coherence \
       --json=results/crash_baseline_n256_binomial.json
-    build/bench/bench_table3 --nodes=256 --app=jacobi --scale=0.02 \
+    build/bench/bench_paper --nodes=256 --app=jacobi --scale=0.02 \
       --collectives=binomial --jobs="$jobs" --check-coherence \
-      --faults="crash=7@15000000,crashp=0.0002,seed=1" --checkpoint-every=4 \
-      --json=results/crash_n256_binomial_seed1.json
+      --faults="crash=7@15000000,crash=9@1000000,crashp=0.0002,seed=1" \
+      --checkpoint-every=4 --json=results/crash_n256_binomial_seed1.json
     python3 scripts/check_results_json.py \
       results/crash_baseline_n256_binomial.json \
       results/crash_n256_binomial_seed1.json
@@ -213,11 +221,15 @@ case "$job" in
       results/crash_irreg_seed1.json results/crash_irreg_seed2.json
     # Determinism matrix: the identical crash schedule replayed under the
     # windowed PDES (--sim-threads) and the batch runner (--jobs) must be
-    # byte-identical — crash draws are counter-mode, never wall-clock.
+    # byte-identical — crash draws are counter-mode, never wall-clock. Node
+    # 3's explicit crash at 2 ms lands in every multi-node run, so each leg
+    # recovers from at least one crash.
+    build/bench/bench_paper --app=jacobi --scale=0.05 --check-coherence \
+      --json=results/crash_baseline_jacobi.json
     for st in 1 4; do
-      FGDSM_HOST_CORES=4 build/bench/bench_table3 --app=jacobi --scale=0.05 \
+      FGDSM_HOST_CORES=4 build/bench/bench_paper --app=jacobi --scale=0.05 \
         --sim-threads="$st" --check-coherence \
-        --faults="crashp=0.002,seed=1" --checkpoint-every=4 \
+        --faults="crash=3@2000000,crashp=0.002,seed=1" --checkpoint-every=4 \
         --json="results/crash_st$st.json"
     done
     cmp results/crash_st1.json results/crash_st4.json || {
@@ -225,21 +237,24 @@ case "$job" in
       exit 1
     }
     for j in 1 4; do
-      build/bench/bench_table3 --app=jacobi --scale=0.05 --jobs="$j" \
-        --check-coherence --faults="crashp=0.002,seed=1" \
+      build/bench/bench_paper --app=jacobi --scale=0.05 --jobs="$j" \
+        --check-coherence --faults="crash=3@2000000,crashp=0.002,seed=1" \
         --checkpoint-every=4 --json="results/crash_j$j.json"
     done
     cmp results/crash_j1.json results/crash_j4.json || {
       echo "crash: recovered results differ across --jobs" >&2
       exit 1
     }
+    python3 scripts/check_chaos.py --crash results/crash_baseline_jacobi.json \
+      results/crash_st1.json results/crash_st4.json results/crash_j1.json \
+      results/crash_j4.json
     echo "crash: recovered results byte-identical at --sim-threads={1,4}" \
       "and --jobs={1,4}"
     # Unrecoverable-crash path: with checkpointing disabled a crash must
     # terminate with the documented exit code and name the crashed node —
     # never hang, never print a result.
     rc=0
-    build/bench/bench_table3 --app=jacobi --scale=0.05 \
+    build/bench/bench_paper --app=jacobi --scale=0.05 \
       --faults="crash=1@2000000,seed=1" >/dev/null \
       2>results/crash_norecover.log || rc=$?
     if [[ "$rc" -ne 87 ]]; then
@@ -303,10 +318,10 @@ case "$job" in
       -R "Determinism|PartitionMerge|SimThreads"
     mkdir -p results
     for st in 1 4; do
-      FGDSM_HOST_CORES=4 build/bench/bench_table3 --scale=0.05 \
+      FGDSM_HOST_CORES=4 build/bench/bench_paper --scale=0.05 \
         --sim-threads="$st" --check-coherence \
         --json="results/simthreads_st$st.json"
-      FGDSM_HOST_CORES=4 build/bench/bench_table3 --scale=0.05 \
+      FGDSM_HOST_CORES=4 build/bench/bench_paper --scale=0.05 \
         --sim-threads="$st" --check-coherence \
         --faults="drop=0.01,dup=0.002,delay=0.05,reorder=0.01,seed=1" \
         --json="results/simthreads_chaos_st$st.json"
@@ -325,7 +340,7 @@ case "$job" in
     # written from every partition's worker. A chaos + crash run must still
     # replay byte-identically.
     for st in 1 4; do
-      FGDSM_HOST_CORES=4 build/bench/bench_table3 --nodes=256 --app=jacobi \
+      FGDSM_HOST_CORES=4 build/bench/bench_paper --nodes=256 --app=jacobi \
         --scale=0.02 --sim-threads="$st" --check-coherence \
         --faults="drop=0.01,dup=0.002,delay=0.05,crash=7@15000000,seed=1" \
         --checkpoint-every=4 --json="results/simthreads_n256_st$st.json"
@@ -355,22 +370,35 @@ case "$job" in
     ;;
   fixedpoint)
     # Simulated behaviour is the repo's fixed point: a change that keeps it
-    # must reproduce the committed reference tables exactly. They were
-    # generated with the default build type, so configure with it even if
-    # this build tree was last configured for Release (perf, scale).
+    # must reproduce every committed reference table exactly. The list comes
+    # from git, so a newly committed table is gated too: results/<h>.txt is
+    # harness <h> at --scale=0.5, results/<h>_full.txt the same harness at
+    # --full. The tables were generated with the default build type, so
+    # configure with it even if this build tree was last configured for
+    # Release (perf, scale).
+    tables="$(git ls-files 'results/*.txt')"
+    [[ -n "$tables" ]] || {
+      echo "fixedpoint: git lists no results/*.txt" >&2
+      exit 1
+    }
+    harness() { local t; t="$(basename "$1" .txt)"; echo "${t%_full}"; }
     cmake -B build -S . -DCMAKE_BUILD_TYPE=RelWithDebInfo "$@"
-    cmake --build build -j "$jobs" --target bench_paper bench_fig4 bench_irreg
+    cmake --build build -j "$jobs" --target \
+      $(for t in $tables; do harness "$t"; done | sort -u)
     mkdir -p build/fixedpoint
-    for h in bench_paper bench_fig4 bench_irreg; do
-      build/bench/$h --scale=0.5 --jobs="$jobs" >"build/fixedpoint/$h.txt"
-      cmp "results/$h.txt" "build/fixedpoint/$h.txt" || {
-        echo "fixedpoint: $h --scale=0.5 differs from results/$h.txt" >&2
-        diff "results/$h.txt" "build/fixedpoint/$h.txt" | head -40 >&2
+    for t in $tables; do
+      h="$(harness "$t")"
+      size=--scale=0.5
+      [[ "$t" == *_full.txt ]] && size=--full
+      out="build/fixedpoint/$(basename "$t")"
+      build/bench/$h $size --jobs="$jobs" >"$out"
+      cmp "$t" "$out" || {
+        echo "fixedpoint: $h $size differs from $t" >&2
+        diff "$t" "$out" | head -40 >&2
         exit 1
       }
     done
-    echo "fixedpoint: bench_paper, bench_fig4 and bench_irreg at" \
-      "--scale=0.5 match results/*.txt byte for byte"
+    echo "fixedpoint:" $tables "match byte for byte"
     ;;
   perfbench)
     # perfbench/ builds the simulator from src/ and calls into its layers

@@ -155,7 +155,7 @@ TEST(OptionsStrict, KnownFlagsPass) {
 
 // A misspelled --app must not filter every run out and print empty tables.
 TEST(OptionsStrictDeathTest, UnknownAppExits2WithSuggestion) {
-  const char* jacobl[] = {"bench_fig3", "--app=jacobl"};
+  const char* jacobl[] = {"bench_paper", "--app=jacobl"};
   EXPECT_EXIT(
       (void)bench::BenchConfig::from_args(2, jacobl, bench::registry_names()),
       ::testing::ExitedWithCode(2),
