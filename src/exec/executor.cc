@@ -48,15 +48,10 @@ bool transfers_eq(const std::vector<hpf::Transfer>& a,
 }
 
 // One loop visit's references, compiled against the node's bindings and the
-// run's layouts when the visit's chunks start (src/hpf/analysis.h). A
-// reference's dimensions are `rank` CompiledSubs from `first` in `subs`.
-struct CompiledAccess {
-  std::size_t first = 0;
-  std::size_t rank = 0;
-  const hpf::ArrayLayout* layout = nullptr;
-};
+// run's layouts when the visit's chunks start (src/hpf/analysis.h). Each
+// reference is an id in CompiledVisit::runs.
 struct CompiledIndirect {
-  CompiledAccess index;  // the affine index footprint
+  std::size_t index = 0;  // the affine index footprint
   bool index_checked = false;  // index array under access control
   const hpf::ArrayLayout* data = nullptr;  // null: replicated data array
   std::int64_t value_offset = 0;
@@ -65,10 +60,9 @@ struct CompiledIndirect {
 // a visit's chunk loop. The vectors keep their capacity across visits, so
 // compiling allocates only while a visit needs more than any before it.
 struct CompiledVisit {
-  std::vector<hpf::CompiledFree> free;
-  std::vector<hpf::CompiledSub> subs;
+  hpf::ChunkRuns runs;
   // Reads and writes of arrays under access control (not replicated).
-  std::vector<CompiledAccess> reads, writes;
+  std::vector<std::size_t> reads, writes;
   std::vector<CompiledIndirect> ind;
 };
 
@@ -111,15 +105,13 @@ struct NodeRun {
   // later visits to a loop allocate nothing: inspector need-list
   // temporaries (spmv without schedule reuse re-inspects every step), an
   // irregular loop's plan-key extras, the current visit's compiled
-  // references, and per-chunk footprint temporaries. None of it is
-  // checkpointed; each visit rebuilds what it reads.
+  // references, and each chunk's extents. None of it is checkpointed; each
+  // visit rebuilds what it reads.
   irreg::ScanScratch irreg_scratch;
   std::vector<const std::string*> index_arrays;
   std::vector<std::int64_t> plan_extra;
   CompiledVisit visit;
-  hpf::ConcreteSection fp_section;
   std::vector<Node::Extent> read_runs, write_runs;
-  std::vector<Run> runs, index_runs;
 
   util::NodeStats snap;      // stats at program completion
   sim::Time snap_time = 0;
@@ -717,34 +709,28 @@ class Executor {
         // Validate the whole chunk footprint atomically (a block validated
         // early must not be revoked while a later range's fault stalls).
         read_runs.clear();
-        for (const CompiledAccess& a : v.reads) {
-          chunk_runs(st, a, j, &st.runs);
-          for (const Run& r : st.runs)
-            read_runs.push_back(Node::Extent{r.addr, r.len});
-        }
-        for (const CompiledAccess& a : v.writes) {
-          chunk_runs(st, a, j, &st.runs);
-          for (const Run& r : st.runs)
-            write_runs.push_back(Node::Extent{r.addr, r.len});
-        }
+        for (const std::size_t a : v.reads)
+          append_extents(v.runs.at(a, j), &read_runs);
+        for (const std::size_t a : v.writes)
+          append_extents(v.runs.at(a, j), &write_runs);
         // Indirect reads: the chunk's index footprint is affine, but the
         // data footprint exists only as the stored index values. Fault the
         // index runs readable first (so the values can be read), then add
         // the per-element data extents to the same atomic validation.
         for (const CompiledIndirect& ir : v.ind) {
-          chunk_runs(st, ir.index, j, &st.index_runs);
+          const hpf::ChunkRuns::Chunk idx = v.runs.at(ir.index, j);
           if (ir.index_checked) {
-            for (const Run& r : st.index_runs) {
-              n.ensure_readable(t, r.addr, r.len);
-              read_runs.push_back(Node::Extent{r.addr, r.len});
+            for (const Run& r : idx.runs) {
+              n.ensure_readable(t, r.addr + idx.shift, r.len);
+              read_runs.push_back(Node::Extent{r.addr + idx.shift, r.len});
             }
           }
           if (ir.data == nullptr) continue;
           const hpf::ArrayLayout& dlay = *ir.data;
           const std::int64_t dn = dlay.extents[0];
-          for (const Run& r : st.index_runs) {
+          for (const Run& r : idx.runs) {
             const double* vals =
-                reinterpret_cast<const double*>(n.mem(r.addr));
+                reinterpret_cast<const double*>(n.mem(r.addr + idx.shift));
             const std::size_t count = r.len / sizeof(double);
             for (std::size_t kk = 0; kk < count; ++kk) {
               const std::int64_t e =
@@ -780,20 +766,15 @@ class Executor {
   void compile_visit(const hpf::ParallelLoop& loop, NodeRun& st,
                      bool checks) {
     CompiledVisit& v = st.visit;
-    hpf::compile_free(loop, st.bind, &v.free);
-    v.subs.clear();
+    v.runs.begin(loop, st.bind);
     v.reads.clear();
     v.writes.clear();
     v.ind.clear();
     if (!checks) return;
     const auto compile = [&](const std::string& array,
                              const std::vector<hpf::AffineExpr>& subs) {
-      const std::size_t i = prog_.index_of(array);
-      CompiledAccess a{v.subs.size(), subs.size(), layouts_.by_index[i]};
-      FGDSM_ASSERT_MSG(subs.size() == a.layout->extents.size(),
-                       "rank mismatch on " << array);
-      hpf::compile_ref(loop, subs, st.bind, &v.subs);
-      return a;
+      return v.runs.add(loop, subs, st.bind,
+                        *layouts_.by_index[prog_.index_of(array)]);
     };
     for (const auto& ref : loop.reads)
       if (!replicated(ref.array))
@@ -814,25 +795,17 @@ class Executor {
     return prog_.array(array).dist == hpf::DistKind::kReplicated;
   }
 
-  // Clears *out and fills it with the runs compiled reference `a` touches
-  // in chunk j, clipped to the array.
-  void chunk_runs(NodeRun& st, const CompiledAccess& a, std::int64_t j,
-                  std::vector<Run>* out) {
-    out->clear();
-    ConcreteSection& s = st.fp_section;
-    hpf::eval_ref({st.visit.subs.data() + a.first, a.rank}, st.visit.free,
-                  ConcreteInterval{j, j, 1}, &s);
-    const std::vector<std::int64_t>& e = a.layout->extents;
-    for (std::size_t d = 0; d < s.dims.size(); ++d)
-      s.dims[d] = hpf::intersect(s.dims[d], ConcreteInterval{0, e[d] - 1, 1});
-    if (s.empty()) return;
-    hpf::linearize_into(*a.layout, s, out);
+  // Appends one chunk's runs of a compiled reference as extents.
+  static void append_extents(const hpf::ChunkRuns::Chunk& c,
+                             std::vector<Node::Extent>* out) {
+    for (const Run& r : c.runs)
+      out->push_back(Node::Extent{r.addr + c.shift, r.len});
   }
 
   // Inner iterations of chunk j: the product of the free trip counts.
   static double inner_count(const CompiledVisit& v, std::int64_t j) {
     double c = 1.0;
-    for (const hpf::CompiledFree& f : v.free)
+    for (const hpf::CompiledFree& f : v.runs.free())
       c *= static_cast<double>(f.at(j).count());
     return c;
   }

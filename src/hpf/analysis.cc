@@ -185,6 +185,79 @@ void chunk_footprint_into(const ParallelLoop& loop, const ArrayRef& ref,
            ConcreteInterval{dist_value, dist_value, 1}, out);
 }
 
+void clip_to_array(const std::vector<std::int64_t>& extents,
+                   ConcreteSection* s) {
+  for (std::size_t d = 0; d < s->dims.size(); ++d)
+    s->dims[d] = intersect(s->dims[d], ConcreteInterval{0, extents[d] - 1, 1});
+}
+
+void ChunkRuns::begin(const ParallelLoop& loop, const Bindings& b) {
+  compile_free(loop, b, &free_);
+  subs_.clear();
+  refs_.clear();
+  base_.clear();
+}
+
+std::size_t ChunkRuns::add(const ParallelLoop& loop,
+                           const std::vector<AffineExpr>& subs,
+                           const Bindings& b, const ArrayLayout& layout) {
+  FGDSM_ASSERT_MSG(subs.size() == layout.extents.size(),
+                   "rank mismatch on " << layout.name);
+  Ref r;
+  r.sub = subs_.size();
+  r.rank = subs.size();
+  r.layout = &layout;
+  compile_ref(loop, subs, b, &subs_);
+  // The reference shifts unless two dimensions read the distributed
+  // variable or a free variable it reads has a bound that follows it.
+  int dist_dim = -1;
+  r.shifts = true;
+  for (std::size_t d = 0; d < r.rank; ++d) {
+    const CompiledSub& s = subs_[r.sub + d];
+    if (s.var == CompiledSub::kDist) {
+      r.shifts = r.shifts && dist_dim < 0;
+      dist_dim = static_cast<int>(d);
+    } else if (s.var != CompiledSub::kNone) {
+      const CompiledFree& f = free_[static_cast<std::size_t>(s.var)];
+      r.shifts = r.shifts && f.lo_dist == 0 && f.hi_dist == 0;
+    }
+  }
+  if (r.shifts) {
+    // The base runs: the footprint with the distributed dimension at 0.
+    // The free ranges do not depend on the value eval_ref is given.
+    eval_ref(ref_subs(r), free_, ConcreteInterval{0, 0, 1}, &section_);
+    if (dist_dim >= 0) {
+      const std::size_t d = static_cast<std::size_t>(dist_dim);
+      section_.dims[d] = ConcreteInterval{0, 0, 1};
+      r.coeff = subs_[r.sub + d].coeff;
+      r.rest = subs_[r.sub + d].rest;
+      r.extent = layout.extents[d];
+      r.step = static_cast<std::int64_t>(layout.elem);
+      for (std::size_t k = 0; k < d; ++k) r.step *= layout.extents[k];
+    }
+    clip_to_array(layout.extents, &section_);
+    r.run = base_.size();
+    linearize_into(layout, section_, &base_);
+    r.count = base_.size() - r.run;
+  }
+  refs_.push_back(r);
+  return refs_.size() - 1;
+}
+
+ChunkRuns::Chunk ChunkRuns::at(std::size_t id, std::int64_t j) {
+  const Ref& r = refs_[id];
+  if (r.shifts) {
+    const std::int64_t x = r.coeff * j + r.rest;
+    if (x < 0 || x >= r.extent) return {};
+    return {{base_.data() + r.run, r.count}, static_cast<GAddr>(x * r.step)};
+  }
+  eval_ref(ref_subs(r), free_, ConcreteInterval{j, j, 1}, &section_);
+  clip_to_array(r.layout->extents, &section_);
+  chunk_.clear();
+  linearize_into(*r.layout, section_, &chunk_);
+  return {chunk_, 0};
+}
+
 namespace {
 // Merge transfers with identical (array, sender, receiver) whose sections
 // differ only in dimension 0, taking the hull there. Overshoot is harmless:
@@ -284,9 +357,7 @@ std::vector<Transfer> analyze_transfers(const ParallelLoop& loop,
       // Clip to array bounds (stencil edges reach outside; those iterations
       // are the body's responsibility to skip, and the analysis must not
       // claim out-of-range elements).
-      for (std::size_t d = 0; d < sec.dims.size(); ++d)
-        sec.dims[d] = intersect(sec.dims[d],
-                                ConcreteInterval{0, ext[d] - 1, 1});
+      clip_to_array(ext, &sec);
       if (sec.empty()) continue;
       const ConcreteSet nonowner =
           ConcreteSet(sec).subtract(owned_section(a, b, np, p));

@@ -14,6 +14,7 @@
 #include <vector>
 
 #include "src/hpf/ir.h"
+#include "src/hpf/layout.h"
 #include "src/hpf/section.h"
 
 namespace fgdsm::hpf {
@@ -120,6 +121,72 @@ void chunk_footprint_into(const ParallelLoop& loop, const ArrayRef& ref,
                           const Program& prog, const Bindings& b,
                           std::int64_t dist_value, FootprintScratch& scratch,
                           ConcreteSection* out);
+
+// Clips every dimension of *s to [0, extent) of its array.
+void clip_to_array(const std::vector<std::int64_t>& extents,
+                   ConcreteSection* s);
+
+// ---- Compiled chunk runs ----
+//
+// A chunk's footprint as byte runs is eval_ref at the chunk's value, the
+// clip to the array, then linearize_into. For most references that work is
+// the same in every chunk up to a shift: when at most one dimension d reads
+// the distributed variable j, as c*j + r, and no free variable the
+// reference reads has a bound that follows j, chunk j touches the runs at
+// index 0 of dimension d moved up by c*j + r times d's stride in bytes, in
+// the same order — or nothing when c*j + r falls outside dimension d. A
+// reference that reads j nowhere touches the same runs in every chunk.
+// ChunkRuns compiles a loop visit's references once into such base runs,
+// evaluates the others per chunk, and serves both through at().
+class ChunkRuns {
+ public:
+  // One chunk's runs: each run of `runs` moved up by `shift` bytes.
+  struct Chunk {
+    std::span<const Run> runs;
+    GAddr shift = 0;
+  };
+
+  // Starts a visit of `loop` under `b`: compiles its free bounds and drops
+  // the previous visit's references. Storage keeps its capacity, so a
+  // visit allocates only while it needs more than any before it.
+  void begin(const ParallelLoop& loop, const Bindings& b);
+  // Compiles a reference of the visit (`subs`, one per dimension of
+  // `layout`'s array) and returns its id for at(). Dimension 0 must come
+  // out unit-stride, as linearize_into requires.
+  std::size_t add(const ParallelLoop& loop,
+                  const std::vector<AffineExpr>& subs, const Bindings& b,
+                  const ArrayLayout& layout);
+  // The runs reference `id` touches in chunk j, clipped to its array. A
+  // reference evaluated per chunk returns scratch that the next call reuses.
+  Chunk at(std::size_t id, std::int64_t j);
+  // Whether reference `id` is served by shifting its base runs.
+  bool shifts(std::size_t id) const { return refs_[id].shifts; }
+  // The visit's compiled free bounds.
+  const std::vector<CompiledFree>& free() const { return free_; }
+
+ private:
+  struct Ref {
+    std::size_t sub = 0, rank = 0;  // the reference's CompiledSubs in subs_
+    const ArrayLayout* layout = nullptr;
+    bool shifts = false;
+    // Shifting references: chunk j's index in the dimension that reads j
+    // is coeff*j + rest, inside [0, extent); each index step moves the
+    // runs by `step` bytes. A reference that reads j nowhere has coeff,
+    // rest and step 0 and extent 1. Its base runs are `count` from `run`.
+    std::int64_t coeff = 0, rest = 0, extent = 1, step = 0;
+    std::size_t run = 0, count = 0;
+  };
+  std::span<const CompiledSub> ref_subs(const Ref& r) const {
+    return {subs_.data() + r.sub, r.rank};
+  }
+
+  std::vector<CompiledFree> free_;
+  std::vector<CompiledSub> subs_;
+  std::vector<Ref> refs_;
+  std::vector<Run> base_;
+  ConcreteSection section_;  // scratch
+  std::vector<Run> chunk_;   // scratch: a per-chunk reference's runs
+};
 
 // All transfers implied by one parallel loop: non-owner reads and non-owner
 // writes, merged per (array, sender, receiver).

@@ -98,9 +98,7 @@ ScanResult scan(const hpf::ParallelLoop& loop, const hpf::Program& prog,
     ConcreteSection sec = hpf::ref_section(loop, idx_ref, prog, b, iters);
     const hpf::ArrayDecl& idx_decl = prog.array(ir.index_array);
     const std::vector<std::int64_t> ext = hpf::array_extents(idx_decl, b);
-    for (std::size_t d = 0; d < sec.dims.size(); ++d)
-      sec.dims[d] =
-          hpf::intersect(sec.dims[d], ConcreteInterval{0, ext[d] - 1, 1});
+    hpf::clip_to_array(ext, &sec);
     if (sec.empty()) continue;
 
     const hpf::ArrayLayout& lay = layouts.at(ir.index_array);

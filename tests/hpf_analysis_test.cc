@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <cstdlib>
 #include <functional>
 #include <random>
 #include <set>
@@ -333,16 +334,77 @@ std::vector<ArrayRef> refs_of(const ParallelLoop& loop) {
   return refs;
 }
 
+// The arrays of `prog` under `b`, laid out one after another.
+std::vector<ArrayLayout> layouts_of(const Program& prog, const Bindings& b) {
+  std::vector<ArrayLayout> out;
+  GAddr base = 4096;
+  for (const ArrayDecl& a : prog.arrays) {
+    ArrayLayout l;
+    l.name = a.name;
+    l.base = base;
+    l.extents = array_extents(a, b);
+    base += (l.bytes() / 4096 + 1) * 4096;
+    out.push_back(std::move(l));
+  }
+  return out;
+}
+
+// Whether linearize can take the reference's footprints: dimension 0 must
+// be unit-stride, which a free variable read there with a coefficient other
+// than 1 or -1 breaks.
+bool linearizable(const ParallelLoop& loop,
+                  const std::vector<AffineExpr>& subs) {
+  for (const LoopVar& fv : loop.free)
+    if (std::abs(subs[0].coeff(fv.sym)) > 1) return false;
+  return true;
+}
+
+std::string describe(const std::vector<Run>& runs) {
+  std::string out;
+  for (const Run& r : runs)
+    out += " [" + std::to_string(r.addr) + "+" + std::to_string(r.len) + ")";
+  return out.empty() ? " none" : out;
+}
+
+// What check_loop compared: chunks, and compiled runs per reference and
+// chunk, served by a shift or evaluated per chunk.
+struct Checked {
+  std::int64_t chunks = 0, shifted = 0, evaluated = 0;
+  void operator+=(const Checked& o) {
+    chunks += o.chunks;
+    shifted += o.shifted;
+    evaluated += o.evaluated;
+  }
+};
+
+// ChunkRuns' runs of reference `id` in chunk j must be linearize of the
+// chunk's footprint `fp` clipped to the array, run for run and in order.
+void expect_runs(ChunkRuns& runs, std::size_t id, std::int64_t j,
+                 const ArrayLayout& layout, ConcreteSection fp,
+                 const std::string& where, Checked* checked) {
+  clip_to_array(layout.extents, &fp);
+  const std::vector<Run> want = linearize(layout, fp);
+  const ChunkRuns::Chunk c = runs.at(id, j);
+  std::vector<Run> got;
+  for (const Run& r : c.runs) got.push_back({r.addr + c.shift, r.len});
+  EXPECT_TRUE(got == want) << where << (runs.shifts(id) ? " shifted" : "")
+                           << "\n  got: " << describe(got)
+                           << "\n want: " << describe(want);
+  ++(runs.shifts(id) ? checked->shifted : checked->evaluated);
+}
+
 // Checks chunk_footprint for every local chunk of every node, and
 // ref_section over each node's local iterations (against the union of its
-// chunks' values) where the whole-loop section is rectangular. Returns the
-// number of chunks checked.
-std::int64_t check_loop(const Program& prog, const ParallelLoop& loop,
-                        const Bindings& base, int np,
-                        const std::string& where) {
-  std::int64_t chunks = 0;
+// chunks' values) where the whole-loop section is rectangular. Each node
+// also compiles the visit into ChunkRuns, as the executor does, and every
+// reference linearize can take is checked against chunk_footprint in every
+// chunk.
+Checked check_loop(const Program& prog, const ParallelLoop& loop,
+                   const Bindings& base, int np, const std::string& where) {
+  Checked checked;
   const std::vector<ArrayRef> refs = refs_of(loop);
   const bool rectangular = !free_bounds_read_dist(loop);
+  constexpr std::size_t kNotCompiled = ~std::size_t{0};
   for (int p = 0; p < np; ++p) {
     Bindings b = base;
     b.set(kSymNProcs, np);
@@ -350,10 +412,20 @@ std::int64_t check_loop(const Program& prog, const ParallelLoop& loop,
     const ConcreteInterval iters = local_iters(loop, prog, b, np, p);
     if (iters.empty()) continue;
     const std::set<std::int64_t> dists = members(iters);
-    chunks += static_cast<std::int64_t>(dists.size());
+    checked.chunks += static_cast<std::int64_t>(dists.size());
     const std::string at = where + " np=" + std::to_string(np) +
                            " p=" + std::to_string(p);
-    for (const ArrayRef& ref : refs) {
+    const std::vector<ArrayLayout> layouts = layouts_of(prog, b);
+    ChunkRuns runs;
+    runs.begin(loop, b);
+    std::vector<std::size_t> ids;
+    for (const ArrayRef& ref : refs)
+      ids.push_back(linearizable(loop, ref.subs)
+                        ? runs.add(loop, ref.subs, b,
+                                   layouts[prog.index_of(ref.array)])
+                        : kNotCompiled);
+    for (std::size_t r = 0; r < refs.size(); ++r) {
+      const ArrayRef& ref = refs[r];
       ValueSets want, all(ref.subs.size());
       bool ran_any = false;
       for (const std::int64_t j : dists) {
@@ -361,10 +433,13 @@ std::int64_t check_loop(const Program& prog, const ParallelLoop& loop,
         for (std::size_t f = 0; f < loop.free.size(); ++f)
           ranges.push_back(free_range(loop, b, f, j));
         const bool ran = enumerate(loop, ref.subs, b, j, &want);
-        expect_matches(loop, ref.subs,
-                       chunk_footprint(loop, ref, prog, b, j), want, ran,
-                       ranges,
-                       at + " chunk " + std::to_string(j) + " " + ref.array);
+        const ConcreteSection fp = chunk_footprint(loop, ref, prog, b, j);
+        const std::string chunk =
+            at + " chunk " + std::to_string(j) + " " + ref.array;
+        expect_matches(loop, ref.subs, fp, want, ran, ranges, chunk);
+        if (ids[r] != kNotCompiled)
+          expect_runs(runs, ids[r], j, layouts[prog.index_of(ref.array)], fp,
+                      chunk, &checked);
         ran_any = ran_any || ran;
         for (std::size_t d = 0; d < want.size(); ++d)
           all[d].insert(want[d].begin(), want[d].end());
@@ -377,7 +452,7 @@ std::int64_t check_loop(const Program& prog, const ParallelLoop& loop,
                      all, ran_any, ranges, at + " section " + ref.array);
     }
   }
-  return chunks;
+  return checked;
 }
 
 // Visits every parallel loop of `phases`, binding each time-loop counter
@@ -424,7 +499,7 @@ std::vector<std::pair<std::string, std::int64_t>> loop_key(
 }
 
 void check_program(const Program& prog) {
-  std::int64_t chunks = 0;
+  Checked checked;
   std::set<std::pair<const ParallelLoop*,
                      std::vector<std::pair<std::string, std::int64_t>>>>
       seen;
@@ -432,10 +507,11 @@ void check_program(const Program& prog) {
                 [&](const ParallelLoop& loop, const Bindings& b) {
                   if (!seen.insert({&loop, loop_key(loop, b)}).second) return;
                   for (const int np : {1, 8, 64})
-                    chunks += check_loop(prog, loop, b, np,
-                                         prog.name + "/" + loop.name);
+                    checked += check_loop(prog, loop, b, np,
+                                          prog.name + "/" + loop.name);
                 });
-  EXPECT_GT(chunks, 0) << prog.name;
+  EXPECT_GT(checked.chunks, 0) << prog.name;
+  EXPECT_GT(checked.shifted, 0) << prog.name;
 }
 
 TEST(FootprintBruteForce, RegistryApps) {
@@ -545,15 +621,17 @@ Program random_loop(std::mt19937_64& rng) {
 
 TEST(FootprintBruteForce, RandomAffineLoops) {
   std::mt19937_64 rng(20260417);
-  std::int64_t chunks = 0;
+  Checked checked;
   for (int i = 0; i < 300; ++i) {
     const Program prog = random_loop(rng);
     const ParallelLoop& loop = *prog.phases[0].loop;
     for (const int np : {1, 8, 64})
-      chunks += check_loop(prog, loop, prog.sizes, np,
-                           "random loop " + std::to_string(i));
+      checked += check_loop(prog, loop, prog.sizes, np,
+                            "random loop " + std::to_string(i));
   }
-  EXPECT_GT(chunks, 1000);
+  EXPECT_GT(checked.chunks, 1000);
+  EXPECT_GT(checked.shifted, 1000);
+  EXPECT_GT(checked.evaluated, 1000);
 }
 
 }  // namespace
