@@ -23,6 +23,7 @@ Cluster::Cluster(ClusterConfig cfg)
       net_(engine_, cfg_.costs, cfg.nnodes),
       pools_(static_cast<std::size_t>(cfg.nnodes)) {
   cfg_.validate();
+  block_shift_ = std::countr_zero(cfg_.block_size);
   // One event partition per node, ALWAYS — regardless of sim_threads — so
   // window boundaries, sequence numbers, and merge order are identical at
   // any thread count (the bit-identity contract). The worker count only

@@ -47,8 +47,8 @@ class Cluster {
   int nnodes() const { return cfg_.nnodes; }
   std::size_t block_size() const { return cfg_.block_size; }
   std::size_t words_per_block() const { return cfg_.block_size / 8; }
-  BlockId block_of(GAddr a) const { return a / cfg_.block_size; }
-  GAddr block_addr(BlockId b) const { return b * cfg_.block_size; }
+  BlockId block_of(GAddr a) const { return a >> block_shift_; }
+  GAddr block_addr(BlockId b) const { return b << block_shift_; }
   std::size_t num_blocks() const;
   // Home node: pages are assigned round-robin, as in a system that maps the
   // shared segment across the cluster (owner in the HPF sense is usually a
@@ -244,6 +244,7 @@ class Cluster {
   bool recover();
 
   ClusterConfig cfg_;
+  int block_shift_ = 0;  // log2(cfg_.block_size), a validated power of two
   sim::Engine engine_;
   sim::Network net_;
   std::vector<sim::BufferPool> pools_;  // one per event partition
