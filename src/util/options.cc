@@ -32,7 +32,10 @@ Options::Options(int argc, const char* const* argv) {
     if (eq != std::string::npos)
       values_[arg.substr(0, eq)] = arg.substr(eq + 1);
     else
-      values_[arg] = "1";  // bare flag == boolean true
+      // A bare flag is boolean true. assign() rather than `= "1"`: GCC 12
+      // reports a false -Wrestrict overlap in the inlined copy of the
+      // literal, which stops -DFGDSM_WERROR=ON builds.
+      values_[arg].assign(1, '1');
   }
 }
 
