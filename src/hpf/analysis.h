@@ -156,8 +156,10 @@ class ChunkRuns {
   std::size_t add(const ParallelLoop& loop,
                   const std::vector<AffineExpr>& subs, const Bindings& b,
                   const ArrayLayout& layout);
-  // The runs reference `id` touches in chunk j, clipped to its array. A
-  // reference evaluated per chunk returns scratch that the next call reuses.
+  // The runs reference `id` touches in chunk j, clipped to its array. They
+  // stay valid until the next begin() or add(); a reference evaluated per
+  // chunk returns scratch that the next at() reuses. `layout` must outlive
+  // the visit.
   Chunk at(std::size_t id, std::int64_t j);
   // Whether reference `id` is served by shifting its base runs.
   bool shifts(std::size_t id) const { return refs_[id].shifts; }
