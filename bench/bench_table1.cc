@@ -38,7 +38,7 @@ sim::Time measure_roundtrip(int reps) {
                          echo.dst = m.src;
                          echo.type = static_cast<std::uint16_t>(MsgType::kMpData);
                          echo.arg[0] = 1;
-                         echo.payload.resize(4);
+                         echo.payload = c.payload_pool().acquire(4);
                          self.send_from_handler(clk, std::move(echo));
                        } else {  // pong
                          pong_sem->post(clk.t);
@@ -58,7 +58,7 @@ sim::Time measure_roundtrip(int reps) {
       ping.dst = 1;
       ping.type = static_cast<std::uint16_t>(MsgType::kMpData);
       ping.arg[0] = 0;
-      ping.payload.resize(4);
+      ping.payload = c.payload_pool().acquire(4);
       n.send(t, std::move(ping));
       sem.wait(t);
       total += t.now() - t0;
@@ -89,7 +89,7 @@ double measure_bandwidth_mbps() {
       sim::Message m;
       m.dst = 1;
       m.type = static_cast<std::uint16_t>(MsgType::kMpData);
-      m.payload.resize(kBytes);
+      m.payload = c.payload_pool().acquire(kBytes);
       n.send(t, std::move(m));
     }
   });

@@ -15,6 +15,9 @@ normalized_events_per_mop), so one gate serves both; the schema pair just
 has to match. The baseline (committed at the repo root) records the
 reference numbers this gate compares against.
 
+Every workload of CURRENT.json must be in the baseline and vice versa: a
+workload on one side only fails the gate, naming it.
+
 What is compared, per workload:
   - normalized_events_per_mop: events/sec divided by the host's calibrated
     integer-op throughput (splitmix64 Mops/s). Normalization makes the gate
@@ -140,12 +143,20 @@ def main():
         alloc_cap = b["allocs_per_event"] * (1.0 + tol) + 0.01
         if c["allocs_per_event"] > alloc_cap:
             failures.append(
-                f"{name}: allocs/event grew {b['allocs_per_event']:.2f} -> "
-                f"{c['allocs_per_event']:.2f} (cap {alloc_cap:.2f})")
+                f"{name}: allocs/event grew {b['allocs_per_event']:.4g} -> "
+                f"{c['allocs_per_event']:.4g} (cap {alloc_cap:.4g})")
             status = "FAIL"
         print(f"check_perf: {name}: {ratio:.2f}x normalized throughput, "
-              f"{c['allocs_per_event']:.2f} allocs/event "
-              f"(baseline {b['allocs_per_event']:.2f}) [{status}]")
+              f"{c['allocs_per_event']:.4g} allocs/event "
+              f"(baseline {b['allocs_per_event']:.4g}, cap {alloc_cap:.4g}) "
+              f"[{status}]")
+    # A workload the baseline lacks would otherwise pass ungated until the
+    # baseline is re-recorded.
+    for name in cur["workloads"]:
+        if name not in base["baseline"]:
+            failures.append(
+                f"{name}: not in the baseline {args.baseline}, so nothing "
+                f"gates it; record it with --update")
 
     if failures:
         for f in failures:

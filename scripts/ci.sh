@@ -35,8 +35,9 @@
 #                            runners whose variance trips the 20% band)
 #   scripts/ci.sh scale      weak-scaling gate: a 64-node jacobi+spmv smoke
 #                            run (hierarchical collectives, schema-checked
-#                            JSON), then bench_scale's host-side numbers vs
-#                            the committed BENCH_SCALE.json baseline through
+#                            JSON), then bench_scale's host-side numbers at
+#                            8, 64, 256 and 1024 nodes vs the committed
+#                            BENCH_SCALE.json baseline through
 #                            the same check_perf.py band (PERF_ALLOCS_ONLY=1
 #                            applies here too)
 #   scripts/ci.sh simthreads bit-identity matrix for the windowed PDES mode:
@@ -300,7 +301,8 @@ case "$job" in
     build/bench/bench_scale --nodes-list=64 --check-coherence \
       --json=results/scale_smoke.json
     python3 scripts/check_results_json.py results/scale_smoke.json
-    build/bench/bench_scale --reps=3 --perf-json=results/scale_perf.json
+    build/bench/bench_scale --nodes-list=8,64,256,1024 --reps=3 \
+      --perf-json=results/scale_perf.json
     allocs_flag=""
     [[ "${PERF_ALLOCS_ONLY:-0}" == "1" ]] && allocs_flag="--allocs-only"
     python3 scripts/check_perf.py results/scale_perf.json \

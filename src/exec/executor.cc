@@ -4,6 +4,7 @@
 #include <cmath>
 #include <cstring>
 #include <memory>
+#include <span>
 
 #include "src/core/plan.h"
 #include "src/core/plan_table.h"
@@ -528,8 +529,8 @@ class Executor {
     irreg::ScanResult sr =
         irreg::scan(loop, prog_, st.bind, layouts_.by_name, np, n, t,
                     /*ensure_index=*/shmem(), &st.irreg_scratch);
-    const std::vector<std::vector<irreg::Need>> all =
-        irreg_->exchange(n, t, std::move(sr.needs));
+    const std::span<const sim::Payload> all =
+        irreg_->exchange(n, t, sr.needs);
     const core::PlanTable::Entry& e = table_.get(loop, st.bind, extra, [&] {
       return irreg::needs_to_transfers(all, loop, prog_, st.bind, np);
     });

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstring>
 
 #include "src/hpf/distribution.h"
 #include "src/hpf/layout.h"
@@ -13,6 +14,26 @@ namespace fgdsm::irreg {
 using hpf::ConcreteInterval;
 using hpf::ConcreteSection;
 using hpf::Run;
+
+NeedList::NeedList(std::span<const std::byte> records) : bytes_(records) {
+  FGDSM_ASSERT_MSG(records.size() % kRecordBytes == 0,
+                   "malformed needs payload (" << records.size()
+                                               << " bytes)");
+}
+
+Need NeedList::operator[](std::size_t i) const {
+  std::int64_t rec[3];
+  std::memcpy(rec, bytes_.data() + i * kRecordBytes, kRecordBytes);
+  return Need{rec[0], rec[1], rec[2]};
+}
+
+void NeedList::encode(const std::vector<Need>& needs, std::byte* out) {
+  for (const Need& nd : needs) {
+    const std::int64_t rec[3] = {nd.array, nd.lo, nd.hi};
+    std::memcpy(out, rec, kRecordBytes);
+    out += kRecordBytes;
+  }
+}
 
 bool has_indirect(const hpf::ParallelLoop& loop) {
   return !loop.ind_reads.empty();
@@ -163,27 +184,39 @@ ScanResult scan(const hpf::ParallelLoop& loop, const hpf::Program& prog,
 }
 
 std::vector<hpf::Transfer> needs_to_transfers(
-    const std::vector<std::vector<Need>>& needs_by_node,
+    std::span<const sim::Payload> needs_by_node,
     const hpf::ParallelLoop& loop, const hpf::Program& prog,
     const hpf::Bindings& b, int np) {
   const std::vector<std::string> canon = gather_arrays(loop, prog);
+  std::vector<std::int64_t> extent;
+  extent.reserve(canon.size());
+  for (const std::string& name : canon)
+    extent.push_back(hpf::array_extents(prog.array(name), b)[0]);
   std::vector<hpf::Transfer> out;
   for (int p = 0; p < np; ++p) {
-    for (const Need& nd : needs_by_node[static_cast<std::size_t>(p)]) {
+    const NeedList needs(needs_by_node[static_cast<std::size_t>(p)].bytes());
+    for (std::size_t i = 0; i < needs.size(); ++i) {
+      const Need nd = needs[i];
       FGDSM_ASSERT_MSG(
           nd.array >= 0 &&
               nd.array < static_cast<std::int64_t>(canon.size()),
           "bad array id " << nd.array << " in needs exchange");
-      const std::string& name = canon[static_cast<std::size_t>(nd.array)];
-      const std::int64_t n = hpf::array_extents(prog.array(name), b)[0];
-      for (int q = 0; q < np; ++q) {
+      const std::size_t a = static_cast<std::size_t>(nd.array);
+      const std::int64_t n = extent[a];
+      // The 1-D BLOCK owners of [lo, hi] are owner(lo)..owner(hi).
+      const std::int64_t lo = std::max<std::int64_t>(nd.lo, 0);
+      const std::int64_t hi = std::min(nd.hi, n - 1);
+      if (lo > hi) continue;
+      const int first = hpf::owner_of(hpf::DistKind::kBlock, lo, n, np);
+      const int last = hpf::owner_of(hpf::DistKind::kBlock, hi, n, np);
+      for (int q = first; q <= last; ++q) {
         if (q == p) continue;
         const ConcreteInterval inter = hpf::intersect(
             ConcreteInterval{nd.lo, nd.hi, 1},
             hpf::owned_interval(hpf::DistKind::kBlock, q, n, np));
         if (inter.empty()) continue;
         hpf::Transfer t;
-        t.array = name;
+        t.array = canon[a];
         t.sender = q;
         t.receiver = p;
         t.section.dims = {inter};

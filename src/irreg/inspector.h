@@ -8,13 +8,14 @@
 //      but does not own, merged into maximal disjoint intervals (Need
 //      records).
 //   2. The need lists are broadcast (irreg::IrregRuntime::exchange) so every
-//      node holds all np lists.
-//   3. needs_to_transfers(): every node independently folds the identical
-//      global need set into hpf::Transfer records — the same currency the
-//      affine planner produces — and core::plan_from_transfers lowers the
-//      union into a CommPlan. Block alignment (shmem_limits trimming)
-//      happens there: partially-owned blocks fall back to the default
-//      protocol, exactly as for affine sections.
+//      node holds all np lists, as packed records it does not decode.
+//   3. needs_to_transfers(): the identical global need set folds into
+//      hpf::Transfer records — the same currency the affine planner
+//      produces — and core::plan_from_transfers lowers the union into a
+//      CommPlan. The run's core::PlanTable does this once per key, reading
+//      the first arriving node's lists in place. Block alignment
+//      (shmem_limits trimming) happens there: partially-owned blocks fall
+//      back to the default protocol, exactly as for affine sections.
 //
 // Determinism contract: scan() is a pure function of (loop, bindings,
 // layouts, memory contents); needs_to_transfers() of its inputs. Every node
@@ -27,7 +28,9 @@
 // does not provide.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -36,6 +39,7 @@
 #include "src/hpf/analysis.h"
 #include "src/hpf/ir.h"
 #include "src/hpf/layout.h"
+#include "src/sim/payload.h"
 #include "src/sim/task.h"
 #include "src/tempest/node.h"
 
@@ -51,6 +55,24 @@ struct Need {
   bool operator==(const Need& o) const {
     return array == o.array && lo == o.lo && hi == o.hi;
   }
+};
+
+// One node's need list as the needs exchange carries it: packed records of
+// three int64 (array, lo, hi), read in place instead of decoded into a
+// vector.
+class NeedList {
+ public:
+  static constexpr std::size_t kRecordBytes = 3 * sizeof(std::int64_t);
+
+  explicit NeedList(std::span<const std::byte> records);
+  std::size_t size() const { return bytes_.size() / kRecordBytes; }
+  Need operator[](std::size_t i) const;
+
+  // Packs `needs` into `out`, which holds needs.size() * kRecordBytes bytes.
+  static void encode(const std::vector<Need>& needs, std::byte* out);
+
+ private:
+  std::span<const std::byte> bytes_;
 };
 
 // True if the loop (or any loop of the program) carries indirect reads.
@@ -98,12 +120,14 @@ ScanResult scan(const hpf::ParallelLoop& loop, const hpf::Program& prog,
                 int np, tempest::Node& node, sim::Task& task,
                 bool ensure_index, ScanScratch* scratch = nullptr);
 
-// Fold all nodes' need lists (indexed by node id, each sorted/disjoint as
-// produced by scan) into the implied transfer set: for every needed interval
-// of node p, one Transfer per owning node q != p of the overlap. Pure and
-// deterministic — identical inputs give an identical list on every node.
+// Fold all nodes' need lists (indexed by node id, each a NeedList payload,
+// sorted/disjoint as produced by scan) into the implied transfer set: for
+// every needed interval of node p, one Transfer per owning node q != p of
+// the overlap, in ascending q. BLOCK owners of an interval form a
+// contiguous range, so only those are visited. Pure and deterministic —
+// identical inputs give an identical list on every node.
 std::vector<hpf::Transfer> needs_to_transfers(
-    const std::vector<std::vector<Need>>& needs_by_node,
+    std::span<const sim::Payload> needs_by_node,
     const hpf::ParallelLoop& loop, const hpf::Program& prog,
     const hpf::Bindings& b, int np);
 

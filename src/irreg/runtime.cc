@@ -1,47 +1,17 @@
 #include "src/irreg/runtime.h"
 
-#include <cstring>
+#include <utility>
 
 #include "src/util/assert.h"
 
 namespace fgdsm::irreg {
-
-namespace {
-constexpr std::size_t kRecordBytes = 3 * sizeof(std::int64_t);
-
-std::vector<std::byte> encode(const std::vector<Need>& needs) {
-  std::vector<std::byte> out(needs.size() * kRecordBytes);
-  std::byte* p = out.data();
-  for (const Need& nd : needs) {
-    const std::int64_t rec[3] = {nd.array, nd.lo, nd.hi};
-    std::memcpy(p, rec, kRecordBytes);
-    p += kRecordBytes;
-  }
-  return out;
-}
-
-std::vector<Need> decode(const std::vector<std::byte>& payload) {
-  FGDSM_ASSERT_MSG(payload.size() % kRecordBytes == 0,
-                   "malformed needs payload (" << payload.size() << " bytes)");
-  std::vector<Need> out(payload.size() / kRecordBytes);
-  const std::byte* p = payload.data();
-  for (Need& nd : out) {
-    std::int64_t rec[3];
-    std::memcpy(rec, p, kRecordBytes);
-    nd.array = rec[0];
-    nd.lo = rec[1];
-    nd.hi = rec[2];
-    p += kRecordBytes;
-  }
-  return out;
-}
-}  // namespace
 
 IrregRuntime::IrregRuntime(tempest::Cluster& cluster)
     : cluster_(cluster),
       st_(static_cast<std::size_t>(cluster.nnodes())) {
   for (NodeState& st : st_) {
     st.recv.resize(static_cast<std::size_t>(cluster.nnodes()));
+    st.done.resize(static_cast<std::size_t>(cluster.nnodes()));
     st.sem.set_name("irreg_needs");
   }
   cluster_.register_handler(
@@ -53,7 +23,7 @@ IrregRuntime::IrregRuntime(tempest::Cluster& cluster)
         NodeState& st = st_[static_cast<std::size_t>(self.id())];
         const std::int64_t seq = m.arg[1];
         if (seq == st.seq) {
-          apply(st, m);
+          st.recv[static_cast<std::size_t>(m.src)] = std::move(m.payload);
           st.sem.post(clk.t);
         } else {
           FGDSM_ASSERT_MSG(seq > st.seq,
@@ -64,11 +34,14 @@ IrregRuntime::IrregRuntime(tempest::Cluster& cluster)
       });
   // Crash recovery: the exchange sequence, buffered per-sender lists and
   // future-sequence stash are host state the cluster checkpoint cannot see.
-  // The semaphore is captured as a count and force-restored — a rolled-back
-  // waiter resumes inside its wait loop and re-evaluates against it.
+  // Copying them shares the payloads (capture and restore run at the window
+  // barrier). The semaphore is captured as a count and force-restored — a
+  // rolled-back waiter resumes inside its wait loop and re-evaluates
+  // against it. The last completed lists are not state: no one reads them
+  // across a barrier.
   struct NodeSnap {
     std::int64_t seq;
-    std::vector<std::vector<Need>> recv;
+    std::vector<sim::Payload> recv;
     std::map<std::int64_t, std::vector<sim::Message>> stash;
     std::int64_t sem;
   };
@@ -92,55 +65,47 @@ IrregRuntime::IrregRuntime(tempest::Cluster& cluster)
        }});
 }
 
-void IrregRuntime::apply(NodeState& st, const sim::Message& m) {
-  st.recv[static_cast<std::size_t>(m.src)] = decode(m.payload);
-}
-
-std::vector<std::vector<Need>> IrregRuntime::exchange(tempest::Node& node,
-                                                      sim::Task& task,
-                                                      std::vector<Need> mine) {
+std::span<const sim::Payload> IrregRuntime::exchange(
+    tempest::Node& node, sim::Task& task, const std::vector<Need>& mine) {
   const int np = cluster_.nnodes();
   const int me = node.id();
   NodeState& st = st_[static_cast<std::size_t>(me)];
 
-  const std::vector<std::byte> payload = encode(mine);
+  sim::Payload list =
+      cluster_.payload_pool().acquire(mine.size() * NeedList::kRecordBytes);
+  NeedList::encode(mine, list.mutable_data());
   for (int dst = 0; dst < np; ++dst) {
     if (dst == me) continue;
     // Marshalling the need list into the message buffer.
     task.charge(cluster_.costs().copy_time(
-        static_cast<std::int64_t>(payload.size())));
+        static_cast<std::int64_t>(list.size())));
     sim::Message m;
     m.dst = dst;
     m.type = static_cast<std::uint16_t>(tempest::MsgType::kIrregNeeds);
     m.arg[1] = st.seq;
-    m.payload = payload;
+    m.payload = list;
     node.send(task, std::move(m));
   }
   if (np > 1) st.sem.wait(task, np - 1);
+  st.recv[static_cast<std::size_t>(me)] = std::move(list);
 
-  std::vector<std::vector<Need>> all(static_cast<std::size_t>(np));
-  for (int p = 0; p < np; ++p) {
-    if (p == me)
-      all[static_cast<std::size_t>(p)] = std::move(mine);
-    else
-      all[static_cast<std::size_t>(p)] =
-          std::move(st.recv[static_cast<std::size_t>(p)]);
-    st.recv[static_cast<std::size_t>(p)].clear();
-  }
-
-  // This exchange is complete; surface any stashed arrivals for the next.
+  // This exchange is complete: its lists become the result, the previous
+  // result's handles drop, and stashed arrivals for the next exchange
+  // surface.
+  std::swap(st.recv, st.done);
+  for (sim::Payload& p : st.recv) p.reset();
   ++st.seq;
   auto it = st.stash.find(st.seq);
   if (it != st.stash.end()) {
-    for (const sim::Message& m : it->second) {
+    for (sim::Message& m : it->second) {
       task.charge(cluster_.costs().copy_time(
           static_cast<std::int64_t>(m.payload.size())));
-      apply(st, m);
+      st.recv[static_cast<std::size_t>(m.src)] = std::move(m.payload);
       st.sem.post(task.now());
     }
     st.stash.erase(it);
   }
-  return all;
+  return st.done;
 }
 
 }  // namespace fgdsm::irreg

@@ -2,6 +2,11 @@
 // of each node's Need list so every node can fold the identical global
 // transfer set (inspector.h step 2).
 //
+// Each node encodes its list once, into one pooled buffer that its np−1
+// messages share (sim::Payload); every message still charges its own copy
+// time and wire bytes. Receivers keep the handles and decode nothing: the
+// plan table reads the lists in place, once per key.
+//
 // Broadcast, not owner-targeted queries, on purpose: the executor's CCC
 // contract counts expected sends/receives with semaphores, so every node
 // must know the complete transfer set — including pairs it is not part of —
@@ -18,6 +23,7 @@
 
 #include <cstdint>
 #include <map>
+#include <span>
 #include <vector>
 
 #include "src/irreg/inspector.h"
@@ -36,19 +42,20 @@ class IrregRuntime {
   // Collective: every node must call it the same number of times in the
   // same order (guaranteed because inspection points are derived from the
   // identical program on every node). Returns the np need lists indexed by
-  // node id; entry node.id() is `mine` moved through.
-  std::vector<std::vector<Need>> exchange(tempest::Node& node,
-                                          sim::Task& task,
-                                          std::vector<Need> mine);
+  // node id, each a NeedList payload (entry node.id() is `mine`); they stay
+  // valid until this node's next exchange.
+  std::span<const sim::Payload> exchange(tempest::Node& node,
+                                         sim::Task& task,
+                                         const std::vector<Need>& mine);
 
  private:
   struct NodeState {
     std::int64_t seq = 0;  // inspection sequence (next exchange to complete)
-    std::vector<std::vector<Need>> recv;  // per sender, current sequence
+    std::vector<sim::Payload> recv;  // per sender, current sequence
+    std::vector<sim::Payload> done;  // the last completed exchange's lists
     std::map<std::int64_t, std::vector<sim::Message>> stash;  // future seqs
     sim::Semaphore sem;  // one post per current-sequence arrival
   };
-  void apply(NodeState& st, const sim::Message& m);
 
   tempest::Cluster& cluster_;
   std::vector<NodeState> st_;

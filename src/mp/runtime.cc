@@ -29,8 +29,9 @@ MpRuntime::MpRuntime(tempest::Cluster& cluster)
         }
       });
   // Crash recovery: epochs and stashed future-epoch payloads are host state
-  // the cluster checkpoint cannot see. NodeState is deep-copyable (payloads
-  // are owned vectors), so the whole table is the snapshot.
+  // the cluster checkpoint cannot see. The whole table is the snapshot;
+  // copying it shares the stashed payloads (capture and restore run at the
+  // window barrier, where any handle may be copied).
   cluster_.register_host_state_hook(
       {[this]() -> std::shared_ptr<void> {
          return std::make_shared<std::vector<NodeState>>(st_);
@@ -63,7 +64,7 @@ void MpRuntime::advance_epoch(Node& node, sim::Task& task) {
     sim::Message& m = st.stash[i];
     apply(node, m);
     node.recv_sem.post(task.now(), bytes);
-    cluster_.recycle_payload(m.src, std::move(m.payload));
+    m.payload.reset();
   }
   st.stash.erase(st.stash.begin() + static_cast<std::ptrdiff_t>(kept),
                  st.stash.end());
@@ -91,7 +92,7 @@ void MpRuntime::send(Node& node, sim::Task& task, GAddr addr,
     m.addr = addr + off;
     m.arg[1] = epoch;
     m.payload = node.cluster().payload_pool().acquire(chunk);
-    std::memcpy(m.payload.data(), node.mem(addr + off), chunk);
+    std::memcpy(m.payload.mutable_data(), node.mem(addr + off), chunk);
     node.send(task, std::move(m));
     off += chunk;
   }

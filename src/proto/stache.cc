@@ -12,7 +12,8 @@ namespace fgdsm::proto {
 
 Stache::Stache(tempest::Cluster& cluster)
     : cluster_(cluster),
-      dir_(static_cast<std::size_t>(cluster.nnodes())),
+      dir_(static_cast<std::size_t>(cluster.nnodes()),
+           Directory{{}, SharerArena(cluster.nnodes())}),
       nodes_(static_cast<std::size_t>(cluster.nnodes())),
       ccc_open_(static_cast<std::size_t>(cluster.nnodes())) {
   // Sharer sets spill past 64 nodes lazily (SharerSet); the dirty-word mask
@@ -83,14 +84,14 @@ void Stache::reset_pending_mask(int node, BlockId b) {
 }
 
 Stache::DirEntry& Stache::dir(Node& home, BlockId b) {
-  auto& d = dir_[static_cast<std::size_t>(home.id())];
+  auto& d = dir_[static_cast<std::size_t>(home.id())].entries;
   const std::size_t idx = dir_index(b);
   if (idx >= d.size()) d.resize(idx + 1);
   return d[idx];
 }
 
 const Stache::DirEntry* Stache::dir_find(int home, BlockId b) const {
-  const auto& d = dir_[static_cast<std::size_t>(home)];
+  const auto& d = dir_[static_cast<std::size_t>(home)].entries;
   const std::size_t idx = dir_index(b);
   return idx < d.size() ? &d[idx] : nullptr;
 }
@@ -195,7 +196,8 @@ void Stache::send_block_msg(Node& from, HandlerClock& clk, int dst,
   m.arg[0] = static_cast<std::int64_t>(mask);
   if (with_data) {
     m.payload = cluster_.payload_pool().acquire(cluster_.block_size());
-    std::memcpy(m.payload.data(), from.mem(m.addr), cluster_.block_size());
+    std::memcpy(m.payload.mutable_data(), from.mem(m.addr),
+                cluster_.block_size());
     clk.charge(cluster_.costs().copy_time(
         static_cast<std::int64_t>(cluster_.block_size())));
   }
@@ -244,6 +246,7 @@ void Stache::service(Node& home, MsgType type, int requester, BlockId b,
   DirEntry& e = dir(home, b);
   FGDSM_DCHECK(!e.busy);
   const int self = home.id();
+  SharerArena& arena = spill(home);
   FGDSM_LOG("stache", "t=" << clk.t << " service blk=" << b << " type="
                            << static_cast<int>(type) << " req=" << requester
                            << " state=" << static_cast<int>(e.state)
@@ -260,15 +263,15 @@ void Stache::service(Node& home, MsgType type, int requester, BlockId b,
           if (home.access(b) == Access::kReadWrite) {
             home.set_access(b, Access::kReadOnly);
             clk.charge(cluster_.costs().access_change_cost);
-            e.sharers.add(self);
+            e.sharers.add(self, arena);
           }
           e.state = DirState::kShared;
-          e.sharers.add(requester);
+          e.sharers.add(requester, arena);
           send_block_msg(home, clk, requester, MsgType::kReadResp, b, 0,
                          /*with_data=*/true);
           break;
         case DirState::kShared:
-          e.sharers.add(requester);
+          e.sharers.add(requester, arena);
           send_block_msg(home, clk, requester, MsgType::kReadResp, b, 0,
                          /*with_data=*/true);
           break;
@@ -284,9 +287,9 @@ void Stache::service(Node& home, MsgType type, int requester, BlockId b,
             clk.charge(cluster_.costs().access_change_cost);
             reset_pending_mask(self, b);
             e.state = DirState::kShared;
-            e.sharers.clear();
-            e.sharers.add(self);
-            e.sharers.add(requester);
+            e.sharers.clear(arena);
+            e.sharers.add(self, arena);
+            e.sharers.add(requester, arena);
             e.owner = -1;
             send_block_msg(home, clk, requester, MsgType::kReadResp, b, 0,
                            /*with_data=*/true);
@@ -307,7 +310,8 @@ void Stache::service(Node& home, MsgType type, int requester, BlockId b,
       // the requester's copy was invalidated while this request was in
       // flight — deny (its dirty words already travelled with the
       // invalidation ack).
-      if (e.state != DirState::kShared || !e.sharers.contains(requester)) {
+      if (e.state != DirState::kShared ||
+          !e.sharers.contains(requester, arena)) {
         sim::Message g;
         g.dst = requester;
         g.type = static_cast<std::uint16_t>(MsgType::kWriteGrant);
@@ -316,11 +320,11 @@ void Stache::service(Node& home, MsgType type, int requester, BlockId b,
         home.send_from_handler(clk, std::move(g));
         break;
       }
-      const int ninval = e.sharers.count() - 1;  // everyone but the requester
+      const int ninval = e.sharers.count(arena) - 1;  // all but requester
       if (ninval == 0) {
         e.state = DirState::kExcl;
         e.owner = requester;
-        e.sharers.clear();
+        e.sharers.clear(arena);
         sim::Message g;
         g.dst = requester;
         g.type = static_cast<std::uint16_t>(MsgType::kWriteGrant);
@@ -330,7 +334,7 @@ void Stache::service(Node& home, MsgType type, int requester, BlockId b,
       }
       e.busy = true;
       e.txn = Txn{Txn::Kind::kWrite, requester, ninval, 0};
-      e.sharers.for_each([&](int n) {
+      e.sharers.for_each(arena, [&](int n) {
         if (n == requester) return;
         send_block_msg(home, clk, n, MsgType::kInval, b, 0,
                        /*with_data=*/false);
@@ -350,37 +354,42 @@ void Stache::service(Node& home, MsgType type, int requester, BlockId b,
           reset_pending_mask(self, b);
           e.state = DirState::kExcl;
           e.owner = requester;
-          e.sharers.clear();
+          e.sharers.clear(arena);
           send_block_msg(home, clk, requester, MsgType::kFetchExclResp, b, 0,
                          /*with_data=*/true);
           break;
         }
         case DirState::kShared: {
-          SharerSet to_inval = e.sharers;
-          to_inval.remove(requester);
-          // Invalidate the home's own read-only copy inline (its memory is
-          // the authoritative storage; no message needed).
-          if (to_inval.contains(self)) {
+          // Every sharer but the requester loses its copy. The home's own
+          // read-only copy is invalidated inline (its memory is the
+          // authoritative storage; no message needed); the others get an
+          // invalidation each.
+          const bool home_copy =
+              self != requester && e.sharers.contains(self, arena);
+          if (home_copy) {
             home.set_access(b, Access::kInvalid);
             clk.charge(cluster_.costs().access_change_cost);
             reset_pending_mask(self, b);
-            to_inval.remove(self);
           }
-          if (to_inval.empty()) {
+          const int ninval = e.sharers.count(arena) -
+                             (e.sharers.contains(requester, arena) ? 1 : 0) -
+                             (home_copy ? 1 : 0);
+          if (ninval == 0) {
             e.state = DirState::kExcl;
             e.owner = requester;
-            e.sharers.clear();
+            e.sharers.clear(arena);
             send_block_msg(home, clk, requester, MsgType::kFetchExclResp, b,
                            0, /*with_data=*/true);
             break;
           }
           e.busy = true;
-          e.txn = Txn{Txn::Kind::kFetchExcl, requester, to_inval.count(), 0};
-          e.sharers.clear();
-          to_inval.for_each([&](int n) {
+          e.txn = Txn{Txn::Kind::kFetchExcl, requester, ninval, 0};
+          e.sharers.for_each(arena, [&](int n) {
+            if (n == requester || n == self) return;
             send_block_msg(home, clk, n, MsgType::kInval, b, 0,
                            /*with_data=*/false);
           });
+          e.sharers.clear(arena);
           break;
         }
         case DirState::kExcl: {
@@ -430,7 +439,7 @@ void Stache::h_put_data_req(Node& self, sim::Message& m, HandlerClock& clk) {
 }
 
 void Stache::apply_masked_words(Node& dst, BlockId b, std::uint64_t mask,
-                                const std::vector<std::byte>& payload) {
+                                const sim::Payload& payload) {
   const GAddr base = cluster_.block_addr(b);
   const std::size_t words = cluster_.words_per_block();
   FGDSM_DCHECK(payload.size() == cluster_.block_size());
@@ -453,10 +462,11 @@ void Stache::h_put_data_resp(Node& self, sim::Message& m, HandlerClock& clk) {
   clk.charge(cluster_.costs().copy_time(
       static_cast<std::int64_t>(cluster_.block_size())));
   const int prev_owner = e.owner;
+  SharerArena& arena = spill(self);
   e.state = DirState::kShared;
-  e.sharers.clear();
-  e.sharers.add(prev_owner);
-  e.sharers.add(e.txn.requester);
+  e.sharers.clear(arena);
+  e.sharers.add(prev_owner, arena);
+  e.sharers.add(e.txn.requester, arena);
   e.owner = -1;
   send_block_msg(self, clk, e.txn.requester, MsgType::kReadResp, b, 0,
                  /*with_data=*/true);
@@ -531,7 +541,7 @@ void Stache::finish_txn_if_done(Node& home, BlockId b, DirEntry& e,
     case Txn::Kind::kWrite: {
       e.state = DirState::kExcl;
       e.owner = e.txn.requester;
-      e.sharers.clear();
+      e.sharers.clear(spill(home));
       // Grant; forward any words merged from concurrently-invalidated
       // writers so the new owner's copy becomes complete.
       send_block_msg(home, clk, e.txn.requester, MsgType::kWriteGrant, b,
@@ -541,7 +551,7 @@ void Stache::finish_txn_if_done(Node& home, BlockId b, DirEntry& e,
     case Txn::Kind::kFetchExcl: {
       e.state = DirState::kExcl;
       e.owner = e.txn.requester;
-      e.sharers.clear();
+      e.sharers.clear(spill(home));
       send_block_msg(home, clk, e.txn.requester, MsgType::kFetchExclResp, b,
                      0, /*with_data=*/true);
       break;
@@ -692,7 +702,7 @@ void Stache::send_blocks(Node& node, sim::Task& task, GAddr addr,
     m.addr = addr + off;
     m.arg[0] = static_cast<std::int64_t>(chunk / cluster_.block_size());
     m.payload = cluster_.payload_pool().acquire(chunk);
-    std::memcpy(m.payload.data(), node.mem(addr + off), chunk);
+    std::memcpy(m.payload.mutable_data(), node.mem(addr + off), chunk);
     node.send(task, std::move(m));
     ++node.stats.ccc_messages_sent;
     off += chunk;
@@ -725,7 +735,7 @@ void Stache::ccc_flush(Node& node, sim::Task& task, GAddr addr,
     m.addr = addr + off;
     m.arg[0] = static_cast<std::int64_t>(chunk / cluster_.block_size());
     m.payload = cluster_.payload_pool().acquire(chunk);
-    std::memcpy(m.payload.data(), node.mem(addr + off), chunk);
+    std::memcpy(m.payload.mutable_data(), node.mem(addr + off), chunk);
     node.send(task, std::move(m));
     ++node.stats.ccc_messages_sent;
     off += chunk;
@@ -783,7 +793,7 @@ std::vector<std::string> Stache::find_violations() const {
 
   // Directory engine drained: no busy entries, no queued requests.
   for (int h = 0; h < np; ++h) {
-    const auto& d = dir_[static_cast<std::size_t>(h)];
+    const auto& d = dir_[static_cast<std::size_t>(h)].entries;
     for (std::size_t i = 0; i < d.size(); ++i) {
       const DirEntry& e = d[i];
       if (e.busy || !e.queue_empty()) {
@@ -809,6 +819,7 @@ std::vector<std::string> Stache::find_violations() const {
     const DirState state = e == nullptr ? DirState::kIdle : e->state;
     static const SharerSet kNoSharers;
     const SharerSet& sharers = e == nullptr ? kNoSharers : e->sharers;
+    const SharerArena& arena = dir_[static_cast<std::size_t>(home)].spill;
     const int owner = e == nullptr ? -1 : e->owner;
     for (int n = 0; n < np; ++n) {
       const Access a = cluster_.node(n).access(b);
@@ -832,7 +843,7 @@ std::vector<std::string> Stache::find_violations() const {
                << sharers.low64() << std::dec << ") but node " << n
                << " holds a writable tag";
             report(os.str());
-          } else if (a == Access::kReadOnly && !sharers.contains(n)) {
+          } else if (a == Access::kReadOnly && !sharers.contains(n, arena)) {
             os << "block " << b << " Shared (sharers 0x" << std::hex
                << sharers.low64() << std::dec << ") but non-sharer node " << n
                << " holds a readonly tag";
@@ -872,7 +883,7 @@ void Stache::check_invariants(Node& node) {
 std::shared_ptr<void> Stache::capture_snapshot(Node& node) {
   const std::size_t n = static_cast<std::size_t>(node.id());
   auto s = std::make_shared<NodeSnapshot>();
-  for (const DirEntry& e : dir_[n])
+  for (const DirEntry& e : dir_[n].entries)
     FGDSM_ASSERT_MSG(!e.busy && e.queue_empty(),
                      "checkpoint capture at a non-quiescent directory (node "
                          << node.id() << ")");
@@ -892,7 +903,8 @@ void Stache::restore_snapshot(Node& node, const std::shared_ptr<void>& sp) {
   if (sp == nullptr) {
     // Pristine initial state: an empty directory (entries regrow on first
     // request) and no transaction bookkeeping.
-    dir_[n].clear();
+    dir_[n].entries.clear();
+    dir_[n].spill.clear();
     ccc_open_[n].clear();
     st.outstanding = 0;
     st.upgrade.clear();

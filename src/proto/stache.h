@@ -206,9 +206,15 @@ class Stache : public tempest::Protocol {
     // vector beats a hash map on every note_writes probe.
     std::vector<PendingUpgrade> upgrade;
   };
+  // The directory at one home: its entries, indexed by dir_index, and the
+  // spill words of their sharer sets.
+  struct Directory {
+    std::vector<DirEntry> entries;
+    SharerArena spill;
+  };
   // One node's capture_snapshot payload (opaque to the cluster).
   struct NodeSnapshot {
-    std::vector<DirEntry> dir;
+    Directory dir;
     std::unordered_set<BlockId> ccc_open;
     std::vector<PendingUpgrade> upgrade;
     int outstanding = 0;
@@ -236,7 +242,7 @@ class Stache : public tempest::Protocol {
   std::uint64_t pending_mask_of(int node, BlockId b) const;
   void reset_pending_mask(int node, BlockId b);
   void apply_masked_words(Node& dst, BlockId b, std::uint64_t mask,
-                          const std::vector<std::byte>& payload);
+                          const sim::Payload& payload);
   // Dense per-home directory indexing: pages are assigned to homes
   // round-robin, so the blocks homed at one node form a regular lattice.
   // dir_index maps a global BlockId to its slot in that home's flat array
@@ -257,6 +263,9 @@ class Stache : public tempest::Protocol {
            idx % bpp;
   }
   DirEntry& dir(Node& home, BlockId b);
+  SharerArena& spill(const Node& home) {
+    return dir_[static_cast<std::size_t>(home.id())].spill;
+  }
   const DirEntry* dir_find(int home, BlockId b) const;
   void service(Node& home, MsgType type, int requester, BlockId b,
                HandlerClock& clk);
@@ -270,10 +279,11 @@ class Stache : public tempest::Protocol {
   std::uint64_t full_mask() const;
 
   tempest::Cluster& cluster_;
-  // dir_[home][dir_index(block)] — flat per-home arrays over the blocks
-  // homed there, grown lazily to the highest block that ever saw a remote
-  // request. Directory lookups on the request hot path are one indexed load.
-  std::vector<std::vector<DirEntry>> dir_;
+  // dir_[home].entries[dir_index(block)] — flat per-home arrays over the
+  // blocks homed there, grown lazily to the highest block that ever saw a
+  // remote request. Directory lookups on the request hot path are one
+  // indexed load.
+  std::vector<Directory> dir_;
   std::vector<NodeState> nodes_;
   // Per node: blocks deliberately opened by implicit_writable (compiler-
   // contracted incoherence the directory does not know about). Maintained

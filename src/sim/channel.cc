@@ -102,15 +102,14 @@ void ReliableChannel::retain(TxLink& t, const Message& msg) {
   }
   TxSlot& s = t.ring[msg.ch_seq & (t.ring.size() - 1)];
   FGDSM_DCHECK(!s.live);
-  s.msg = msg;
+  s.msg = msg;  // shares the payload buffer
   s.seq = msg.ch_seq;
   s.live = true;
   ++t.live_count;
 }
 
 void ReliableChannel::release_slot(TxLink& t, TxSlot& s) {
-  s.msg.payload.clear();
-  s.msg.payload.shrink_to_fit();
+  s.msg.payload.reset();
   s.live = false;
   --t.live_count;
 }

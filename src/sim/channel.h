@@ -18,11 +18,13 @@
 // Bookkeeping: the sender's retained copies live in a power-of-two ring
 // indexed by sequence number (consecutive seqs make the sliding window a
 // natural ring; the ring doubles on the rare occasion the window outgrows
-// it), and the receiver's out-of-order buffer is a small sorted vector —
-// no node-per-message containers on the retransmission path. Sequence
-// numbers are 64-bit end to end, so they never wrap within any realistic
-// soak (the earlier 32-bit fields, compared with plain </>, misordered after
-// 2^32 messages on one link).
+// it). A retained copy and every retransmission share the sent message's
+// payload buffer (sim::Payload) instead of copying it. The receiver's
+// out-of-order buffer is a small sorted vector — no node-per-message
+// containers on the retransmission path. Sequence numbers are 64-bit end
+// to end, so they never wrap within any realistic soak (the earlier 32-bit
+// fields, compared with plain </>, misordered after 2^32 messages on one
+// link).
 //
 // Link-state residency: the per-link books live in per-node hash maps
 // where a link's book is allocated on its first traffic, so resident state

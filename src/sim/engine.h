@@ -225,11 +225,14 @@ class Engine {
     return t;
   }
 
-  // Index of the partition whose event is executing on the calling thread
-  // (0 outside a drain). Lets per-cluster facilities (the payload pool)
-  // shard their state per partition without plumbing a node id through
-  // every call site.
-  int current_partition_id() const { return current_partition_index(); }
+  // Index of the partition draining on the calling thread, or -1 outside
+  // a drain (the coordinator between windows, setup and teardown). Lets
+  // per-cluster facilities (the payload pools) shard their state per
+  // partition without plumbing a node id through every call site.
+  int draining_partition() const {
+    const Partition* cur = current_partition();
+    return cur != nullptr ? cur->index : -1;
+  }
 
   // Current window boundary: no task may advance its clock past this
   // (cross-partition events merged at the barrier may land exactly here).

@@ -1,5 +1,6 @@
 #include "src/sim/network.h"
 
+#include <type_traits>
 #include <utility>
 
 #include "src/sim/fault.h"
@@ -14,6 +15,10 @@ static_assert(sizeof(Message) + sizeof(void*) + sizeof(Time) <=
                   InlineFn::kCapacity,
               "delivery closure no longer fits the inline event buffer; "
               "shrink Message or raise InlineFn::kCapacity");
+// Containers in a receiver's partition (out-of-order buffers, stashes)
+// relocate messages as they grow. That must move them: a copy there would
+// share a payload outside its owner's partition (sim/payload.h).
+static_assert(std::is_nothrow_move_constructible_v<Message>);
 
 Network::Network(Engine& engine, const CostModel& costs, int nnodes)
     : engine_(engine),
@@ -73,8 +78,9 @@ Time Network::send(Time earliest, Message msg) {
   DeliverFn& sink = deliver_[dst];
   FGDSM_ASSERT_MSG(sink, "no delivery sink attached for node " << dst);
   if (verdict.duplicate) {
-    // A second, independent copy arrives later; the channel's duplicate
-    // suppression discards whichever copy loses the race.
+    // A second, independent copy arrives later (sharing the payload
+    // buffer); the channel's duplicate suppression discards whichever copy
+    // loses the race.
     const Time dup_arrival = arrival + verdict.dup_delay;
     engine_.schedule_node(dst, dup_arrival,
                           [&sink, m = Message(msg), dup_arrival]() mutable {

@@ -13,6 +13,7 @@
 
 #include "src/sim/cost_model.h"
 #include "src/sim/engine.h"
+#include "src/sim/payload.h"
 #include "src/sim/resource.h"
 #include "src/sim/time.h"
 
@@ -31,7 +32,7 @@ struct Message {
   std::uint32_t epoch = 0;
   std::uint64_t addr = 0;                 // usually a global byte address
   std::array<std::int64_t, 4> arg{};      // small scalar arguments
-  std::vector<std::byte> payload;         // optional data
+  Payload payload;                        // optional data, shared on copy
   std::uint64_t trace_id = 0;             // tracer flow id (0 = untraced)
   // Reliable-transport framing (sim::ReliableChannel; chaos mode only).
   // ch_seq is the per-link sequence number (0 = unsequenced: loopback and
@@ -45,67 +46,6 @@ struct Message {
   std::int64_t size_bytes(int header) const {
     return header + static_cast<std::int64_t>(payload.size());
   }
-};
-
-// Recycles payload buffers so steady-state block transfers allocate nothing.
-// Per-cluster (owned by tempest::Cluster), preserving the engine's
-// one-simulation-per-thread reentrancy invariant. acquire() returns a buffer
-// of the requested size with UNSPECIFIED contents; every producer fully
-// overwrites what it sends (block copies, chunk copies), so no stale-data
-// scrubbing is needed. release() is safe for any vector, including empty
-// ones and buffers that never came from the pool.
-//
-// A cluster keeps one pool per event partition, and a payload is consumed
-// in the receiver's partition. release_to() holds such a buffer for the
-// sender's pool until send_home() moves it there at the window barrier, so
-// each producer keeps the buffers it sends instead of allocating while
-// receivers' pools fill.
-class BufferPool {
- public:
-  std::vector<std::byte> acquire(std::size_t n) {
-    if (!free_.empty()) {
-      std::vector<std::byte> b = std::move(free_.back());
-      free_.pop_back();
-      if (b.capacity() < n) ++fresh_allocs_;
-      b.resize(n);
-      return b;
-    }
-    ++fresh_allocs_;
-    return std::vector<std::byte>(n);
-  }
-
-  void release(std::vector<std::byte>&& b) {
-    if (b.capacity() == 0 || free_.size() >= kMaxFree) return;
-    free_.push_back(std::move(b));
-    free_.back().clear();
-  }
-
-  // Holds a consumed buffer for pools[owner] (see send_home).
-  void release_to(int owner, std::vector<std::byte>&& b) {
-    if (b.capacity() == 0) return;
-    away_.emplace_back(owner, std::move(b));
-  }
-
-  // Releases every buffer held by release_to into its owner's pool. Only
-  // while no partition drains: it writes other partitions' pools.
-  void send_home(std::vector<BufferPool>& pools) {
-    for (auto& [owner, b] : away_)
-      pools[static_cast<std::size_t>(owner)].release(std::move(b));
-    away_.clear();
-  }
-
-  // Buffers that had to be newly allocated (pool empty or too small). Flat
-  // across iterations in steady state — the basis of the zero-allocation
-  // regression tests.
-  std::uint64_t fresh_allocs() const { return fresh_allocs_; }
-
- private:
-  // Bounds pool memory; enough for every in-flight block transfer of an
-  // 8..32-node run with bulk transfer enabled.
-  static constexpr std::size_t kMaxFree = 1024;
-  std::vector<std::vector<std::byte>> free_;
-  std::vector<std::pair<int, std::vector<std::byte>>> away_;
-  std::uint64_t fresh_allocs_ = 0;
 };
 
 class FaultInjector;

@@ -20,8 +20,8 @@ std::size_t round_up(std::size_t v, std::size_t align) {
 
 Cluster::Cluster(ClusterConfig cfg)
     : cfg_(cfg),
-      net_(engine_, cfg_.costs, cfg.nnodes),
-      pools_(static_cast<std::size_t>(cfg.nnodes)) {
+      pools_(engine_, cfg.nnodes),
+      net_(engine_, cfg_.costs, cfg.nnodes) {
   cfg_.validate();
   block_shift_ = std::countr_zero(cfg_.block_size);
   // One event partition per node, ALWAYS — regardless of sim_threads — so
@@ -85,11 +85,11 @@ Cluster::Cluster(ClusterConfig cfg)
     });
     engine_.set_recovery_hook([this] { return recover(); });
   }
-  // At every window barrier, consumed payloads go home to their senders'
-  // pools, and a capture requested inside the window runs.
+  // At every window barrier, the payload drops other partitions deferred
+  // are applied, and a capture requested inside the window runs.
   if (cfg_.nnodes > 1)
     engine_.set_window_hook([this] {
-      for (sim::BufferPool& p : pools_) p.send_home(pools_);
+      pools_.settle();
       if (!ckpt_request_) return;
       ckpt_request_ = false;
       capture_checkpoint(ckpt_request_t_, /*at_barrier=*/true);

@@ -87,27 +87,14 @@ class Cluster {
   sim::Engine& engine() { return engine_; }
   sim::Network& network() { return net_; }
 
-  // Payload recycler: protocol/runtime producers acquire block and chunk
-  // buffers here, and the handler dispatch returns them after the handler
-  // consumed the message — steady-state block transfers allocate nothing.
-  // Sharded per event partition (selected by the engine's drain context) so
-  // concurrently drained partitions never touch the same free list. Pool
+  // Payload pools: protocol/runtime producers acquire block, chunk and
+  // need-list buffers here, and a buffer returns to the pool that made it
+  // when its last handle drops — steady-state transfers allocate nothing.
+  // One pool per event partition (the one draining on this thread), so
+  // concurrently drained partitions never touch the same free list; drops
+  // from other partitions wait for the window barrier (sim/payload.h). Pool
   // choice never affects simulated results.
-  sim::BufferPool& payload_pool() {
-    return pools_[static_cast<std::size_t>(engine_.current_partition_id())];
-  }
-  // Returns a consumed payload to the pool of its sender, node `src`, whose
-  // partition drew it: directly when that is the current partition, else
-  // at the next window barrier.
-  void recycle_payload(int src, std::vector<std::byte>&& payload) {
-    FGDSM_DCHECK(src >= 0 && src < cfg_.nnodes);
-    const int here = engine_.current_partition_id();
-    if (src == here)
-      pools_[static_cast<std::size_t>(here)].release(std::move(payload));
-    else
-      pools_[static_cast<std::size_t>(here)].release_to(src,
-                                                        std::move(payload));
-  }
+  sim::BufferPool& payload_pool() { return pools_.current(); }
 
   // The one egress point for node traffic: routes through the reliable
   // channel in chaos mode, or straight to the network otherwise (same
@@ -245,9 +232,12 @@ class Cluster {
 
   ClusterConfig cfg_;
   int block_shift_ = 0;  // log2(cfg_.block_size), a validated power of two
+  // Before engine_, net_ and everything else that holds payload handles
+  // (queued deliveries, channel copies, inboxes, checkpoints): the pools
+  // must outlive every handle.
+  sim::PayloadPools pools_;
   sim::Engine engine_;
   sim::Network net_;
-  std::vector<sim::BufferPool> pools_;  // one per event partition
   // Chaos mode only (both null when cfg_.faults is disabled, keeping the
   // fault-free path untouched).
   std::unique_ptr<sim::FaultInjector> fault_;

@@ -344,9 +344,9 @@ void Node::execute_one_handler() {
       cluster_.handler(static_cast<MsgType>(pm.msg.type));
   h(*this, pm.msg, clk);
   proto_res().set_available(clk.t);
-  // The handler consumed the message; hand its payload buffer back so the
-  // sender's next block/chunk reuses it instead of allocating.
-  cluster_.recycle_payload(pm.msg.src, std::move(pm.msg.payload));
+  // The handler consumed the message; dropping its payload hands the buffer
+  // back to the sender's pool for its next block or chunk.
+  pm.msg.payload.reset();
   if (auto* tr = cluster_.tracer()) {
     const char* name =
         msg_label(*tr, "h", static_cast<MsgType>(pm.msg.type));

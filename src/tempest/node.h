@@ -147,7 +147,12 @@ class Node {
   class InboxRing {
    public:
     bool empty() const { return head_ == tail_; }
-    void clear() { head_ = tail_ = 0; }  // slots are overwritten on reuse
+    void clear() {
+      // Drop the queued payloads; the slots are overwritten on reuse.
+      for (std::uint64_t i = head_; i != tail_; ++i)
+        buf_[i & (buf_.size() - 1)].msg.payload.reset();
+      head_ = tail_ = 0;
+    }
     PendingMsg& front() { return buf_[head_ & (buf_.size() - 1)]; }
     void push_back(PendingMsg&& m) {
       if (tail_ - head_ == buf_.size()) grow();

@@ -165,5 +165,19 @@ TEST(SimThreads, ChaosRunIsBitIdenticalAtFourThreads) {
   EXPECT_EQ(clean.arrays, st4.arrays);
 }
 
+TEST(SimThreads, SharedNeedListsAreBitIdenticalAtFourThreads) {
+  // The irregular needs exchange sends one shared payload to every other
+  // node; on four workers the receivers hold and drop it in other
+  // partitions while the plan table reads it in place, and the channel's
+  // retained copies share it too.
+  BudgetOverride cores(8);
+  const std::string faults = "drop=0.02,dup=0.02,delay=0.05,seed=5";
+  const auto prog = apps::spmv(512, 8, 3, /*pattern=*/0);
+  const exec::RunResult st1 = exec::run(prog, app_cfg(8, 1, faults));
+  const exec::RunResult st4 = exec::run(prog, app_cfg(8, 4, faults));
+  expect_identical(st1, st4, "spmv chaos sim_threads=4");
+  EXPECT_GT(st4.stats.totals().irreg_inspections, 0u);
+}
+
 }  // namespace
 }  // namespace fgdsm

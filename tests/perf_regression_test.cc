@@ -3,12 +3,13 @@
 //   - ReliableChannel sequence numbers are 64-bit and survive crossing the
 //     former 32-bit wrap point under drops and duplication;
 //   - the event slab and the payload pools reach a high-water mark and stay
-//     there, including a sender's pool whose buffers other partitions
-//     consume. That whole runs allocate nothing once every node has visited
-//     its loops is tests/steady_alloc_test.cc's job.
+//     there, including a sender's pool whose shared buffers other
+//     partitions consume. That whole runs allocate nothing once every node
+//     has visited its loops is tests/steady_alloc_test.cc's job.
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <cstring>
 #include <functional>
 #include <memory>
 #include <stdexcept>
@@ -21,6 +22,7 @@
 #include "src/sim/event_pool.h"
 #include "src/sim/fault.h"
 #include "src/sim/network.h"
+#include "src/sim/payload.h"
 #include "src/sim/sync.h"
 #include "src/sim/task.h"
 #include "src/util/assert.h"
@@ -162,14 +164,13 @@ TEST(SteadyState, EventSlabStopsGrowing) {
 TEST(SteadyState, BufferPoolReusesPayloads) {
   BufferPool pool;
   // Warm up with the working-set of buffer sizes.
-  std::vector<std::vector<std::byte>> in_flight;
+  std::vector<Payload> in_flight;
   for (int i = 0; i < 16; ++i) in_flight.push_back(pool.acquire(4096));
-  for (auto& b : in_flight) pool.release(std::move(b));
-  in_flight.clear();
+  in_flight.clear();  // the last handles drop: the buffers go back
   const std::uint64_t fresh = pool.fresh_allocs();
+  EXPECT_EQ(pool.idle(), 16u);
   for (int round = 0; round < 1000; ++round) {
     for (int i = 0; i < 16; ++i) in_flight.push_back(pool.acquire(4096));
-    for (auto& b : in_flight) pool.release(std::move(b));
     in_flight.clear();
   }
   EXPECT_EQ(pool.fresh_allocs(), fresh)
@@ -177,23 +178,49 @@ TEST(SteadyState, BufferPoolReusesPayloads) {
 }
 
 TEST(SteadyState, ConsumedPayloadsReturnToTheSendersPool) {
-  // Partition 0 sends, partition 1 consumes. Held buffers go home at the
-  // window barrier, so the sender's next round reuses them.
-  std::vector<BufferPool> pools(2);
-  const auto round = [&] {
-    std::vector<std::vector<std::byte>> in_flight;
-    in_flight.reserve(16);
-    for (int i = 0; i < 16; ++i) in_flight.push_back(pools[0].acquire(4096));
-    for (auto& b : in_flight) pools[1].release_to(0, std::move(b));
-    for (BufferPool& p : pools) p.send_home(pools);  // the window barrier
-  };
-  round();
-  const std::uint64_t fresh = pools[0].fresh_allocs();
-  EXPECT_EQ(fresh, 16u);
-  for (int r = 0; r < 100; ++r) round();
-  EXPECT_EQ(pools[0].fresh_allocs(), fresh)
-      << "the sender allocated while its buffers sat in the receiver's pool";
+  // Partition 0 sends every buffer it acquires to partitions 1 and 2, which
+  // drop their handles two windows apart. A buffer may go home only at the
+  // barrier after its last drop; then the sender's next round reuses it.
+  constexpr Time kL = 100;
+  Engine engine;
+  engine.set_partitions(3);
+  engine.set_window_lookahead(kL);
+  PayloadPools pools(engine, 3);
+  engine.set_window_hook([&] { pools.settle(); });
+  std::vector<std::size_t> idle_shared;  // after partition 1's drops
+  std::vector<std::size_t> idle_home;    // after partition 2's drops
+  constexpr int kRounds = 20;
+  for (int r = 0; r < kRounds; ++r) {
+    const Time t0 = r * 10 * kL;
+    engine.schedule_node(0, t0, [&, t0] {
+      for (int i = 0; i < 16; ++i) {
+        Payload p = pools.current().acquire(4096);
+        std::memset(p.mutable_data(), i, p.size());
+        engine.schedule_node(1, t0 + kL, [p] { ASSERT_EQ(p.size(), 4096u); });
+        engine.schedule_node(2, t0 + 3 * kL, [p = std::move(p)] {
+          ASSERT_EQ(p.size(), 4096u);
+        });
+      }
+      // The owner reads its own pool, in its own partition.
+      engine.schedule(t0 + 2 * kL,
+                      [&] { idle_shared.push_back(pools[0].idle()); });
+      engine.schedule(t0 + 4 * kL,
+                      [&] { idle_home.push_back(pools[0].idle()); });
+    });
+  }
+  engine.run();
+  ASSERT_EQ(idle_shared.size(), static_cast<std::size_t>(kRounds));
+  ASSERT_EQ(idle_home.size(), static_cast<std::size_t>(kRounds));
+  for (int r = 0; r < kRounds; ++r) {
+    EXPECT_EQ(idle_shared[r], 0u)
+        << "round " << r << ": a buffer went home while still shared";
+    EXPECT_EQ(idle_home[r], 16u)
+        << "round " << r << ": buffers did not go home after the last drop";
+  }
+  EXPECT_EQ(pools[0].fresh_allocs(), 16u)
+      << "the sender allocated while its buffers were away";
   EXPECT_EQ(pools[1].fresh_allocs(), 0u);
+  EXPECT_EQ(pools[2].fresh_allocs(), 0u);
 }
 
 TEST(SteadyState, ChannelRetransmissionRingStopsGrowing) {
@@ -212,7 +239,7 @@ TEST(InlineFnTest, TypicalEventsAreNotBoxed) {
   // A Message-carrying lambda (the network delivery event, the largest
   // common event) must ride inline in the event record.
   Message m;
-  m.payload.resize(128);
+  m.payload = Payload(128);
   int sunk = 0;
   e.schedule(1, [&sunk, m2 = std::move(m)]() mutable {
     sunk += static_cast<int>(m2.payload.size());

@@ -161,30 +161,39 @@ TEST(LazyLinkState, LazyLinksInheritInitialSeq) {
 // ---- SharerSet across the one-word boundary ----
 
 TEST(SharerSet, InlineWordBelow64AndSpillAbove) {
+  proto::SharerArena a(1024);
+  EXPECT_EQ(a.stride(), 15u);
   proto::SharerSet s;
-  s.add(0);
-  s.add(63);
+  s.add(0, a);
+  s.add(63, a);
   EXPECT_EQ(s.low64(), (std::uint64_t{1} << 63) | 1u);
-  EXPECT_EQ(s.count(), 2);
-  s.add(64);
-  s.add(1023);
-  EXPECT_EQ(s.count(), 4);
-  EXPECT_TRUE(s.contains(64));
-  EXPECT_TRUE(s.contains(1023));
-  EXPECT_FALSE(s.contains(512));
-  s.remove(64);
-  EXPECT_FALSE(s.contains(64));
-  EXPECT_EQ(s.count(), 3);
+  EXPECT_EQ(s.count(a), 2);
+  s.add(64, a);
+  s.add(1023, a);
+  EXPECT_EQ(s.count(a), 4);
+  EXPECT_TRUE(s.contains(64, a));
+  EXPECT_TRUE(s.contains(1023, a));
+  EXPECT_FALSE(s.contains(512, a));
+  s.remove(64, a);
+  EXPECT_FALSE(s.contains(64, a));
+  EXPECT_EQ(s.count(a), 3);
+
+  // A second set spills into its own words of the same arena.
+  proto::SharerSet t;
+  t.add(512, a);
+  EXPECT_TRUE(t.contains(512, a));
+  EXPECT_FALSE(t.contains(1023, a));
+  EXPECT_FALSE(s.contains(512, a));
 
   // Ascending iteration order — the invalidation fan-out depends on it.
   std::vector<int> seen;
-  s.for_each([&](int n) { seen.push_back(n); });
+  s.for_each(a, [&](int n) { seen.push_back(n); });
   EXPECT_EQ(seen, (std::vector<int>{0, 63, 1023}));
 
-  s.clear();
-  EXPECT_TRUE(s.empty());
-  EXPECT_EQ(s.count(), 0);
-  EXPECT_FALSE(s.contains(1023));
+  s.clear(a);
+  EXPECT_EQ(s.count(a), 0);
+  EXPECT_FALSE(s.contains(1023, a));
+  EXPECT_EQ(t.count(a), 1);
 }
 
 // ---- Whole-application determinism at 64 and 256 nodes ----

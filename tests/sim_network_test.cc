@@ -26,7 +26,7 @@ TEST_F(NetworkTest, DeliversWithLatencyAndBandwidth) {
   m.dst = 1;
   m.type = 7;
   m.addr = 0x1000;
-  m.payload.resize(128);
+  m.payload = Payload(128);
   const Time inject_end = net.send(/*earliest=*/0, std::move(m));
 
   const Time expect_inject =
@@ -77,7 +77,7 @@ TEST_F(NetworkTest, CountsTraffic) {
   Message m;
   m.src = 0;
   m.dst = 1;
-  m.payload.resize(100);
+  m.payload = Payload(100);
   net.send(0, std::move(m));
   engine.run();
   EXPECT_EQ(net.total_messages(), 1u);

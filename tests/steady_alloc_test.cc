@@ -1,14 +1,21 @@
 // Steady state allocates nothing: once a node has visited a loop, later
 // visits reuse storage it owns — access-check scratch, payload buffers,
-// compiled references, plan records — in every execution mode. Each case
+// compiled references, plan records — in every execution mode, and under
+// chaos, where the reliable channel retains every sent message. Each case
 // runs one app twice, with 2I and with 3I iterations, and charges the extra
 // allocations to the extra simulated events.
+//
+// Host work that scales with the node count is bounded here too: one
+// inspection round of the irregular needs exchange allocates O(np), not
+// one list per (sender, receiver) pair, and a 256-node directory whose
+// entries gain sharers >= 64 allocates O(log entries) times.
 //
 // A binary of its own: it replaces the global operator new, which is
 // process-wide.
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <bit>
 #include <cstdint>
 #include <cstdlib>
 #include <functional>
@@ -17,6 +24,9 @@
 
 #include "src/apps/apps.h"
 #include "src/exec/executor.h"
+#include "src/proto/stache.h"
+#include "src/sim/fault.h"
+#include "src/tempest/cluster.h"
 
 namespace {
 // Atomic: engine workers may allocate concurrently.
@@ -105,12 +115,19 @@ struct Count {
   std::uint64_t events = 0;
 };
 
-Count measure(const App& app, const Mode& mode, std::int64_t iters) {
+// `faults`: a --faults spec, empty for a perfect wire.
+Count measure(const App& app, const Mode& mode, std::int64_t iters,
+              const std::string& faults = "") {
   const hpf::Program prog = app.build(iters);
   RunConfig cfg;
   cfg.cluster.nnodes = 8;
   cfg.cluster.dual_cpu = mode.dual_cpu;
   cfg.opt = mode.opt;
+  if (!faults.empty()) {
+    std::string err;
+    cfg.cluster.faults = sim::FaultConfig::parse(faults, &err);
+    EXPECT_TRUE(err.empty()) << err;
+  }
   const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
   const RunResult r = run(prog, cfg);
   const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
@@ -157,6 +174,127 @@ INSTANTIATE_TEST_SUITE_P(
       return std::string(kApps[std::get<0>(info.param)].name) + "_" +
              kModes[std::get<1>(info.param)].name;
     });
+
+// Chaos legs: drops, duplicates and delays through the reliable channel.
+// The channel retains every sent message until it is acked and resends it
+// on a timeout; the retained copy, each retransmission and each duplicate
+// share the sent payload, so no allocation scales with the extra traffic
+// (a payload copied per retained message costs hundreds here). Random
+// faults can still push a high-water mark up in the extra iterations — a
+// deeper out-of-order buffer, more events or buffers in flight at once —
+// and each such step allocates once: 1 to 8 of them over seeds 1–5.
+class SteadyAllocChaos : public ::testing::TestWithParam<const char*> {};
+
+TEST_P(SteadyAllocChaos, RetainedCopiesShareTheirPayloads) {
+  const std::string name = GetParam();
+  const App* app = nullptr;
+  for (const App& a : kApps)
+    if (name == a.name) app = &a;
+  ASSERT_NE(app, nullptr);
+  const Mode& mode = kModes[1];  // sm_opt_2cpu
+  const std::string faults = "drop=0.01,dup=0.01,delay=0.05,seed=3";
+  const Count two = measure(*app, mode, 2 * app->iters, faults);
+  const Count three = measure(*app, mode, 3 * app->iters, faults);
+  ASSERT_GT(three.events, two.events) << "the extra iterations ran no events";
+  const std::int64_t extra_allocs = static_cast<std::int64_t>(three.allocs) -
+                                    static_cast<std::int64_t>(two.allocs);
+  RecordProperty("extra_events", std::to_string(three.events - two.events));
+  RecordProperty("extra_allocs", std::to_string(extra_allocs));
+  constexpr std::int64_t kHighWaterSteps = 16;
+  EXPECT_LE(extra_allocs, kHighWaterSteps)
+      << app->name << " under " << faults << ": " << extra_allocs
+      << " allocations in the extra iterations (" << two.allocs << " at "
+      << 2 * app->iters << " iterations, " << three.allocs << " at "
+      << 3 * app->iters << ")";
+}
+
+INSTANTIATE_TEST_SUITE_P(Apps, SteadyAllocChaos,
+                         ::testing::Values("jacobi", "spmv"),
+                         [](const ::testing::TestParamInfo<const char*>& i) {
+                           return std::string(i.param);
+                         });
+
+// One inspection round of spmv — every node scans its index slice and
+// broadcasts its need list — allocates O(np). Each node encodes its list
+// once into one pooled buffer that its np−1 messages share, and receivers
+// keep the handles instead of decoding. With schedule reuse off, every
+// visit of the irregular loop inspects again, so the extra iterations add
+// one round each.
+TEST(SteadyAllocInspection, OneRoundAllocatesLinearlyInNodes) {
+  // Allocations per node and round. Scan and visit temporaries take about
+  // 15; a list copied and decoded per (sender, receiver) pair would add
+  // 2(np−1).
+  constexpr std::int64_t kPerNode = 24;
+  for (const int np : {64, 256}) {
+    RunConfig cfg;
+    cfg.cluster.nnodes = np;
+    cfg.cluster.dual_cpu = true;
+    cfg.opt = core::shmem_opt_full();
+    cfg.opt.reuse_schedule = false;
+    const auto measure_iters = [&](std::int64_t iters) {
+      const hpf::Program prog = apps::spmv(64 * np, 8, iters, /*pattern=*/0);
+      const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+      const RunResult r = run(prog, cfg);
+      const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+      const std::uint64_t inspections = r.stats.totals().irreg_inspections;
+      return std::pair<std::uint64_t, std::uint64_t>(a1 - a0, inspections);
+    };
+    const auto [allocs2, insp2] = measure_iters(2);
+    const auto [allocs4, insp4] = measure_iters(4);
+    ASSERT_GT(insp4, insp2);
+    ASSERT_EQ((insp4 - insp2) % static_cast<std::uint64_t>(np), 0u);
+    const auto rounds = static_cast<std::int64_t>(
+        (insp4 - insp2) / static_cast<std::uint64_t>(np));
+    const std::int64_t per_round =
+        (static_cast<std::int64_t>(allocs4) -
+         static_cast<std::int64_t>(allocs2)) / rounds;
+    RecordProperty("allocs_per_round_np" + std::to_string(np),
+                   std::to_string(per_round));
+    EXPECT_LE(per_round, kPerNode * np)
+        << "np=" << np << ": " << per_round << " allocations per inspection "
+        << "round over " << rounds << " extra rounds (" << allocs2 << " vs "
+        << allocs4 << ")";
+  }
+}
+
+// Sharer sets of a 256-node directory: two nodes above 63 read every block
+// of one home, so every entry spills. The spill words come from the home's
+// arena, which grows geometrically: eight times the entries add O(log)
+// allocations, not one or more per entry.
+TEST(SteadyAllocDirectory, SpilledSharerSetsAllocateLogarithmically) {
+  const auto measure_entries = [](std::size_t entries) {
+    tempest::ClusterConfig cfg;
+    cfg.nnodes = 256;
+    cfg.page_size = std::size_t{1} << 20;  // one page: every block at home 0
+    tempest::Cluster c(cfg);
+    proto::Stache stache(c);
+    const std::size_t bytes = entries * cfg.block_size;
+    const tempest::GAddr base = c.allocate("x", bytes);
+    const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
+    c.run([&](tempest::Node& n, sim::Task& t) {
+      if (n.id() == 100 || n.id() == 200)
+        for (tempest::GAddr a = base; a < base + bytes; a += cfg.block_size)
+          n.ensure_readable(t, a, 8);
+      n.barrier(t);
+    });
+    const std::uint64_t a1 = g_allocs.load(std::memory_order_relaxed);
+    const proto::Stache::DirSnapshot last =
+        stache.dir_snapshot(c.block_of(base + bytes - cfg.block_size));
+    EXPECT_EQ(last.state, proto::Stache::DirState::kShared);
+    return a1 - a0;
+  };
+  constexpr std::size_t kFew = 1024;
+  constexpr std::size_t kMany = 8 * kFew;
+  const std::uint64_t few = measure_entries(kFew);
+  const std::uint64_t many = measure_entries(kMany);
+  const std::int64_t extra =
+      static_cast<std::int64_t>(many) - static_cast<std::int64_t>(few);
+  RecordProperty("extra_allocs", std::to_string(extra));
+  EXPECT_LE(extra, 4 * std::bit_width(kMany))
+      << (kMany - kFew) << " more spilled entries cost " << extra
+      << " allocations (" << few << " for " << kFew << ", " << many
+      << " for " << kMany << ")";
+}
 
 }  // namespace
 }  // namespace fgdsm::exec
