@@ -56,6 +56,7 @@ struct Point {
   std::int64_t n = 0;  // linear problem dimension actually used
   exec::RunResult result;
   std::uint64_t events = 0;
+  std::uint64_t windows = 0;
   double seconds = 0.0;
   std::uint64_t allocs = 0;
 
@@ -87,6 +88,7 @@ void measure(Point& p, const exec::ExperimentSpec& spec, int reps) {
       p.allocs = a;
     }
     p.events = res.engine_events;
+    p.windows = res.engine_windows;
     p.result = std::move(res);
   }
 }
@@ -230,6 +232,7 @@ int scale_main(int argc, char** argv) {
       w.key(p.key());
       w.begin_object();
       w.kv("events", p.events);
+      w.kv("windows", p.windows);
       w.kv("seconds", p.seconds);
       w.kv("events_per_sec", p.events_per_sec());
       w.kv("ns_per_event", p.ns_per_event());

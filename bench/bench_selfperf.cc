@@ -50,6 +50,7 @@ using bench::seconds_since;
 
 struct Measurement {
   std::uint64_t events = 0;
+  std::uint64_t windows = 0;
   double seconds = 0.0;
   std::uint64_t allocs = 0;
 
@@ -77,6 +78,7 @@ Measurement measure(const std::vector<exec::ExperimentSpec>& specs,
     for (const exec::ExperimentSpec& s : specs) {
       const exec::RunResult res = exec::run(*s.program, s.config);
       m.events += res.engine_events;
+      m.windows += res.engine_windows;
     }
     m.seconds = seconds_since(t0);
     m.allocs = bench::allocation_count() - a0;
@@ -288,6 +290,7 @@ int selfperf_main(int argc, char** argv) {
       w.key(r.name);
       w.begin_object();
       w.kv("events", r.m.events);
+      w.kv("windows", r.m.windows);
       w.kv("seconds", r.m.seconds);
       w.kv("events_per_sec", r.m.events_per_sec());
       w.kv("ns_per_event", r.m.ns_per_event());

@@ -27,8 +27,9 @@ What is compared, per workload:
   - allocs_per_event: heap allocations per simulated event, a host-
     independent structural metric. Fails if current exceeds the baseline by
     more than the tolerance (plus a small absolute slack for tiny counts).
-  - events: the simulated-event count is deterministic for a given workload
-    build, so a mismatch means the *simulation* changed, not the machine —
+  - events and windows: the simulated-event count and the engine's window
+    count are deterministic for a given workload build, so a mismatch means
+    the *simulation* (or its window sequence) changed, not the machine —
     the normalized comparison would be meaningless. Intentional behavior
     changes must refresh the baseline (--update) in the same commit.
 
@@ -119,11 +120,13 @@ def main():
         if c is None:
             failures.append(f"{name}: missing from current run")
             continue
-        if c["events"] != b["events"]:
-            failures.append(
-                f"{name}: event count changed {b['events']} -> "
-                f"{c['events']}; the workload itself changed — refresh the "
-                f"baseline with --update if intentional")
+        changed = [k for k in ("events", "windows")
+                   if c.get(k) != b.get(k)]
+        if changed:
+            failures.extend(
+                f"{name}: {k} count changed {b.get(k)} -> {c.get(k)}; the "
+                f"workload itself changed — refresh the baseline with "
+                f"--update if intentional" for k in changed)
             continue
         floor = b["normalized_events_per_mop"] * (1.0 - tol)
         ratio = c["normalized_events_per_mop"] / b["normalized_events_per_mop"]

@@ -44,8 +44,9 @@
 #                            determinism suite + PDES unit tests, then
 #                            bench_paper fault-free and under chaos at
 #                            --sim-threads={1,4}, plus a 256-node chaos +
-#                            crash leg (lazy per-link state) — JSON results
-#                            must be byte-identical across thread counts
+#                            crash leg (lazy per-link state) and a 1024-node
+#                            bench_scale jacobi leg — JSON results must be
+#                            byte-identical across thread counts
 #   scripts/ci.sh tsan       TSan build; the fiber suites (tasks,
 #                            determinism, PDES partitions, scale, crash
 #                            recovery) run on 4 real engine workers. Task
@@ -96,7 +97,7 @@ case "$job" in
     # with addressable locals to ASan's heap-side fake stack, outside the
     # fiber-stack bytes a checkpoint copies, so a restored fiber would point
     # at recycled fake frames. Everything else runs with it on.
-    rollback='^(CrashRecovery|TaskRollback)\.'
+    rollback='^(CrashRecovery|TaskRollback)\.|^SimThreads\.CrashRecovery'
     ASAN_OPTIONS="detect_stack_use_after_return=1" \
       ctest --test-dir build-asan --output-on-failure -j "$jobs" -E "$rollback"
     ASAN_OPTIONS="detect_stack_use_after_return=0" \
@@ -350,6 +351,17 @@ case "$job" in
     cmp results/simthreads_n256_st1.json results/simthreads_n256_st4.json || {
       echo "simthreads: 256-node chaos + crash results differ across" \
         "--sim-threads" >&2
+      exit 1
+    }
+    # 1024 nodes: the most partitions per worker, where each worker merges
+    # the cross events addressed to its 256 partitions.
+    for st in 1 4; do
+      FGDSM_HOST_CORES=4 build/bench/bench_scale --nodes-list=1024 \
+        --app=jacobi --sim-threads="$st" \
+        --json="results/simthreads_n1024_st$st.json"
+    done
+    cmp results/simthreads_n1024_st1.json results/simthreads_n1024_st4.json || {
+      echo "simthreads: 1024-node results differ across --sim-threads" >&2
       exit 1
     }
     echo "simthreads: results byte-identical at --sim-threads={1,4}"

@@ -103,12 +103,13 @@ struct NodeRun {
   std::map<std::string, util::NodeStats> loop_stats;
 
   // Hot-path scratch, reused across chunks and visits so that a node's
-  // later visits to a loop allocate nothing: inspector need-list
-  // temporaries (spmv without schedule reuse re-inspects every step), an
+  // later visits to a loop allocate nothing: inspector temporaries and its
+  // need list (spmv without schedule reuse re-inspects every step), an
   // irregular loop's plan-key extras, the current visit's compiled
   // references, and each chunk's extents. None of it is checkpointed; each
   // visit rebuilds what it reads.
   irreg::ScanScratch irreg_scratch;
+  irreg::ScanResult irreg_scan;
   std::vector<const std::string*> index_arrays;
   std::vector<std::int64_t> plan_extra;
   CompiledVisit visit;
@@ -280,6 +281,7 @@ class Executor {
     }
     res.scalars = nodes_[0].scalars;
     res.engine_events = cluster_.engine().events_processed();
+    res.engine_windows = cluster_.engine().windows();
     for (const auto& nr : nodes_)
       for (const auto& [name, delta] : nr.loop_stats)
         res.stats.per_loop[name] += delta;
@@ -526,11 +528,11 @@ class Executor {
 
     ++n.stats.irreg_inspections;
     const sim::Time t0 = t.now();
-    irreg::ScanResult sr =
-        irreg::scan(loop, prog_, st.bind, layouts_.by_name, np, n, t,
-                    /*ensure_index=*/shmem(), &st.irreg_scratch);
+    irreg::scan_into(loop, prog_, st.bind, layouts_.by_name, np, n, t,
+                     /*ensure_index=*/shmem(), st.irreg_scratch,
+                     &st.irreg_scan);
     const std::span<const sim::Payload> all =
-        irreg_->exchange(n, t, sr.needs);
+        irreg_->exchange(n, t, st.irreg_scan.needs);
     const core::PlanTable::Entry& e = table_.get(loop, st.bind, extra, [&] {
       return irreg::needs_to_transfers(all, loop, prog_, st.bind, np);
     });

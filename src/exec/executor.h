@@ -43,9 +43,11 @@ struct RunResult {
   std::map<std::string, std::vector<double>> arrays;  // if gathered
   std::map<std::string, double> scalars;              // final (node 0)
   // Host-side throughput accounting (bench_selfperf): how many engine
-  // events the run processed. Deterministic (a simulated quantity), but
-  // deliberately kept out of the fgdsm-bench-v1 JSON schema.
+  // events and windows the run processed. Deterministic (simulated
+  // quantities), but deliberately kept out of the fgdsm-bench-v1 JSON
+  // schema.
   std::uint64_t engine_events = 0;
+  std::uint64_t engine_windows = 0;
   double elapsed_seconds() const {
     return static_cast<double>(stats.elapsed_ns) / 1e9;
   }

@@ -11,8 +11,14 @@ std::vector<std::int64_t> array_extents(const ArrayDecl& a,
                                         const Bindings& b) {
   std::vector<std::int64_t> e;
   e.reserve(a.extents.size());
-  for (const auto& x : a.extents) e.push_back(x.eval(b));
+  array_extents_into(a, b, &e);
   return e;
+}
+
+void array_extents_into(const ArrayDecl& a, const Bindings& b,
+                        std::vector<std::int64_t>* out) {
+  out->clear();
+  for (const auto& x : a.extents) out->push_back(x.eval(b));
 }
 
 ConcreteSection owned_section(const ArrayDecl& a, const Bindings& b, int np,
@@ -137,14 +143,14 @@ void eval_ref(std::span<const CompiledSub> ref,
 }
 
 namespace {
-// Compiles `ref` and the loop's free bounds into `sc`. A whole-range
-// section (more than one dist value) is rectangular only if no free bound
-// reads the distributed variable.
-void compile_into(const ParallelLoop& loop, const ArrayRef& ref,
-                  const Program& prog, const Bindings& b, bool whole_range,
-                  FootprintScratch& sc) {
-  FGDSM_ASSERT_MSG(ref.subs.size() == prog.array(ref.array).extents.size(),
-                   "rank mismatch on " << ref.array);
+// Compiles the reference array(subs) and the loop's free bounds into `sc`.
+// A whole-range section (more than one dist value) is rectangular only if
+// no free bound reads the distributed variable.
+void compile_into(const ParallelLoop& loop, const std::string& array,
+                  const std::vector<AffineExpr>& subs, const Program& prog,
+                  const Bindings& b, bool whole_range, FootprintScratch& sc) {
+  FGDSM_ASSERT_MSG(subs.size() == prog.array(array).extents.size(),
+                   "rank mismatch on " << array);
   compile_free(loop, b, &sc.free);
   for (std::size_t f = 0; whole_range && f < sc.free.size(); ++f)
     FGDSM_ASSERT_MSG(sc.free[f].lo_dist == 0 && sc.free[f].hi_dist == 0,
@@ -153,7 +159,7 @@ void compile_into(const ParallelLoop& loop, const ArrayRef& ref,
                          << " reference the distributed variable; "
                             "whole-loop sections must be rectangular");
   sc.subs.clear();
-  compile_ref(loop, ref.subs, b, &sc.subs);
+  compile_ref(loop, subs, b, &sc.subs);
 }
 }  // namespace
 
@@ -161,10 +167,18 @@ ConcreteSection ref_section(const ParallelLoop& loop, const ArrayRef& ref,
                             const Program& prog, const Bindings& b,
                             const ConcreteInterval& dist_range) {
   FootprintScratch sc;
-  compile_into(loop, ref, prog, b, /*whole_range=*/true, sc);
   ConcreteSection s;
-  eval_ref(sc.subs, sc.free, dist_range, &s);
+  ref_section_into(loop, ref.array, ref.subs, prog, b, dist_range, sc, &s);
   return s;
+}
+
+void ref_section_into(const ParallelLoop& loop, const std::string& array,
+                      const std::vector<AffineExpr>& subs,
+                      const Program& prog, const Bindings& b,
+                      const ConcreteInterval& dist_range,
+                      FootprintScratch& scratch, ConcreteSection* out) {
+  compile_into(loop, array, subs, prog, b, /*whole_range=*/true, scratch);
+  eval_ref(scratch.subs, scratch.free, dist_range, out);
 }
 
 ConcreteSection chunk_footprint(const ParallelLoop& loop, const ArrayRef& ref,
@@ -180,7 +194,8 @@ void chunk_footprint_into(const ParallelLoop& loop, const ArrayRef& ref,
                           const Program& prog, const Bindings& b,
                           std::int64_t dist_value, FootprintScratch& scratch,
                           ConcreteSection* out) {
-  compile_into(loop, ref, prog, b, /*whole_range=*/false, scratch);
+  compile_into(loop, ref.array, ref.subs, prog, b, /*whole_range=*/false,
+               scratch);
   eval_ref(scratch.subs, scratch.free,
            ConcreteInterval{dist_value, dist_value, 1}, out);
 }
@@ -349,7 +364,8 @@ std::vector<Transfer> analyze_transfers(const ParallelLoop& loop,
       const ConcreteInterval iters = local_iters(loop, prog, b, np, p);
       if (iters.empty()) continue;
       if (!is_compiled) {
-        compile_into(loop, ref, prog, b, /*whole_range=*/true, compiled);
+        compile_into(loop, ref.array, ref.subs, prog, b, /*whole_range=*/true,
+                     compiled);
         is_compiled = true;
       }
       eval_ref(compiled.subs, compiled.free, iters, &sec);

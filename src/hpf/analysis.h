@@ -34,6 +34,9 @@ struct Transfer {
 // Concrete extents of an array under the given bindings.
 std::vector<std::int64_t> array_extents(const ArrayDecl& a,
                                         const Bindings& b);
+// Allocation-free form: clears and refills *out, reusing its capacity.
+void array_extents_into(const ArrayDecl& a, const Bindings& b,
+                        std::vector<std::int64_t>* out);
 
 // The full section owned by processor p (all dims full, last dim the
 // distribution's owned interval).
@@ -108,11 +111,19 @@ ConcreteSection chunk_footprint(const ParallelLoop& loop, const ArrayRef& ref,
                                 const Program& prog, const Bindings& b,
                                 std::int64_t dist_value);
 
-// Reusable compiled state for chunk_footprint_into.
+// Reusable compiled state for chunk_footprint_into and ref_section_into.
 struct FootprintScratch {
   std::vector<CompiledFree> free;
   std::vector<CompiledSub> subs;
 };
+
+// ref_section of the reference array(subs), drawing its compiled state from
+// `scratch` and refilling out->dims: repeated calls allocate nothing.
+void ref_section_into(const ParallelLoop& loop, const std::string& array,
+                      const std::vector<AffineExpr>& subs,
+                      const Program& prog, const Bindings& b,
+                      const ConcreteInterval& dist_range,
+                      FootprintScratch& scratch, ConcreteSection* out);
 
 // chunk_footprint drawing its compiled state from `scratch`: clears and
 // refills out->dims; both keep their capacity across calls, so repeated

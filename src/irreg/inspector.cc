@@ -90,11 +90,22 @@ ScanResult scan(const hpf::ParallelLoop& loop, const hpf::Program& prog,
                 int np, tempest::Node& node, sim::Task& task,
                 bool ensure_index, ScanScratch* scratch) {
   ScanScratch local;
-  ScanScratch& sc = scratch != nullptr ? *scratch : local;
   ScanResult res;
+  scan_into(loop, prog, b, layouts, np, node, task, ensure_index,
+            scratch != nullptr ? *scratch : local, &res);
+  return res;
+}
+
+void scan_into(const hpf::ParallelLoop& loop, const hpf::Program& prog,
+               const hpf::Bindings& b, const core::LayoutMap& layouts,
+               int np, tempest::Node& node, sim::Task& task,
+               bool ensure_index, ScanScratch& sc, ScanResult* out) {
+  ScanResult& res = *out;
+  res.needs.clear();
+  res.elements_scanned = 0;
   gather_arrays_into(loop, prog, &sc.canon);
   const std::vector<std::string>& canon = sc.canon;
-  if (canon.empty()) return res;
+  if (canon.empty()) return;
   const int me = node.id();
   const ConcreteInterval iters = hpf::local_iters(loop, prog, b, np, me);
 
@@ -108,23 +119,25 @@ ScanResult scan(const hpf::ParallelLoop& loop, const hpf::Program& prog,
     const auto cit = std::find(canon.begin(), canon.end(), ir.array);
     if (cit == canon.end()) continue;  // replicated: local
     const std::size_t aid = static_cast<std::size_t>(cit - canon.begin());
-    const std::int64_t n = hpf::array_extents(prog.array(ir.array), b)[0];
+    // The gathered array is 1-D (gather_arrays_into asserts it).
+    const std::int64_t n = prog.array(ir.array).extents[0].eval(b);
     const ConcreteInterval owned =
         hpf::owned_interval(hpf::DistKind::kBlock, me, n, np);
     if (iters.empty()) continue;
 
-    hpf::ArrayRef idx_ref;
-    idx_ref.array = ir.index_array;
-    idx_ref.subs = ir.index_subs;
-    ConcreteSection sec = hpf::ref_section(loop, idx_ref, prog, b, iters);
+    ConcreteSection& sec = sc.sec;
+    hpf::ref_section_into(loop, ir.index_array, ir.index_subs, prog, b, iters,
+                          sc.footprint, &sec);
     const hpf::ArrayDecl& idx_decl = prog.array(ir.index_array);
-    const std::vector<std::int64_t> ext = hpf::array_extents(idx_decl, b);
-    hpf::clip_to_array(ext, &sec);
+    hpf::array_extents_into(idx_decl, b, &sc.ext);
+    hpf::clip_to_array(sc.ext, &sec);
     if (sec.empty()) continue;
 
     const hpf::ArrayLayout& lay = layouts.at(ir.index_array);
-    const ConcreteSection idx_owned_sec =
-        hpf::owned_section(idx_decl, b, np, me);
+    // The last dimension of owned_section(idx_decl, ...), without building
+    // the section.
+    const ConcreteInterval idx_owned =
+        hpf::owned_interval(idx_decl.dist, me, sc.ext.back(), np);
     sc.runs.clear();
     hpf::linearize_into(lay, sec, &sc.runs);
     for (const Run& r : sc.runs) {
@@ -134,7 +147,6 @@ ScanResult scan(const hpf::ParallelLoop& loop, const hpf::Program& prog,
         // Message passing has no fault path to pull remote index data in
         // before the schedule exists: the index footprint must be owned.
         const ConcreteInterval last = sec.dims.back();
-        const ConcreteInterval idx_owned = idx_owned_sec.dims.back();
         FGDSM_ASSERT_MSG(last.lo >= idx_owned.lo && last.hi <= idx_owned.hi,
                          "message-passing inspector requires an aligned "
                          "indirection array ("
@@ -180,7 +192,6 @@ ScanResult scan(const hpf::ParallelLoop& loop, const hpf::Program& prog,
   task.charge(costs.ccc_call_overhead +
               costs.copy_time(res.elements_scanned *
                               static_cast<std::int64_t>(sizeof(double))));
-  return res;
 }
 
 std::vector<hpf::Transfer> needs_to_transfers(

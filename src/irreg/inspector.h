@@ -105,6 +105,11 @@ struct ScanScratch {
   // place, then folded into maximal intervals.
   std::vector<std::pair<std::int64_t, std::int64_t>> elems;
   std::vector<hpf::Run> runs;      // linearized index-slice runs
+  // One indirect read's index section, its compiled reference and the
+  // index array's extents.
+  hpf::ConcreteSection sec;
+  hpf::FootprintScratch footprint;
+  std::vector<std::int64_t> ext;
 };
 
 // Scan the indirection arrays over this node's local iterations and return
@@ -119,6 +124,12 @@ ScanResult scan(const hpf::ParallelLoop& loop, const hpf::Program& prog,
                 const hpf::Bindings& b, const core::LayoutMap& layouts,
                 int np, tempest::Node& node, sim::Task& task,
                 bool ensure_index, ScanScratch* scratch = nullptr);
+// scan() refilling *out, whose need list keeps its capacity: with the same
+// scratch and result across inspections, repeat scans reuse every buffer.
+void scan_into(const hpf::ParallelLoop& loop, const hpf::Program& prog,
+               const hpf::Bindings& b, const core::LayoutMap& layouts,
+               int np, tempest::Node& node, sim::Task& task,
+               bool ensure_index, ScanScratch& scratch, ScanResult* out);
 
 // Fold all nodes' need lists (indexed by node id, each a NeedList payload,
 // sorted/disjoint as produced by scan) into the implied transfer set: for

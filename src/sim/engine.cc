@@ -29,36 +29,19 @@ std::string watchdog_reason(Time stalled_for, Time threshold) {
   return os.str();
 }
 
-// Sense-free generation barrier: spin briefly (windows are ~microseconds of
+// Wait for a handshake word: spin briefly (windows are ~microseconds of
 // simulated work), then yield so an oversubscribed host still makes
-// progress. The release/acquire pair on phase_ is the happens-before edge
-// that publishes window_end_ and the partition outboxes across workers.
-class SpinBarrier {
- public:
-  explicit SpinBarrier(int n) : total_(n) {}
-
-  void arrive_and_wait() {
-    if (total_ == 1) return;
-    const std::uint32_t my_phase = phase_.load(std::memory_order_acquire);
-    if (arrived_.fetch_add(1, std::memory_order_acq_rel) + 1 == total_) {
-      arrived_.store(0, std::memory_order_relaxed);
-      phase_.store(my_phase + 1, std::memory_order_release);
-      return;
-    }
-    int spins = 0;
-    while (phase_.load(std::memory_order_acquire) == my_phase) {
-      if (++spins > 4096) {
-        std::this_thread::yield();
-        spins = 0;
-      }
+// progress.
+template <typename Ready>
+void spin_until(Ready ready) {
+  int spins = 0;
+  while (!ready()) {
+    if (++spins > 4096) {
+      std::this_thread::yield();
+      spins = 0;
     }
   }
-
- private:
-  const int total_;
-  std::atomic<int> arrived_{0};
-  std::atomic<std::uint32_t> phase_{0};
-};
+}
 
 }  // namespace
 
@@ -169,40 +152,143 @@ void Engine::drain_partition(Partition& p, Time wend) {
   tls_partition() = prev_p;
 }
 
-// Merge every partition's outbox into the destination queues in the fixed
-// global order (dst, time, src seq, src partition). The key is unique
-// ((src partition, src seq) never repeats) and independent of the host
-// thread count, and destination seqs are assigned in merge order, so the
-// post-merge queues are bit-identical at any --sim-threads.
-void Engine::merge_cross(std::vector<CrossEvent>& scratch) {
-  scratch.clear();
-  for (Partition& p : parts_) {
-    for (CrossEvent& ce : p.outbox) scratch.push_back(std::move(ce));
-    p.outbox.clear();
+// Size the worker crew for a run: partition i goes to worker i % nworkers,
+// and each worker lists the tasks of its partitions. Outboxes keep their
+// capacity from run to run while the worker count stays, and with several
+// partitions start with room for a typical window's events, so they do not
+// grow from empty through every power of two.
+void Engine::set_up_workers(int nworkers) {
+  if (static_cast<int>(workers_.size()) != nworkers) {
+    constexpr std::size_t kInitialEvents = 32;
+    const bool cross = parts_.size() > 1;
+    std::vector<Worker>(static_cast<std::size_t>(nworkers)).swap(workers_);
+    for (int w = 0; w < nworkers; ++w) {
+      Worker& wk = workers_[static_cast<std::size_t>(w)];
+      wk.index = w;
+      for (std::vector<Outbox>& out : wk.out) {
+        out = std::vector<Outbox>(static_cast<std::size_t>(nworkers));
+        if (cross)
+          for (Outbox& o : out) o.events.reserve(kInitialEvents);
+      }
+      if (cross) wk.keys.reserve(kInitialEvents * nworkers);
+    }
   }
-  if (scratch.empty()) return;
-  std::sort(scratch.begin(), scratch.end(),
-            [](const CrossEvent& a, const CrossEvent& b) {
-              if (a.dst_part != b.dst_part) return a.dst_part < b.dst_part;
-              if (a.t != b.t) return a.t < b.t;
-              if (a.src_seq != b.src_seq) return a.src_seq < b.src_seq;
-              return a.src_part < b.src_part;
-            });
-  for (CrossEvent& ce : scratch) {
-    // The conservative-window soundness invariant: nothing scheduled during
-    // [S, W) may land before W in another partition. A violation means the
-    // configured min-link-latency overstates the real minimum.
-    FGDSM_ASSERT_MSG(ce.t >= window_end_ || window_end_ == kTimeInfinity,
-                     "cross-partition event at t="
-                         << ce.t << " violates the window boundary W="
-                         << window_end_
-                         << " (window lookahead exceeds the true minimum "
-                            "cross-partition latency)");
-    Partition& d = parts_[static_cast<std::size_t>(ce.dst_part)];
-    (ce.is_resume ? d.resumes : d.events)
-        .push(ce.t, d.next_seq++, std::move(ce.fn));
+  nworkers_ = nworkers;
+  for (Worker& wk : workers_) {
+    wk.done.store(0, std::memory_order_relaxed);
+    for (std::vector<Outbox>& out : wk.out)
+      for (Outbox& o : out) o.events.clear();
+    wk.tasks.clear();
+    wk.task_cursor = 0;
+    wk.error = nullptr;
   }
-  scratch.clear();
+  for (Partition& p : parts_)
+    p.worker = &workers_[static_cast<std::size_t>(p.index % nworkers)];
+  for (const Task* t : tasks_)
+    workers_[static_cast<std::size_t>(t->partition() % nworkers)]
+        .tasks.push_back(t);
+}
+
+// Append the cross events sent in the window of parity `parity` to worker
+// w's partitions, in the fixed order (dst, time, src seq, src partition).
+// The key is unique ((src partition, src seq) never repeats) and
+// independent of the host thread count, and destination seqs are assigned
+// in merge order, so the merged queues are bit-identical at any
+// --sim-threads. The sort moves small keys, not events: each callable moves
+// once, into its queue.
+void Engine::merge_into(Worker& w, int parity) {
+  std::vector<MergeKey>& keys = w.keys;
+  keys.clear();
+  for (Worker& src : workers_)
+    for (CrossEvent& ce : src.out[parity][static_cast<std::size_t>(w.index)]
+                              .events)
+      keys.push_back(MergeKey{ce.t, ce.src_seq, ce.src_part, ce.dst_part, &ce});
+  if (keys.empty()) return;
+  std::sort(keys.begin(), keys.end(), [](const MergeKey& a, const MergeKey& b) {
+    if (a.dst_part != b.dst_part) return a.dst_part < b.dst_part;
+    if (a.t != b.t) return a.t < b.t;
+    if (a.src_seq != b.src_seq) return a.src_seq < b.src_seq;
+    return a.src_part < b.src_part;
+  });
+  for (const MergeKey& k : keys) {
+    Partition& d = parts_[static_cast<std::size_t>(k.dst_part)];
+    (k.ev->is_resume ? d.resumes : d.events)
+        .push(k.t, d.next_seq++, std::move(k.ev->fn));
+  }
+  for (Worker& src : workers_)
+    src.out[parity][static_cast<std::size_t>(w.index)].events.clear();
+}
+
+// The coordinator's merge of everything sent in window `window`, for the
+// slow path: per destination it is exactly the merge the workers would
+// have run at the start of the next window.
+void Engine::merge_pending(std::uint64_t window) {
+  for (Worker& w : workers_) merge_into(w, static_cast<int>(window & 1));
+}
+
+// One worker's share of window `window`: merge the previous window's cross
+// events addressed to its partitions, drain those with an event below W,
+// and summarize. Never throws: a failure is recorded for the coordinator.
+void Engine::run_window(Worker& w, std::uint64_t window) {
+  Summary s;
+  try {
+    merge_into(w, static_cast<int>((window - 1) & 1));
+    w.cur_out = w.out[window & 1].data();
+    w.cross_min = kTimeInfinity;
+    const Time wend = window_end_;
+    const int nparts = static_cast<int>(parts_.size());
+    for (int i = w.index; i < nparts; i += nworkers_) {
+      Partition& p = parts_[static_cast<std::size_t>(i)];
+      Time f = p.front_time();
+      if (f < wend) {
+        drain_partition(p, wend);
+        f = p.front_time();
+      }
+      if (f < s.front) s.front = f;
+      if (p.last_progress > s.progress) s.progress = p.last_progress;
+      if (p.error || p.stalled) s.failed = true;
+    }
+    s.cross_min = w.cross_min;
+    // Tasks finish only inside their own partition's drain, and un-finish
+    // only in the coordinator's recovery (which rewinds the cursor), so
+    // every task before the cursor is known finished.
+    while (w.task_cursor < w.tasks.size() &&
+           w.tasks[w.task_cursor]->finished())
+      ++w.task_cursor;
+    s.unfinished = w.task_cursor < w.tasks.size();
+  } catch (...) {
+    w.error = std::current_exception();
+    s.failed = true;
+  }
+  w.summary = s;
+}
+
+// The coordinator's own view, for the start of a run and after the slow
+// path changed the queues or the tasks: every partition and task, with
+// nothing pending in the outboxes.
+Engine::Summary Engine::scan_partitions() {
+  Summary g;
+  for (const Partition& p : parts_) {
+    const Time f = p.front_time();
+    if (f < g.front) g.front = f;
+    if (p.last_progress > g.progress) g.progress = p.last_progress;
+  }
+  g.unfinished = any_task_unfinished_raw();
+  for (Worker& w : workers_) w.task_cursor = 0;
+  return g;
+}
+
+Engine::Summary Engine::reduce_summaries() const {
+  Summary g;
+  for (const Worker& w : workers_) {
+    const Summary& s = w.summary;
+    if (s.front < g.front) g.front = s.front;
+    if (s.cross_min < g.cross_min) g.cross_min = s.cross_min;
+    if (s.progress > g.progress) g.progress = s.progress;
+    g.unfinished = g.unfinished || s.unfinished;
+    g.failed = g.failed || s.failed;
+  }
+  return g;
 }
 
 // Rethrow the first failure of the completed window, by partition id — a
@@ -246,90 +332,119 @@ void Engine::run() {
 
   for (Partition& p : parts_) {
     p.last_progress = p.now;
-    p.outbox.clear();
     p.error = nullptr;
     p.stalled = false;
     p.stall_reason.clear();
   }
-  tasks_done_snapshot_ = !any_task_unfinished_raw();
+  set_up_workers(nworkers);
+  Summary g = scan_partitions();
+  tasks_done_snapshot_ = !g.unfinished;
 
   // Worker crew: partition i is drained by worker i % nworkers for the
   // whole run, so a task fiber never migrates between host threads. The
-  // coordinator (this thread) is worker 0; merge, window computation, and
-  // failure handling all happen single-threaded between the barriers.
-  SpinBarrier start(nworkers);
-  SpinBarrier finish(nworkers);
-  std::atomic<bool> stop{false};
+  // coordinator (this thread) is worker 0; window computation, the window
+  // hook and failure handling happen single-threaded between windows.
+  // `go` carries the window number; `stop`, W and the task snapshot ride
+  // on its release.
+  alignas(64) std::atomic<std::uint64_t> go{0};
+  bool stop = false;
+  std::uint64_t window = 0;  // windows of this run so far
   std::vector<std::thread> crew;
   crew.reserve(static_cast<std::size_t>(nworkers - 1));
   for (int w = 1; w < nworkers; ++w) {
-    crew.emplace_back([this, w, nworkers, nparts, &start, &finish, &stop] {
+    crew.emplace_back([this, w, &go, &stop] {
+      Worker& me = workers_[static_cast<std::size_t>(w)];
+      std::uint64_t seen = 0;
       for (;;) {
-        start.arrive_and_wait();
-        if (stop.load(std::memory_order_acquire)) return;
-        for (int i = w; i < nparts; i += nworkers)
-          drain_partition(parts_[static_cast<std::size_t>(i)], window_end_);
-        finish.arrive_and_wait();
+        std::uint64_t next = seen;
+        spin_until([&] {
+          next = go.load(std::memory_order_acquire);
+          return next != seen;
+        });
+        seen = next;
+        if (stop) return;
+        run_window(me, seen);
+        me.done.store(seen, std::memory_order_release);
       }
     });
   }
   // Leaving the loop, normally or by a throw, commits the latest event time
   // any partition reached: after a failure now() is the failing event's.
   const auto release_crew = [&] {
-    stop.store(true, std::memory_order_release);
-    start.arrive_and_wait();
+    stop = true;
+    go.store(window + 1, std::memory_order_release);
     for (std::thread& th : crew) th.join();
     if (granted > 0) HostBudget::instance().release(granted);
     now_ = max_partition_now();
     window_end_ = kTimeInfinity;
   };
+  // The slow path's rescan, after the coordinator changed the queues.
+  const auto recovered = [&] {
+    for (Partition& p : parts_) p.last_progress = p.now;
+    g = scan_partitions();
+  };
 
   try {
-    std::vector<CrossEvent> scratch;
     for (;;) {
-      // Global safe time S: the earliest pending event anywhere. Every
-      // partition may run past it by the window lookahead without missing a
-      // cross-partition effect.
-      Time safe = kTimeInfinity;
-      for (const Partition& p : parts_) {
-        const Time f = p.front_time();
-        if (f < safe) safe = f;
-      }
+      // Global safe time S: the earliest pending event anywhere, including
+      // the cross events the workers merge at the start of the next window.
+      // Every partition may run past it by the window lookahead without
+      // missing a cross-partition effect.
+      const Time safe = g.safe();
       if (safe == kTimeInfinity) {
         // Queues drained with tasks still blocked: normally a deadlock
         // (diagnosed after the loop), but with a crashed node it means the
         // survivors are parked waiting on the dead peer — give the recovery
-        // hook a chance to roll back and repopulate the queues.
-        if (recovery_hook_ && any_task_unfinished_raw() && recovery_hook_())
+        // hook a chance to roll back and repopulate the queues. Nothing is
+        // pending: S would be finite.
+        if (recovery_hook_ && g.unfinished && recovery_hook_()) {
+          g = scan_partitions();
           continue;
+        }
         break;
       }
       now_ = safe;
-      tasks_done_snapshot_ = !any_task_unfinished_raw();
-      if (watchdog_ns_ > 0 && nparts > 1 && !tasks_done_snapshot_) {
-        Time progress = 0;
-        for (const Partition& p : parts_)
-          progress = std::max(progress, p.last_progress);
-        if (safe - progress > watchdog_ns_) {
-          if (recovery_hook_ && recovery_hook_()) {
-            for (Partition& p : parts_) p.last_progress = p.now;
-            continue;
-          }
-          compose_and_throw_stall(
-              watchdog_reason(safe - progress, watchdog_ns_));
+      tasks_done_snapshot_ = !g.unfinished;
+      if (watchdog_ns_ > 0 && nparts > 1 && g.unfinished &&
+          safe - g.progress > watchdog_ns_) {
+        merge_pending(window);
+        if (recovery_hook_ && recovery_hook_()) {
+          recovered();
+          continue;
         }
+        compose_and_throw_stall(
+            watchdog_reason(safe - g.progress, watchdog_ns_));
       }
       window_end_ =
           safe > kTimeInfinity - wla ? kTimeInfinity : safe + wla;
-      start.arrive_and_wait();
-      for (int i = 0; i < nparts; i += nworkers)
-        drain_partition(parts_[static_cast<std::size_t>(i)], window_end_);
-      finish.arrive_and_wait();
-      merge_cross(scratch);
-      // Every partition has drained the window and the crew is parked at
-      // the start barrier: task fibers are host-quiescent, so a checkpoint
-      // capture requested by an event inside this window can walk them now.
-      if (window_hook_) window_hook_();
+      ++window;
+      ++windows_;
+      if (nworkers > 1) go.store(window, std::memory_order_release);
+      run_window(workers_[0], window);
+      for (int w = 1; w < nworkers; ++w) {
+        const Worker& wk = workers_[static_cast<std::size_t>(w)];
+        spin_until([&] {
+          return wk.done.load(std::memory_order_acquire) == window;
+        });
+      }
+      // Every partition has drained the window and the crew waits for the
+      // next `go`: task fibers are host-quiescent, so a checkpoint capture
+      // requested by an event inside this window can walk them now. The
+      // hook reads no queue; should it throw, the window's cross events are
+      // merged first, as every other exit finds them.
+      if (window_hook_) {
+        try {
+          window_hook_();
+        } catch (...) {
+          merge_pending(window);
+          throw;
+        }
+      }
+      g = reduce_summaries();
+      if (!g.failed) continue;
+      for (Worker& w : workers_)
+        if (w.error) std::rethrow_exception(w.error);
+      merge_pending(window);
       // A partition stall (channel retry-budget exhaustion) is the crash
       // detection signal: when a recovery hook is installed and no partition
       // carries a real error, let it repair the cluster instead of
@@ -345,8 +460,8 @@ void Engine::run() {
           for (Partition& p : parts_) {
             p.stalled = false;
             p.stall_reason.clear();
-            p.last_progress = p.now;
           }
+          recovered();
           continue;
         }
       }
@@ -406,9 +521,15 @@ void Engine::check_deadlock() const {
                          describe_blocked_tasks());
 }
 
-void Engine::register_task(Task* t) { tasks_.push_back(t); }
+// run() hands each worker the tasks of its partitions, so the task set is
+// fixed while it runs.
+void Engine::register_task(Task* t) {
+  FGDSM_ASSERT_MSG(!running_, "task registered during Engine::run");
+  tasks_.push_back(t);
+}
 
 void Engine::unregister_task(Task* t) {
+  FGDSM_ASSERT_MSG(!running_, "task destroyed during Engine::run");
   tasks_.erase(std::remove(tasks_.begin(), tasks_.end(), t), tasks_.end());
 }
 

@@ -16,23 +16,54 @@
 //      W = S + min-link-latency (set_window_lookahead; the cluster wires in
 //      Network::min_link_latency());
 //   2. lets every partition drain its events with t < W independently — one
-//      worker thread per partition group, statically pinned so a task fiber
-//      never migrates between host threads;
+//      worker thread per partition group, statically pinned (partition i to
+//      worker i % workers) so a task fiber never migrates between host
+//      threads;
 //   3. merges cross-partition sends. A send targeting another partition is
-//      buffered into the source partition's outbox (stamped with the source
-//      partition's next sequence number), and at the barrier all outboxes
-//      are merged in the fixed global order (dst, time, src seq, src
-//      partition) and appended to the destination queues with freshly
-//      assigned destination sequence numbers. Because the merge key and the
-//      per-partition execution order are both independent of the host
-//      thread count, --sim-threads=N is bit-identical to --sim-threads=1.
+//      buffered into the source worker's outbox for the destination's
+//      worker (stamped with the source partition's next sequence number).
+//      Each destination appends them to its queues in the fixed order
+//      (time, src seq, src partition), with freshly assigned destination
+//      sequence numbers. Because the merge key and the per-partition
+//      execution order are both independent of the host thread count,
+//      --sim-threads=N is bit-identical to --sim-threads=1.
 // Correctness of the window rests on the same minimum-latency argument as
 // the task lookahead below: nothing one partition does during [S, W) can be
 // observed by another partition before W, because every cross-partition
-// influence crosses the wire (>= min link latency). merge() asserts this
-// invariant on every cross event. A single-partition engine (the default,
-// and every serial/1-node run) has no cross-partition influence, so its
-// window is unbounded: one pass pops its (time, seq) minimum to the end.
+// influence crosses the wire (>= min link latency). Buffering a cross event
+// asserts this invariant against the end of the window it is sent in. A
+// single-partition engine (the default, and every serial/1-node run) has no
+// cross-partition influence, so its window is unbounded: one pass pops its
+// (time, seq) minimum to the end.
+//
+// Window protocol. The coordinator (the thread in run()) is worker 0. With
+// several workers, one window costs one handshake and no read-modify-write
+// on a shared line: the coordinator publishes the window number in one `go`
+// word (release), and each worker acknowledges it in its own
+// cache-line-aligned `done` word (release). These release/acquire pairs are
+// the happens-before edges that publish W, the task snapshot and the
+// partitions' state between windows. In window k each worker
+//   a. merges window k-1's cross events addressed to its own partitions
+//      (outboxes are double-buffered by window parity: a source writes
+//      window k's events while the destinations read window k-1's, and a
+//      worker reads one outbox per worker, never every partition's);
+//   b. drains those of its partitions with an event below W;
+//   c. writes a summary on its `done` line: the earliest front of its
+//      partitions, the earliest cross event it buffered, its latest task
+//      progress, whether a task of its partitions is unfinished, and
+//      whether a partition failed or stalled.
+// The coordinator computes the next S, the watchdog and the task snapshot
+// from these `workers` summaries, never walking every partition or task.
+// One worker needs no handshake: the coordinator runs a, b and c itself,
+// the same work in the same order.
+//
+// Slow path. A window whose summary flags a failure, a watchdog that fires,
+// and queues that drain with tasks unfinished need the coordinator to act on
+// the queues. It first merges every pending cross event itself, exactly as
+// the workers would have, and only then composes the error or calls the
+// recovery hook, which schedules fresh resumes into the merged queues. The
+// window hook (payload settle and checkpoint capture) reads no event queue,
+// so it runs at every barrier before the merge.
 //
 // Events come in two kinds:
 //   - ordinary events ("handler" events: message deliveries, timers) — a
@@ -56,21 +87,23 @@
 // fans partitions out over an internal worker crew; everything a partition's
 // events touch (its node's memory, tags, per-link channel state, its task's
 // fiber) is owned by exactly one partition, partitions are statically pinned
-// to workers, and all cross-partition effects flow through the outbox merge
-// at the window barrier, which is also the only cross-thread happens-before
-// edge the simulation needs. The thread-affine pieces are per host thread
-// (the drain context below, InlineFn's diagnostic boxed counter, and the
-// portable fallback's fiber-entry slot in task.cc). Host-level sizing (how
-// many workers actually spawn) comes from the process-wide sim::HostBudget
-// so batch-level and sim-level parallelism share one core budget; the grant
-// affects wall time only, never results. Any number of independent
-// simulations may still run concurrently on separate host threads
-// (exec::BatchRunner), bit-identical to running them serially. A single
-// Engine must never be entered from two threads at once — only its own
-// run() may fan out.
+// to workers, and all cross-partition effects flow through the outboxes,
+// handed over by the window handshake, which is also the only cross-thread
+// happens-before edge the simulation needs. The thread-affine pieces are
+// per host thread (the drain context below, InlineFn's diagnostic boxed
+// counter, and the portable fallback's fiber-entry slot in task.cc).
+// Host-level sizing (how many workers actually spawn) comes from the
+// process-wide sim::HostBudget so batch-level and sim-level parallelism
+// share one core budget; the grant affects wall time only, never results.
+// Any number of independent simulations may still run concurrently on
+// separate host threads (exec::BatchRunner), bit-identical to running them
+// serially. A single Engine must never be entered from two threads at
+// once — only its own run() may fan out.
 #pragma once
 
+#include <atomic>
 #include <cstdint>
+#include <exception>
 #include <functional>
 #include <string>
 #include <utility>
@@ -175,7 +208,7 @@ class Engine {
 
   // Schedule into the partition owning `node` — the network's delivery
   // path. From inside another partition's drain this buffers the event into
-  // the source outbox for the deterministic barrier merge.
+  // an outbox for the deterministic merge at the start of the next window.
   template <typename F>
   void schedule_node(int node, Time t, F&& fn) {
     schedule_impl(partition_of_node(node), t, /*is_resume=*/false,
@@ -286,12 +319,13 @@ class Engine {
   }
 
   // ---- Window hook ----
-  // Called single-threaded from the coordinator at every window barrier,
-  // right after the cross-partition merge: every partition has fully drained
-  // its window, so all task fibers are host-quiescent and may be inspected.
-  // The cluster uses it to capture checkpoints requested by an event earlier
-  // in the window (the request itself runs inside a partition drain, where
-  // other partitions' fibers may still be executing on their workers).
+  // Called single-threaded from the coordinator at every window barrier:
+  // every partition has fully drained its window, so all task fibers are
+  // host-quiescent and may be inspected. The cluster uses it to capture
+  // checkpoints requested by an event earlier in the window (the request
+  // itself runs inside a partition drain, where other partitions' fibers may
+  // still be executing on their workers). It runs before the window's cross
+  // events are merged, so it must neither read nor schedule events.
   void set_window_hook(std::function<void()> fn) {
     window_hook_ = std::move(fn);
   }
@@ -340,6 +374,11 @@ class Engine {
     return n;
   }
 
+  // Windows run so far, over every run() of this engine (a single
+  // partition's unbounded window counts once per run). As deterministic as
+  // events_processed(): the window sequence depends on simulated times only.
+  std::uint64_t windows() const { return windows_; }
+
   // Allocation accounting for the perf-regression tests: how many times the
   // event slabs grew. Flat across iterations once a run reaches steady
   // state (records are recycled through the free lists).
@@ -359,17 +398,67 @@ class Engine {
  private:
   friend class Task;
 
-  // A cross-partition event buffered during a window, merged at the
-  // barrier. src_seq was drawn from the SOURCE partition's counter (it is
-  // the deterministic merge key); on insertion the destination assigns a
-  // fresh seq so per-queue seqs stay monotone in insertion order.
+  // A cross-partition event buffered during a window and merged at the
+  // start of the next. src_seq was drawn from the SOURCE partition's
+  // counter (it is the deterministic merge key); on insertion the
+  // destination assigns a fresh seq so per-queue seqs stay monotone in
+  // insertion order.
   struct CrossEvent {
+    CrossEvent(int dst, Time time, std::uint64_t seq, std::uint32_t src,
+               bool resume, InlineFn&& f)
+        : dst_part(dst), t(time), src_seq(seq), src_part(src),
+          is_resume(resume), fn(std::move(f)) {}
     int dst_part;
     Time t;
     std::uint64_t src_seq;
     std::uint32_t src_part;
     bool is_resume;
     InlineFn fn;
+  };
+
+  // The merge sorts these small keys, not the events, and then moves each
+  // callable once, straight into its destination queue.
+  struct MergeKey {
+    Time t;
+    std::uint64_t src_seq;
+    std::uint32_t src_part;
+    int dst_part;
+    CrossEvent* ev;
+  };
+
+  // One source worker's cross events for one destination worker in one
+  // window. Its own line: a destination empties it while the source fills
+  // the other parity's.
+  struct alignas(64) Outbox {
+    std::vector<CrossEvent> events;
+  };
+
+  // A worker's end-of-window report, written before its `done` store.
+  struct Summary {
+    Time front = kTimeInfinity;      // earliest pending event, own partitions
+    Time cross_min = kTimeInfinity;  // earliest cross event buffered
+    Time progress = 0;               // latest task resume, own partitions
+    bool unfinished = false;         // a task of its partitions is not done
+    bool failed = false;  // a partition failed or stalled, or the worker did
+    Time safe() const { return front < cross_min ? front : cross_min; }
+  };
+
+  // One host worker of run(): worker w drains partitions w, w + workers, ...
+  // The first line is the handshake: the coordinator reads `done` and the
+  // summary there, and nothing else the worker writes during a window.
+  struct alignas(64) Worker {
+    std::atomic<std::uint64_t> done{0};  // last window finished (release)
+    Summary summary;
+    // Worker-private during a window, apart from the outboxes (read by
+    // their destinations in the next window).
+    alignas(64) int index = 0;
+    std::vector<Outbox> out[2];  // [window parity][destination worker]
+    Outbox* cur_out = nullptr;   // out[parity of the current window]
+    Time cross_min = kTimeInfinity;
+    std::vector<MergeKey> keys;  // merge scratch
+    std::vector<const Task*> tasks;  // tasks of its partitions
+    std::size_t task_cursor = 0;     // tasks before it have finished
+    std::exception_ptr error;  // a failure outside any partition's drain
   };
 
   // One event partition. alignas(64) keeps concurrently drained partitions
@@ -381,7 +470,7 @@ class Engine {
     std::uint64_t events_processed = 0;
     Time now = 0;
     Time last_progress = 0;  // event time of the latest task resume
-    std::vector<CrossEvent> outbox;
+    Worker* worker = nullptr;  // the worker draining it in the current run
     // First failure inside this partition's current window (composed and
     // rethrown by the coordinator; lowest partition id wins).
     std::exception_ptr error;
@@ -412,10 +501,10 @@ class Engine {
   }
 
   // Hot path: insert into the target partition, or — when called from
-  // another partition's drain — buffer into the source outbox for the
-  // barrier merge, stamped with the SOURCE partition's sequence number (the
-  // deterministic merge key).
-  void schedule_impl(int part, Time t, bool is_resume, InlineFn fn) {
+  // another partition's drain — buffer into the source worker's outbox for
+  // the destination's worker, stamped with the SOURCE partition's sequence
+  // number (the deterministic merge key).
+  void schedule_impl(int part, Time t, bool is_resume, InlineFn&& fn) {
     FGDSM_ASSERT_MSG(part >= 0 && part < static_cast<int>(parts_.size()),
                      "partition " << part << " out of range");
     Partition* cur = tls_engine() == this ? tls_partition() : nullptr;
@@ -423,9 +512,21 @@ class Engine {
       FGDSM_ASSERT_MSG(t >= cur->now,
                        "cross-partition event scheduled in the past: t=" << t
                            << " < now=" << cur->now);
-      cur->outbox.push_back(CrossEvent{part, t, cur->next_seq++,
-                                       static_cast<std::uint32_t>(cur->index),
-                                       is_resume, std::move(fn)});
+      // The conservative-window soundness invariant: nothing sent during
+      // [S, W) may land before W in another partition. A violation means
+      // the configured min-link-latency overstates the real minimum.
+      FGDSM_ASSERT_MSG(t >= window_end_ || window_end_ == kTimeInfinity,
+                       "cross-partition event at t="
+                           << t << " violates the window boundary W="
+                           << window_end_
+                           << " (window lookahead exceeds the true minimum "
+                              "cross-partition latency)");
+      Worker& w = *cur->worker;
+      w.cur_out[static_cast<std::size_t>(part % nworkers_)].events
+          .emplace_back(part, t, cur->next_seq++,
+                        static_cast<std::uint32_t>(cur->index), is_resume,
+                        std::move(fn));
+      if (t < w.cross_min) w.cross_min = t;
       return;
     }
     Partition& p =
@@ -439,13 +540,20 @@ class Engine {
   static bool front_precedes(const EventQueue& a, const EventQueue& b);
 
   void drain_partition(Partition& p, Time wend);
-  void merge_cross(std::vector<CrossEvent>& scratch);
+  void set_up_workers(int nworkers);
+  void run_window(Worker& w, std::uint64_t window);
+  void merge_into(Worker& w, int parity);
+  void merge_pending(std::uint64_t window);
+  Summary scan_partitions();
+  Summary reduce_summaries() const;
   void throw_partition_error();
   bool any_task_unfinished_raw() const;
   void check_deadlock() const;
   [[noreturn]] void compose_and_throw_stall(const std::string& reason) const;
 
   std::vector<Partition> parts_;
+  std::vector<Worker> workers_;  // sized by run(); kept for their capacity
+  int nworkers_ = 1;
   Time lookahead_ = 1000;  // conservative default; cluster overrides
   Time window_lookahead_ = 0;  // 0 = fall back to lookahead_
   int sim_threads_ = 1;
@@ -454,10 +562,11 @@ class Engine {
   std::function<bool()> recovery_hook_;
   std::function<void()> window_hook_;
   Time now_ = 0;  // committed global time (outside any drain)
-  // Window state: written by the coordinator between barriers, read by
-  // workers during the window (the barrier provides the ordering).
+  // Window state: written by the coordinator between windows, read by
+  // workers during the window (the `go` handshake provides the ordering).
   Time window_end_ = kTimeInfinity;
   bool tasks_done_snapshot_ = false;
+  std::uint64_t windows_ = 0;
   std::vector<Task*> tasks_;
   bool running_ = false;
 };

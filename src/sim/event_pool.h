@@ -160,7 +160,9 @@ class EventQueue {
   Time top_time() const { return slab_[heap_[0]].t; }
   std::uint64_t top_seq() const { return slab_[heap_[0]].seq; }
 
-  void push(Time t, std::uint64_t seq, InlineFn fn) {
+  // Takes the callable by reference so it is relocated once, into its
+  // record.
+  void push(Time t, std::uint64_t seq, InlineFn&& fn) {
     std::uint32_t idx;
     if (free_ != kNone) {
       idx = free_;

@@ -9,6 +9,12 @@ Log& Log::instance() {
   return log;
 }
 
+namespace {
+// Reads FGDSM_LOG during static initialization, so the flag FGDSM_LOG sites
+// test is already set when main() starts.
+[[maybe_unused]] const Log& kFromEnvironment = Log::instance();
+}  // namespace
+
 Log::Log() {
   if (const char* env = std::getenv("FGDSM_LOG")) {
     std::string s(env);
@@ -29,6 +35,7 @@ void Log::enable(const std::string& category) {
     all_ = true;
   else
     categories_.insert(category);
+  update_any();
 }
 
 void Log::disable(const std::string& category) {
@@ -37,6 +44,11 @@ void Log::disable(const std::string& category) {
     all_ = false;
   else
     categories_.erase(category);
+  update_any();
+}
+
+void Log::update_any() {
+  any_.store(all_ || !categories_.empty(), std::memory_order_relaxed);
 }
 
 bool Log::enabled(const std::string& category) const {

@@ -9,8 +9,11 @@
 //   - per-partition sequence counters survive crossing the former 32-bit
 //     space without truncation anywhere in the CrossEvent path;
 //   - --sim-threads above the partition count clamps harmlessly;
+//   - a recovery hook finds the cross events of its window merged;
 //   - a chaos-mode (fault-injected) application run at --sim-threads=4 is
-//     bit-identical to the same run at --sim-threads=1.
+//     bit-identical to the same run at --sim-threads=1, and so is a crash
+//     with checkpoint/rollback recovery;
+//   - every such run executes the same engine events in the same windows.
 //
 // Worker threads are real here even on a 1-core host: the tests size the
 // process-wide HostBudget explicitly (grants change wall time only).
@@ -27,6 +30,7 @@
 #include "src/sim/engine.h"
 #include "src/sim/fault.h"
 #include "src/sim/host_budget.h"
+#include "src/tempest/config.h"
 
 namespace fgdsm {
 namespace {
@@ -109,6 +113,37 @@ TEST(PartitionMerge, SeqCountersSurviveThe32BitBoundary) {
   EXPECT_EQ(high, run_storm(4, 4, base, 5));
 }
 
+// A stall's recovery hook acts on the queues, so it must find the cross
+// events of the stalled window already merged: it sees them pending, and a
+// fresh event it schedules at the same time runs after them.
+TEST(PartitionMerge, RecoveryHookSeesTheWindowsCrossEventsMerged) {
+  BudgetOverride cores(8);
+  for (int threads : {1, 4}) {
+    SCOPED_TRACE("sim_threads=" + std::to_string(threads));
+    sim::Engine e;
+    e.set_partitions(4);
+    e.set_window_lookahead(10);
+    e.set_sim_threads(threads);
+    std::vector<int> order;
+    int hook_calls = 0;
+    sim::Time pending = -1;
+    e.set_recovery_hook([&] {
+      ++hook_calls;
+      pending = e.next_event_time();
+      e.schedule_node(3, 15, [&order] { order.push_back(2); });
+      return true;
+    });
+    e.schedule_node(0, 5, [&] {
+      e.schedule_node(3, 15, [&order] { order.push_back(1); });
+      e.fail_stall("stalled on purpose");
+    });
+    e.run();
+    EXPECT_EQ(hook_calls, 1);
+    EXPECT_EQ(pending, 15);
+    EXPECT_EQ(order, (std::vector<int>{1, 2}));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Application-level identity.
 
@@ -130,6 +165,11 @@ exec::RunConfig app_cfg(int nodes, int sim_threads,
 void expect_identical(const exec::RunResult& a, const exec::RunResult& b,
                       const std::string& label) {
   EXPECT_EQ(a.stats.elapsed_ns, b.stats.elapsed_ns) << label;
+  // The window sequence is part of the schedule: the same windows at any
+  // worker count.
+  EXPECT_GT(a.engine_windows, 0u) << label;
+  EXPECT_EQ(a.engine_windows, b.engine_windows) << label;
+  EXPECT_EQ(a.engine_events, b.engine_events) << label;
   EXPECT_EQ(a.scalars, b.scalars) << label;
   EXPECT_EQ(a.arrays, b.arrays) << label;
   ASSERT_EQ(a.stats.node.size(), b.stats.node.size()) << label;
@@ -139,6 +179,10 @@ void expect_identical(const exec::RunResult& a, const exec::RunResult& b,
     EXPECT_EQ(a.stats.node[i].messages_sent, b.stats.node[i].messages_sent)
         << label << " node " << i;
     EXPECT_EQ(a.stats.node[i].bytes_sent, b.stats.node[i].bytes_sent)
+        << label << " node " << i;
+    EXPECT_EQ(a.stats.node[i].recoveries, b.stats.node[i].recoveries)
+        << label << " node " << i;
+    EXPECT_EQ(a.stats.node[i].checkpoints, b.stats.node[i].checkpoints)
         << label << " node " << i;
   }
 }
@@ -177,6 +221,40 @@ TEST(SimThreads, SharedNeedListsAreBitIdenticalAtFourThreads) {
   const exec::RunResult st4 = exec::run(prog, app_cfg(8, 4, faults));
   expect_identical(st1, st4, "spmv chaos sim_threads=4");
   EXPECT_GT(st4.stats.totals().irreg_inspections, 0u);
+}
+
+TEST(SimThreads, CrashRecoveryIsBitIdenticalAtFourThreads) {
+  // The shape of the benchmark's crash leg: 8 nodes, a checkpoint at every
+  // barrier, one scheduled crash. Checkpoint capture runs in the window
+  // hook while cross events of the window are still unmerged; the rollback
+  // runs in the recovery hook, after the coordinator merged them, and
+  // schedules fresh resumes into those queues.
+  BudgetOverride cores(8);
+  const std::vector<hpf::Program> progs = {
+      apps::jacobi(96, 6), apps::spmv(512, 8, 4, /*pattern=*/0)};
+  for (const hpf::Program& prog : progs) {
+    SCOPED_TRACE(prog.name);
+    const exec::RunResult clean = exec::run(prog, app_cfg(8, 1));
+    const std::string crash =
+        "crash=3@" + std::to_string(clean.stats.elapsed_ns * 2 / 5);
+    const auto crash_cfg = [&](int sim_threads) {
+      exec::RunConfig c = app_cfg(8, sim_threads, crash);
+      c.cluster.checkpoint_every = 1;
+      c.cluster.watchdog_ns =
+          tempest::default_watchdog_ns(8, tempest::Collectives::kFlat);
+      return c;
+    };
+    const exec::RunResult st1 = exec::run(prog, crash_cfg(1));
+    const exec::RunResult st4 = exec::run(prog, crash_cfg(4));
+    expect_identical(st1, st4, prog.name + " crash sim_threads=4");
+    const util::NodeStats t = st4.stats.totals();
+    EXPECT_EQ(t.crashes, 1u);
+    EXPECT_GT(t.recoveries, 0u);
+    EXPECT_GT(t.checkpoints, 0u);
+    // Recovery hides the crash from the program.
+    EXPECT_EQ(clean.scalars, st4.scalars);
+    EXPECT_EQ(clean.arrays, st4.arrays);
+  }
 }
 
 }  // namespace

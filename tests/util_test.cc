@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/util/assert.h"
+#include "src/util/log.h"
 #include "src/util/options.h"
 #include "src/util/stats.h"
 #include "src/util/table.h"
@@ -21,6 +22,61 @@ TEST(Assert, ThrowsWithMessage) {
 TEST(Assert, PassesSilently) {
   FGDSM_ASSERT(2 + 2 == 4);
   FGDSM_ASSERT_MSG(true, "never evaluated");
+}
+
+// Logging is off unless FGDSM_LOG names a category; these tests assume the
+// variable is unset and leave every category disabled.
+TEST(Log, EnablesAndDisablesOneCategoryAndAll) {
+  util::Log& log = util::Log::instance();
+  ASSERT_FALSE(util::Log::any_enabled());
+  log.enable("proto");
+  EXPECT_TRUE(util::Log::any_enabled());
+  EXPECT_TRUE(log.enabled("proto"));
+  EXPECT_FALSE(log.enabled("ckpt"));
+  log.disable("proto");
+  EXPECT_FALSE(util::Log::any_enabled());
+  EXPECT_FALSE(log.enabled("proto"));
+
+  log.enable("all");
+  EXPECT_TRUE(util::Log::any_enabled());
+  EXPECT_TRUE(log.enabled("proto"));
+  EXPECT_TRUE(log.enabled("ckpt"));
+  log.enable("proto");
+  log.disable("all");
+  EXPECT_TRUE(util::Log::any_enabled());  // "proto" is still on
+  EXPECT_FALSE(log.enabled("ckpt"));
+  log.disable("proto");
+  EXPECT_FALSE(util::Log::any_enabled());
+}
+
+TEST(Log, EnabledCategoryWrites) {
+  util::Log& log = util::Log::instance();
+  log.enable("proto");
+  ::testing::internal::CaptureStderr();
+  FGDSM_LOG("proto", "node " << 3 << " read fault");
+  FGDSM_LOG("ckpt", "not this one");
+  const std::string out = ::testing::internal::GetCapturedStderr();
+  log.disable("proto");
+  EXPECT_EQ(out, "[proto] node 3 read fault\n");
+}
+
+TEST(Log, DisabledCategoryDoesNotEvaluateItsStream) {
+  util::Log& log = util::Log::instance();
+  int evaluated = 0;
+  const auto count = [&] { return ++evaluated; };
+  FGDSM_LOG("proto", "value " << count());
+  EXPECT_EQ(evaluated, 0);
+  // Another category on: the site checks its own.
+  log.enable("ckpt");
+  FGDSM_LOG("proto", "value " << count());
+  log.disable("ckpt");
+  EXPECT_EQ(evaluated, 0);
+  log.enable("proto");
+  ::testing::internal::CaptureStderr();
+  FGDSM_LOG("proto", "value " << count());
+  ::testing::internal::GetCapturedStderr();
+  log.disable("proto");
+  EXPECT_EQ(evaluated, 1);
 }
 
 TEST(Stats, NodeStatsAccumulate) {
