@@ -22,9 +22,10 @@
 #                            each (plus one 256-node binomial-collectives
 #                            leg); recovered results must be bit-identical
 #                            to the fault-free baseline and byte-identical
-#                            across --sim-threads={1,4} and --jobs={1,4},
-#                            where an explicit crash lands in every
-#                            multi-node run; a crash with
+#                            across --sim-threads={1,4} (bench_paper jacobi
+#                            and bench_irreg) and --jobs={1,4}, where an
+#                            explicit crash lands in every multi-node run;
+#                            a crash with
 #                            --checkpoint-every=0 must exit 87 naming the
 #                            crashed node
 #   scripts/ci.sh perf       perf-regression gate: bench_selfperf vs the
@@ -250,6 +251,21 @@ case "$job" in
     python3 scripts/check_chaos.py --crash results/crash_baseline_jacobi.json \
       results/crash_st1.json results/crash_st4.json results/crash_j1.json \
       results/crash_j4.json
+    # The irregular path at --sim-threads={1,4}: its sm-opt, sm-opt-nocache
+    # and msg-passing rows take both epoch inboxes (needs exchange, MP
+    # data) and every host-state hook through rollbacks on 4 workers.
+    for st in 1 4; do
+      FGDSM_HOST_CORES=4 build/bench/bench_irreg --pattern=band --scale=0.05 \
+        --sim-threads="$st" --check-coherence \
+        --faults="crash=3@2000000,crashp=0.05,seed=1" --checkpoint-every=4 \
+        --json="results/crash_irreg_st$st.json"
+    done
+    cmp results/crash_irreg_st1.json results/crash_irreg_st4.json || {
+      echo "crash: recovered irregular results differ across --sim-threads" >&2
+      exit 1
+    }
+    python3 scripts/check_chaos.py --crash results/crash_irreg_baseline.json \
+      results/crash_irreg_st1.json results/crash_irreg_st4.json
     echo "crash: recovered results byte-identical at --sim-threads={1,4}" \
       "and --jobs={1,4}"
     # Unrecoverable-crash path: with checkpointing disabled a crash must

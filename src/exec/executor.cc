@@ -67,10 +67,17 @@ struct CompiledVisit {
   std::vector<CompiledIndirect> ind;
 };
 
-// Per-node execution state.
-struct NodeRun {
-  Node* node = nullptr;
-  sim::Task* task = nullptr;
+// The part of a node's execution state a checkpoint carries (see the hook
+// registered in the Executor ctor): everything the replayed program path
+// reads, including the elision registries (opened ranges, availability)
+// and the plan records — restored by value so the deterministic replay
+// makes exactly the decisions the checkpointed timeline would have, keeping
+// the collective any_comm/any_flush choices and the inspector's needs
+// exchange aligned across nodes. The records point into the run's
+// PlanTable, whose entries live until the run ends, so they stay valid
+// across rollbacks — as does the plan reference exec_loop_inner holds on
+// the fiber stack.
+struct ReplayState {
   Bindings bind;  // sizes + $p/$np + live time-loop counters
   std::map<std::string, double> scalars;
   double reduce_acc = 0.0;
@@ -94,8 +101,15 @@ struct NodeRun {
   // The plan-table entry of each loop's last visit. A visit whose key is
   // unchanged is served from here without touching the shared table; for
   // loops with indirect reads this record is the inspect-or-replay
-  // decision, so it is checkpointed with the rest of the node's state.
+  // decision.
   std::map<const hpf::ParallelLoop*, const core::PlanTable::Entry*> plans;
+};
+
+// Per-node execution state.
+struct NodeRun : ReplayState {
+  Node* node = nullptr;
+  sim::Task* task = nullptr;
+  // Not restored at rollback, like NodeStats.
   std::uint64_t plan_hits = 0;    // visits served by `plans`
   std::uint64_t plan_misses = 0;  // visits that went to the table
 
@@ -117,26 +131,6 @@ struct NodeRun {
 
   util::NodeStats snap;      // stats at program completion
   sim::Time snap_time = 0;
-};
-
-// Host state a checkpoint must carry for one node (see the hook registered
-// in the Executor ctor): everything the replayed program path reads,
-// including the elision registries (opened ranges, availability) and the
-// plan records — restored by value so the deterministic replay makes
-// exactly the decisions the checkpointed timeline would have, keeping the
-// collective any_comm/any_flush choices and the inspector's needs exchange
-// aligned across nodes. The records point into the run's PlanTable, whose
-// entries live until the run ends, so they stay valid across rollbacks — as
-// does the plan reference exec_loop_inner holds on the fiber stack. The
-// hit/miss counters stay unrestored, like NodeStats.
-struct NodeRunSnap {
-  Bindings bind;
-  std::map<std::string, double> scalars;
-  double reduce_acc = 0.0;
-  std::map<std::string, std::int64_t> write_version;
-  std::map<const hpf::ParallelLoop*, std::vector<Run>> opened;
-  std::map<const hpf::ParallelLoop*, NodeRun::AvailEntry> avail;
-  std::map<const hpf::ParallelLoop*, const core::PlanTable::Entry*> plans;
 };
 
 // The run's array layouts, by name and by index in Program::arrays.
@@ -243,28 +237,10 @@ class Executor {
     // consistent with its not-yet-activated task snapshots (node_main
     // re-initializes both on replay).
     cluster_.register_host_state_hook(
-        {[this]() -> std::shared_ptr<void> {
-           auto blob = std::make_shared<std::vector<NodeRunSnap>>();
-           blob->reserve(nodes_.size());
-           for (const NodeRun& st : nodes_)
-             blob->push_back({st.bind, st.scalars, st.reduce_acc,
-                              st.write_version, st.opened, st.avail,
-                              st.plans});
-           return blob;
-         },
-         [this](const std::shared_ptr<void>& b) {
-           const auto& snap =
-               *std::static_pointer_cast<std::vector<NodeRunSnap>>(b);
-           for (std::size_t i = 0; i < nodes_.size(); ++i) {
-             NodeRun& st = nodes_[i];
-             st.bind = snap[i].bind;
-             st.scalars = snap[i].scalars;
-             st.reduce_acc = snap[i].reduce_acc;
-             st.write_version = snap[i].write_version;
-             st.opened = snap[i].opened;
-             st.avail = snap[i].avail;
-             st.plans = snap[i].plans;
-           }
+        {[this] { snap_.assign(nodes_.begin(), nodes_.end()); },
+         [this] {
+           for (std::size_t i = 0; i < nodes_.size(); ++i)
+             static_cast<ReplayState&>(nodes_[i]) = snap_[i];
          }});
   }
 
@@ -863,6 +839,7 @@ class Executor {
                          cluster_.block_size(),
                          cfg_.opt.mode == Mode::kShmemOpt};
   std::vector<NodeRun> nodes_;
+  std::vector<ReplayState> snap_;  // the last checkpoint's copy
 };
 
 }  // namespace

@@ -1,79 +1,40 @@
 #include "src/irreg/runtime.h"
 
+#include <algorithm>
 #include <utility>
-
-#include "src/util/assert.h"
 
 namespace fgdsm::irreg {
 
 IrregRuntime::IrregRuntime(tempest::Cluster& cluster)
     : cluster_(cluster),
-      st_(static_cast<std::size_t>(cluster.nnodes())) {
-  for (NodeState& st : st_) {
-    st.recv.resize(static_cast<std::size_t>(cluster.nnodes()));
-    st.done.resize(static_cast<std::size_t>(cluster.nnodes()));
-    st.sem.set_name("irreg_needs");
-  }
+      inbox_(cluster, "irreg_needs",
+             static_cast<std::size_t>(cluster.nnodes()),
+             [](tempest::Node&, sim::Message& m,
+                std::span<sim::Payload> kept) {
+               kept[static_cast<std::size_t>(m.src)] = std::move(m.payload);
+               return std::int64_t{1};
+             }),
+      done_(static_cast<std::size_t>(cluster.nnodes()) *
+            static_cast<std::size_t>(cluster.nnodes())) {
   cluster_.register_handler(
       tempest::MsgType::kIrregNeeds,
       [this](tempest::Node& self, sim::Message& m,
              tempest::HandlerClock& clk) {
         clk.charge(cluster_.costs().copy_time(
             static_cast<std::int64_t>(m.payload.size())));
-        NodeState& st = st_[static_cast<std::size_t>(self.id())];
-        const std::int64_t seq = m.arg[1];
-        if (seq == st.seq) {
-          st.recv[static_cast<std::size_t>(m.src)] = std::move(m.payload);
-          st.sem.post(clk.t);
-        } else {
-          FGDSM_ASSERT_MSG(seq > st.seq,
-                           "stale needs message (seq " << seq << " < "
-                                                       << st.seq << ")");
-          st.stash[seq].push_back(std::move(m));
-        }
+        inbox_.accept(self, m, clk.t);
       });
-  // Crash recovery: the exchange sequence, buffered per-sender lists and
-  // future-sequence stash are host state the cluster checkpoint cannot see.
-  // Copying them shares the payloads (capture and restore run at the window
-  // barrier). The semaphore is captured as a count and force-restored — a
-  // rolled-back waiter resumes inside its wait loop and re-evaluates
-  // against it. The last completed lists are not state: no one reads them
-  // across a barrier.
-  struct NodeSnap {
-    std::int64_t seq;
-    std::vector<sim::Payload> recv;
-    std::map<std::int64_t, std::vector<sim::Message>> stash;
-    std::int64_t sem;
-  };
-  cluster_.register_host_state_hook(
-      {[this]() -> std::shared_ptr<void> {
-         auto blob = std::make_shared<std::vector<NodeSnap>>();
-         blob->reserve(st_.size());
-         for (const NodeState& st : st_)
-           blob->push_back({st.seq, st.recv, st.stash, st.sem.count()});
-         return blob;
-       },
-       [this](const std::shared_ptr<void>& b) {
-         const auto& snap =
-             *std::static_pointer_cast<std::vector<NodeSnap>>(b);
-         for (std::size_t i = 0; i < st_.size(); ++i) {
-           st_[i].seq = snap[i].seq;
-           st_[i].recv = snap[i].recv;
-           st_[i].stash = snap[i].stash;
-           st_[i].sem.restore_for_recovery(snap[i].sem);
-         }
-       }});
 }
 
 std::span<const sim::Payload> IrregRuntime::exchange(
     tempest::Node& node, sim::Task& task, const std::vector<Need>& mine) {
   const int np = cluster_.nnodes();
   const int me = node.id();
-  NodeState& st = st_[static_cast<std::size_t>(me)];
 
   sim::Payload list =
       cluster_.payload_pool().acquire(mine.size() * NeedList::kRecordBytes);
   NeedList::encode(mine, list.mutable_data());
+  const std::int64_t round = inbox_.epoch(me);
   for (int dst = 0; dst < np; ++dst) {
     if (dst == me) continue;
     // Marshalling the need list into the message buffer.
@@ -82,30 +43,23 @@ std::span<const sim::Payload> IrregRuntime::exchange(
     sim::Message m;
     m.dst = dst;
     m.type = static_cast<std::uint16_t>(tempest::MsgType::kIrregNeeds);
-    m.arg[1] = st.seq;
+    m.arg[1] = round;
     m.payload = list;
     node.send(task, std::move(m));
   }
-  if (np > 1) st.sem.wait(task, np - 1);
-  st.recv[static_cast<std::size_t>(me)] = std::move(list);
+  if (np > 1) inbox_.wait(node, task, np - 1);
+  const std::span<sim::Payload> recv = inbox_.kept(me);
+  recv[static_cast<std::size_t>(me)] = std::move(list);
 
-  // This exchange is complete: its lists become the result, the previous
-  // result's handles drop, and stashed arrivals for the next exchange
-  // surface.
-  std::swap(st.recv, st.done);
-  for (sim::Payload& p : st.recv) p.reset();
-  ++st.seq;
-  auto it = st.stash.find(st.seq);
-  if (it != st.stash.end()) {
-    for (sim::Message& m : it->second) {
-      task.charge(cluster_.costs().copy_time(
-          static_cast<std::int64_t>(m.payload.size())));
-      st.recv[static_cast<std::size_t>(m.src)] = std::move(m.payload);
-      st.sem.post(task.now());
-    }
-    st.stash.erase(it);
-  }
-  return st.done;
+  // This round is complete: its lists become the result, the previous
+  // result's handles drop in sender order, and early arrivals for the next
+  // round surface.
+  const std::span<sim::Payload> done(
+      done_.data() + static_cast<std::size_t>(me) * recv.size(), recv.size());
+  std::swap_ranges(recv.begin(), recv.end(), done.begin());
+  for (sim::Payload& p : recv) p.reset();
+  inbox_.advance(node, task);
+  return done;
 }
 
 }  // namespace fgdsm::irreg

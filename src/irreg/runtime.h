@@ -15,20 +15,17 @@
 //
 // Like the MP backend, the exchange runs without barriers, so a fast node
 // can start inspection round k+1 while a slow node still waits in round k.
-// Messages carry the sender's inspection sequence number; future-sequence
-// arrivals are stashed and applied when the receiver's exchange() catches up
-// (the MpRuntime epoch-stash pattern). Per-link FIFO delivery (restored by
-// the reliable channel under chaos) keeps sequences monotone per link.
+// Messages carry the sender's inspection round as their epoch, and a
+// tempest::EpochInbox holds a later round's lists until the receiver's
+// exchange() catches up.
 #pragma once
 
-#include <cstdint>
-#include <map>
 #include <span>
 #include <vector>
 
 #include "src/irreg/inspector.h"
-#include "src/sim/sync.h"
 #include "src/tempest/cluster.h"
+#include "src/tempest/epoch_inbox.h"
 #include "src/tempest/node.h"
 
 namespace fgdsm::irreg {
@@ -49,16 +46,12 @@ class IrregRuntime {
                                          const std::vector<Need>& mine);
 
  private:
-  struct NodeState {
-    std::int64_t seq = 0;  // inspection sequence (next exchange to complete)
-    std::vector<sim::Payload> recv;  // per sender, current sequence
-    std::vector<sim::Payload> done;  // the last completed exchange's lists
-    std::map<std::int64_t, std::vector<sim::Message>> stash;  // future seqs
-    sim::Semaphore sem;  // one post per current-sequence arrival
-  };
-
   tempest::Cluster& cluster_;
-  std::vector<NodeState> st_;
+  // Keeps one list per sender for the current round.
+  tempest::EpochInbox inbox_;
+  // The last completed round's lists, np per node, node-major. Not
+  // checkpointed: no one reads them across a barrier.
+  std::vector<sim::Payload> done_;
 };
 
 }  // namespace fgdsm::irreg

@@ -9,10 +9,10 @@
 //
 // Epochs. The backend runs without barriers, so a fast sender can race one
 // or more communication phases ahead of a slow receiver. Messages are tagged
-// with the sender's communication-epoch counter (advanced at the same
-// program points on every node); the receiver stashes future-epoch payloads
-// and applies them when it advances — otherwise early data could clobber a
-// section the receiver is still reading.
+// with the sender's communication epoch and received through a
+// tempest::EpochInbox, which holds later epochs' payloads until the
+// receiver advances — otherwise early data could clobber a section the
+// receiver is still reading.
 //
 // The per-message software overhead (CostModel::mp_msg_overhead) models the
 // marshalling/progress-engine cost of the ported runtime. The paper found
@@ -23,9 +23,9 @@
 #pragma once
 
 #include <cstdint>
-#include <vector>
 
 #include "src/tempest/cluster.h"
+#include "src/tempest/epoch_inbox.h"
 #include "src/tempest/node.h"
 
 namespace fgdsm::mp {
@@ -39,7 +39,7 @@ class MpRuntime {
   explicit MpRuntime(tempest::Cluster& cluster);
 
   // Enter the next communication epoch (call at the same program point on
-  // every node); applies any stashed early arrivals for the new epoch.
+  // every node); applies the early arrivals that belong to it.
   void advance_epoch(Node& node, sim::Task& task);
 
   // Ship [addr, addr+len) of this node's memory to dst, split into messages
@@ -50,18 +50,9 @@ class MpRuntime {
   // Block until `bytes` of current-epoch MP data have arrived.
   void recv(Node& node, sim::Task& task, std::int64_t bytes);
 
-  std::int64_t epoch(int node) const { return st_[node].epoch; }
-
  private:
-  struct NodeState {
-    std::int64_t epoch = 0;
-    // Early arrivals for later epochs (arg[1]), in arrival order.
-    std::vector<sim::Message> stash;
-  };
-  void apply(Node& node, const sim::Message& m);
-
   tempest::Cluster& cluster_;
-  std::vector<NodeState> st_;
+  tempest::EpochInbox inbox_;
 };
 
 }  // namespace fgdsm::mp

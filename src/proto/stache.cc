@@ -24,6 +24,7 @@ Stache::Stache(tempest::Cluster& cluster)
   for (NodeState& ns : nodes_) {
     ns.miss_sem.set_name("read miss");
     ns.drain_sem.set_name("transaction drain");
+    ns.recv_sem.set_name("ready_to_recv");
   }
   auto bind = [this](void (Stache::*fn)(Node&, sim::Message&,
                                         HandlerClock&)) {
@@ -46,11 +47,42 @@ Stache::Stache(tempest::Cluster& cluster)
                            bind(&Stache::h_fetch_excl_req));
   cluster.register_handler(MsgType::kFetchExclResp,
                            bind(&Stache::h_fetch_excl_resp));
-  cluster.register_handler(MsgType::kDirectData,
-                           bind(&Stache::h_direct_data));
-  cluster.register_handler(MsgType::kCccFlush, bind(&Stache::h_ccc_flush));
+  cluster.register_handler(MsgType::kDirectData, bind(&Stache::h_ccc_data));
+  cluster.register_handler(MsgType::kCccFlush, bind(&Stache::h_ccc_data));
   for (int i = 0; i < cluster.nnodes(); ++i)
     cluster.node(i).protocol = this;
+  // Crash recovery: directories, compiler-contracted opens, transaction
+  // bookkeeping and semaphores are host state the cluster checkpoint cannot
+  // see. Each capture builds a fresh snapshot: assigning into the last one
+  // raised chaos8_st4's peak RSS by about 1 MiB (EXPERIMENTS.md, "One epoch
+  // inbox and one checkpoint hook").
+  cluster.register_host_state_hook(
+      {[this] {
+         snap_.resize(nodes_.size());
+         for (std::size_t n = 0; n < nodes_.size(); ++n) {
+           for (const DirEntry& e : dir_[n].entries)
+             FGDSM_ASSERT_MSG(!e.busy && e.queue_empty(),
+                              "checkpoint capture at a non-quiescent "
+                              "directory (node " << n << ")");
+           const NodeState& st = nodes_[n];
+           snap_[n] = NodeSnapshot{dir_[n], ccc_open_[n], st.upgrade,
+                                   st.outstanding, st.miss_sem.count(),
+                                   st.drain_sem.count(), st.recv_sem.count()};
+         }
+       },
+       [this] {
+         for (std::size_t n = 0; n < nodes_.size(); ++n) {
+           const NodeSnapshot& s = snap_[n];
+           NodeState& st = nodes_[n];
+           dir_[n] = s.dir;
+           ccc_open_[n] = s.ccc_open;
+           st.outstanding = s.outstanding;
+           st.upgrade = s.upgrade;
+           st.miss_sem.restore_for_recovery(s.miss_sem);
+           st.drain_sem.restore_for_recovery(s.drain_sem);
+           st.recv_sem.restore_for_recovery(s.recv_sem);
+         }
+       }});
 }
 
 std::uint64_t Stache::full_mask() const {
@@ -687,18 +719,40 @@ void Stache::send_blocks(Node& node, sim::Task& task, GAddr addr,
   FGDSM_LOG("ccc", "send_blocks@" << node.id() << " addr=" << addr
                                   << " len=" << len << " dst=" << dst
                                   << " t=" << task.now());
+  send_ccc(node, task, MsgType::kDirectData, addr, len, dst, max_payload);
+}
+
+void Stache::ready_to_recv(Node& node, sim::Task& task,
+                           std::int64_t nblocks) {
+  ++node.stats.ccc_runtime_calls;
+  task.charge(cluster_.costs().ccc_call_overhead);
+  if (nblocks > 0)
+    nodes_[static_cast<std::size_t>(node.id())].recv_sem.wait(task, nblocks);
+}
+
+void Stache::ccc_flush(Node& node, sim::Task& task, GAddr addr,
+                       std::size_t len, int owner, std::size_t max_payload) {
+  if (len == 0) return;
+  FGDSM_LOG("ccc", "ccc_flush@" << node.id() << " addr=" << addr << " len="
+                                << len << " owner=" << owner << " t="
+                                << task.now());
+  send_ccc(node, task, MsgType::kCccFlush, addr, len, owner, max_payload);
+}
+
+void Stache::send_ccc(Node& node, sim::Task& task, MsgType type, GAddr addr,
+                      std::size_t len, int dst, std::size_t max_payload) {
   const std::int64_t nblocks = blocks_in(addr, len);
   ++node.stats.ccc_runtime_calls;
   task.charge(cluster_.costs().ccc_call_overhead);
   FGDSM_ASSERT(max_payload >= cluster_.block_size() &&
                max_payload % cluster_.block_size() == 0);
-  FGDSM_ASSERT_MSG(dst != node.id(), "send_blocks to self");
+  FGDSM_ASSERT_MSG(dst != node.id(), to_string(type) << " to self");
   std::size_t off = 0;
   while (off < len) {
     const std::size_t chunk = std::min(max_payload, len - off);
     sim::Message m;
     m.dst = dst;
-    m.type = static_cast<std::uint16_t>(MsgType::kDirectData);
+    m.type = static_cast<std::uint16_t>(type);
     m.addr = addr + off;
     m.arg[0] = static_cast<std::int64_t>(chunk / cluster_.block_size());
     m.payload = cluster_.payload_pool().acquire(chunk);
@@ -710,46 +764,15 @@ void Stache::send_blocks(Node& node, sim::Task& task, GAddr addr,
   node.stats.ccc_blocks_sent += static_cast<std::uint64_t>(nblocks);
 }
 
-void Stache::ready_to_recv(Node& node, sim::Task& task,
-                           std::int64_t nblocks) {
-  ++node.stats.ccc_runtime_calls;
-  task.charge(cluster_.costs().ccc_call_overhead);
-  if (nblocks > 0) node.recv_sem.wait(task, nblocks);
-}
-
-void Stache::ccc_flush(Node& node, sim::Task& task, GAddr addr,
-                       std::size_t len, int owner, std::size_t max_payload) {
-  if (len == 0) return;
-  FGDSM_LOG("ccc", "ccc_flush@" << node.id() << " addr=" << addr << " len="
-                                << len << " owner=" << owner << " t="
-                                << task.now());
-  ++node.stats.ccc_runtime_calls;
-  task.charge(cluster_.costs().ccc_call_overhead);
-  FGDSM_ASSERT(owner != node.id());
-  std::size_t off = 0;
-  while (off < len) {
-    const std::size_t chunk = std::min(max_payload, len - off);
-    sim::Message m;
-    m.dst = owner;
-    m.type = static_cast<std::uint16_t>(MsgType::kCccFlush);
-    m.addr = addr + off;
-    m.arg[0] = static_cast<std::int64_t>(chunk / cluster_.block_size());
-    m.payload = cluster_.payload_pool().acquire(chunk);
-    std::memcpy(m.payload.mutable_data(), node.mem(addr + off), chunk);
-    node.send(task, std::move(m));
-    ++node.stats.ccc_messages_sent;
-    off += chunk;
-  }
-  node.stats.ccc_blocks_sent +=
-      static_cast<std::uint64_t>(blocks_in(addr, len));
-}
-
-void Stache::h_direct_data(Node& self, sim::Message& m, HandlerClock& clk) {
-  FGDSM_LOG("ccc", "directdata@" << self.id() << " addr=" << m.addr
-                                 << " len=" << m.payload.size() << " t="
-                                 << clk.t);
-  // Compiler contract: the receiver opened these blocks with
-  // implicit_writable before the transfer barrier.
+// kDirectData and kCccFlush: sender-initiated data for a reader, or a
+// non-owner writer's results returning to the owner. By the compiler
+// contract the blocks are writable here — opened with implicit_writable
+// before the transfer barrier, or the owner's exclusive copy — so the
+// bytes are stored as they are, and ready_to_recv counts the blocks.
+void Stache::h_ccc_data(Node& self, sim::Message& m, HandlerClock& clk) {
+  FGDSM_LOG("ccc", to_string(static_cast<MsgType>(m.type))
+                       << "@" << self.id() << " addr=" << m.addr
+                       << " len=" << m.payload.size() << " t=" << clk.t);
   const BlockId first = cluster_.block_of(m.addr);
   const std::int64_t nblocks = m.arg[0];
   for (std::int64_t i = 0; i < nblocks; ++i)
@@ -758,7 +781,7 @@ void Stache::h_direct_data(Node& self, sim::Message& m, HandlerClock& clk) {
   std::memcpy(self.mem(m.addr), m.payload.data(), m.payload.size());
   clk.charge(cluster_.costs().copy_time(
       static_cast<std::int64_t>(m.payload.size())));
-  self.recv_sem.post(clk.t, nblocks);
+  nodes_[static_cast<std::size_t>(self.id())].recv_sem.post(clk.t, nblocks);
 }
 
 // ---------------------------------------------------------------------------
@@ -878,63 +901,6 @@ void Stache::check_invariants(Node& node) {
   for (std::size_t i = 0; i < v.size(); ++i)
     os << (i == 0 ? "" : "; ") << v[i];
   FGDSM_ASSERT_MSG(false, os.str());
-}
-
-std::shared_ptr<void> Stache::capture_snapshot(Node& node) {
-  const std::size_t n = static_cast<std::size_t>(node.id());
-  auto s = std::make_shared<NodeSnapshot>();
-  for (const DirEntry& e : dir_[n].entries)
-    FGDSM_ASSERT_MSG(!e.busy && e.queue_empty(),
-                     "checkpoint capture at a non-quiescent directory (node "
-                         << node.id() << ")");
-  s->dir = dir_[n];
-  s->ccc_open = ccc_open_[n];
-  const NodeState& st = nodes_[n];
-  s->upgrade = st.upgrade;
-  s->outstanding = st.outstanding;
-  s->miss_sem = st.miss_sem.count();
-  s->drain_sem = st.drain_sem.count();
-  return s;
-}
-
-void Stache::restore_snapshot(Node& node, const std::shared_ptr<void>& sp) {
-  const std::size_t n = static_cast<std::size_t>(node.id());
-  NodeState& st = nodes_[n];
-  if (sp == nullptr) {
-    // Pristine initial state: an empty directory (entries regrow on first
-    // request) and no transaction bookkeeping.
-    dir_[n].entries.clear();
-    dir_[n].spill.clear();
-    ccc_open_[n].clear();
-    st.outstanding = 0;
-    st.upgrade.clear();
-    st.miss_sem.restore_for_recovery(0);
-    st.drain_sem.restore_for_recovery(0);
-    return;
-  }
-  const auto& s = *std::static_pointer_cast<NodeSnapshot>(sp);
-  dir_[n] = s.dir;
-  ccc_open_[n] = s.ccc_open;
-  st.outstanding = s.outstanding;
-  st.upgrade = s.upgrade;
-  st.miss_sem.restore_for_recovery(s.miss_sem);
-  st.drain_sem.restore_for_recovery(s.drain_sem);
-}
-
-void Stache::h_ccc_flush(Node& self, sim::Message& m, HandlerClock& clk) {
-  FGDSM_LOG("ccc", "cccflush@" << self.id() << " addr=" << m.addr << " len="
-                               << m.payload.size() << " t=" << clk.t);
-  // We are the owner; a compiler-identified non-owner writer returns its
-  // results. Our copy is exclusive and writable; just store the bytes.
-  const BlockId first = cluster_.block_of(m.addr);
-  const std::int64_t nblocks = m.arg[0];
-  for (std::int64_t i = 0; i < nblocks; ++i)
-    FGDSM_DCHECK(self.access(first + static_cast<BlockId>(i)) ==
-                 Access::kReadWrite);
-  std::memcpy(self.mem(m.addr), m.payload.data(), m.payload.size());
-  clk.charge(cluster_.costs().copy_time(
-      static_cast<std::int64_t>(m.payload.size())));
-  self.recv_sem.post(clk.t, nblocks);
 }
 
 }  // namespace fgdsm::proto

@@ -143,14 +143,6 @@ class Stache : public tempest::Protocol {
   // tempest::Protocol hook: asserts find_violations() is empty.
   void check_invariants(Node& node) override;
 
-  // ---- Checkpoint / rollback (crash recovery) ----
-  // Per-node protocol state at a quiescent point: the directory entries
-  // homed at the node (all idle — no busy entries or queued requests), its
-  // compiler-contracted opens, and its (drained) transaction bookkeeping.
-  std::shared_ptr<void> capture_snapshot(Node& node) override;
-  void restore_snapshot(Node& node,
-                        const std::shared_ptr<void>& s) override;
-
  private:
   struct Txn {
     enum class Kind : std::uint8_t { kRead, kWrite, kFetchExcl };
@@ -201,6 +193,7 @@ class Stache : public tempest::Protocol {
     int outstanding = 0;
     sim::Semaphore miss_sem;   // read-miss completion (one at a time)
     sim::Semaphore drain_sem;  // one post per completed transaction
+    sim::Semaphore recv_sem;   // ready_to_recv: one post per CCC data block
     // In-flight eager upgrades, linear-scanned: a node has at most a handful
     // live at once (bounded by its outstanding transactions), so a flat
     // vector beats a hash map on every note_writes probe.
@@ -212,7 +205,11 @@ class Stache : public tempest::Protocol {
     std::vector<DirEntry> entries;
     SharerArena spill;
   };
-  // One node's capture_snapshot payload (opaque to the cluster).
+  // One node's protocol state at a checkpoint (the host-state hook
+  // registered in the constructor), taken at a quiescent point: the
+  // directory entries homed at the node (all idle — no busy entries or
+  // queued requests), its compiler-contracted opens, and its drained
+  // transaction bookkeeping.
   struct NodeSnapshot {
     Directory dir;
     std::unordered_set<BlockId> ccc_open;
@@ -220,6 +217,7 @@ class Stache : public tempest::Protocol {
     int outstanding = 0;
     std::int64_t miss_sem = 0;
     std::int64_t drain_sem = 0;
+    std::int64_t recv_sem = 0;
   };
 
   // Handler bodies (run at the node owning the directory / the copy).
@@ -233,8 +231,7 @@ class Stache : public tempest::Protocol {
   void h_write_grant(Node& self, sim::Message& m, HandlerClock& clk);
   void h_fetch_excl_req(Node& self, sim::Message& m, HandlerClock& clk);
   void h_fetch_excl_resp(Node& self, sim::Message& m, HandlerClock& clk);
-  void h_direct_data(Node& self, sim::Message& m, HandlerClock& clk);
-  void h_ccc_flush(Node& self, sim::Message& m, HandlerClock& clk);
+  void h_ccc_data(Node& self, sim::Message& m, HandlerClock& clk);
 
   // Home-side helpers.
   static PendingUpgrade* find_upgrade(NodeState& st, BlockId b);
@@ -275,6 +272,9 @@ class Stache : public tempest::Protocol {
   void send_block_msg(Node& from, HandlerClock& clk, int dst, MsgType type,
                       BlockId b, std::uint64_t mask, bool with_data);
   void issue_upgrade(Node& node, sim::Task& task, BlockId b);
+  // The CCC data path's one send loop (send_blocks, ccc_flush).
+  void send_ccc(Node& node, sim::Task& task, MsgType type, GAddr addr,
+                std::size_t len, int dst, std::size_t max_payload);
 
   std::uint64_t full_mask() const;
 
@@ -289,6 +289,8 @@ class Stache : public tempest::Protocol {
   // contracted incoherence the directory does not know about). Maintained
   // only under ClusterConfig::check_coherence, consumed by find_violations.
   std::vector<std::unordered_set<BlockId>> ccc_open_;
+  // The last checkpoint's copy of each node's state.
+  std::vector<NodeSnapshot> snap_;
 };
 
 }  // namespace fgdsm::proto

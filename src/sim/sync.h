@@ -20,7 +20,6 @@ class Semaphore {
   // parked here; deadlock/stall dumps print it ("node3 waiting on
   // ready_to_recv"). Must point at a string that outlives the semaphore.
   void set_name(const char* name) { name_ = name; }
-  const char* name() const { return name_; }
 
   // Post n units at virtual time t (typically the posting handler's
   // completion time). Engine/handler context only.
@@ -52,13 +51,7 @@ class Semaphore {
     count_ -= n;
   }
 
-  // True if wait(n) would not block right now.
-  bool would_pass(std::int64_t n = 1) const { return count_ >= n; }
   std::int64_t count() const { return count_; }
-  void reset() {
-    FGDSM_ASSERT(waiter_ == nullptr);
-    count_ = 0;
-  }
 
   // Rollback-restart support: force the semaphore to `count` with no waiter
   // registered. A task restored from a checkpoint resumes *inside* its wait

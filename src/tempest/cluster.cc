@@ -484,10 +484,7 @@ void Cluster::capture_checkpoint(sim::Time t, bool at_barrier) {
   }
   ckpt_.t = t;
   ckpt_.nodes.resize(static_cast<std::size_t>(cfg_.nnodes));
-  ckpt_.host_blobs.clear();
-  ckpt_.host_blobs.reserve(host_hooks_.size());
-  for (const HostStateHook& h : host_hooks_)
-    ckpt_.host_blobs.push_back(h.capture ? h.capture() : nullptr);
+  for (const HostStateHook& h : host_hooks_) h.capture();
   const std::size_t blocks_per_page = cfg_.page_size / bs;
   for (int i = 0; i < cfg_.nnodes; ++i) {
     Node& n = *nodes_[static_cast<std::size_t>(i)];
@@ -530,11 +527,7 @@ void Cluster::capture_checkpoint(sim::Time t, bool at_barrier) {
     // barrier_sem.wait and proceeds as if the release had just arrived.
     c.barrier_sem = at_barrier ? 1 : n.barrier_sem.count();
     c.reduce_sem = n.reduce_sem.count();
-    c.recv_sem = n.recv_sem.count();
-    c.drain_sem = n.drain_sem.count();
     c.reduce_result = n.reduce_result;
-    c.protocol =
-        n.protocol != nullptr ? n.protocol->capture_snapshot(n) : nullptr;
     // Charged: the node's captured blocks and tags. Not the fiber stack —
     // those bytes are the simulator's own frames, whose size depends on the
     // compiler and on how deep the host code calls into the collective.
@@ -593,10 +586,7 @@ bool Cluster::recover() {
     }
     n.barrier_sem.restore_for_recovery(c.barrier_sem);
     n.reduce_sem.restore_for_recovery(c.reduce_sem);
-    n.recv_sem.restore_for_recovery(c.recv_sem);
-    n.drain_sem.restore_for_recovery(c.drain_sem);
     n.reduce_result = c.reduce_result;
-    if (n.protocol != nullptr) n.protocol->restore_snapshot(n, c.protocol);
     n.set_pending_checkpoint(-1);
     n.task()->restore(c.task, t_rec);
     // Stats deliberately NOT rolled back: re-executed work is real simulated
@@ -612,8 +602,7 @@ bool Cluster::recover() {
     x.op = -1;
   }
   ckpt_request_ = false;  // any capture requested on the dead timeline
-  for (std::size_t h = 0; h < host_hooks_.size(); ++h)
-    if (host_hooks_[h].restore) host_hooks_[h].restore(ckpt_.host_blobs[h]);
+  for (const HostStateHook& h : host_hooks_) h.restore();
   if (sim::Tracer* tr = cfg_.tracer)
     tr->span(sim::Tracer::compute_track(dead), "recovery", "rollback",
              ckpt_.t, t_rec);

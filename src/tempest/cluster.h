@@ -70,17 +70,21 @@ class Cluster {
       const std::function<void(Node&, sim::Task&)>& program);
 
   // ---- Host-state checkpoint hooks ----
-  // Layers above the cluster (the executor, the MP/irregular runtimes) keep
-  // per-node execution state outside node memory — loop counters, scalars,
-  // message stashes. They register a capture/restore pair here; capture runs
-  // at every checkpoint and returns an opaque blob, restore applies it
-  // during rollback. Registration order is preserved (blobs are
-  // index-aligned). Register before run().
+  // Every layer above the cluster keeps per-node state outside node memory:
+  // the protocol's directory and semaphores, the executor's interpreter
+  // state, the epoch inboxes' stashes. Each registers one capture/restore
+  // pair over a snapshot it owns: capture copies the live state into it at
+  // every checkpoint, restore copies it back during rollback. Both run at
+  // the window barrier, where every task is parked and payload handles may
+  // be copied. Register before run().
   struct HostStateHook {
-    std::function<std::shared_ptr<void>()> capture;
-    std::function<void(const std::shared_ptr<void>&)> restore;
+    std::function<void()> capture;
+    std::function<void()> restore;
   };
   void register_host_state_hook(HostStateHook h) {
+    // An executor run registers up to three (the protocol or the MP inbox,
+    // the irregular inbox, the executor): one allocation holds them.
+    if (host_hooks_.empty()) host_hooks_.reserve(4);
     host_hooks_.push_back(std::move(h));
   }
 
@@ -196,17 +200,13 @@ class Cluster {
     std::int64_t barrier_sem = 0;  // value to restore (1 at barrier capture:
                                    // the completed barrier's release, folded)
     std::int64_t reduce_sem = 0;
-    std::int64_t recv_sem = 0;
-    std::int64_t drain_sem = 0;
     double reduce_result = 0.0;
-    std::shared_ptr<void> protocol;  // Protocol::capture_snapshot handle
-    std::int64_t bytes = 0;          // serialized size charged to the model
+    std::int64_t bytes = 0;  // serialized size charged to the model
   };
   struct Checkpoint {
     bool valid = false;
     sim::Time t = 0;  // virtual time of capture (rollback_ns accounting)
     std::vector<NodeCheckpoint> nodes;
-    std::vector<std::shared_ptr<void>> host_blobs;  // per registered hook
   };
   // Barrier-completion bookkeeping at the collective root: advance the
   // (monotonic, never rolled back) barrier epoch, draw probabilistic

@@ -38,8 +38,6 @@ bool insert_sorted(std::vector<BlockId>& set, BlockId b) {
 Node::Node(Cluster& cluster, int id) : cluster_(cluster), id_(id) {
   barrier_sem.set_name("barrier");
   reduce_sem.set_name("allreduce");
-  recv_sem.set_name("ready_to_recv");
-  drain_sem.set_name("drain");
 }
 
 void* Node::map_zeroed(std::size_t bytes) {

@@ -98,12 +98,10 @@ class Node {
   Protocol* protocol = nullptr;
   util::NodeStats stats;
 
-  // Semaphores protocol/runtime layers wait on (one waiter each: this
-  // node's compute task).
+  // The cluster's collectives post these; this node's compute task waits
+  // on them. Layers above keep their own semaphores and checkpoint them.
   sim::Semaphore barrier_sem;
   sim::Semaphore reduce_sem;
-  sim::Semaphore recv_sem;   // compiler-directed ready_to_recv (data blocks)
-  sim::Semaphore drain_sem;  // outstanding-transaction drain
   double reduce_result = 0.0;
 
   // Internal wiring (Cluster only).

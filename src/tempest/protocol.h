@@ -7,7 +7,6 @@
 // primitives. This interface is that dispatch surface.
 #pragma once
 
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -58,24 +57,6 @@ class Protocol {
   // watchdog's stall reporter, where the cluster is *not* quiescent, so
   // "violations" here usually mean "stuck mid-transaction".
   virtual std::vector<std::string> find_violations() const { return {}; }
-
-  // ---- Checkpoint / rollback (crash recovery) ----
-  // Capture this node's protocol state at a globally quiescent point (the
-  // same barrier-root instant as check_invariants: all transactions drained,
-  // every task parked). The returned handle is opaque to the cluster; null
-  // means "nothing to capture" (the default for stateless protocols).
-  virtual std::shared_ptr<void> capture_snapshot(Node& node) {
-    (void)node;
-    return nullptr;
-  }
-  // Roll this node's protocol state back to a handle previously returned by
-  // capture_snapshot (null restores the pristine initial state). Any
-  // in-flight transaction bookkeeping must be reset — the abandoned
-  // timeline's messages never arrive.
-  virtual void restore_snapshot(Node& node, const std::shared_ptr<void>& s) {
-    (void)node;
-    (void)s;
-  }
 };
 
 }  // namespace fgdsm::tempest

@@ -34,6 +34,7 @@
 #include "src/sim/network.h"
 #include "src/sim/task.h"
 #include "src/tempest/cluster.h"
+#include "src/tempest/epoch_inbox.h"
 
 namespace fgdsm {
 namespace {
@@ -289,33 +290,102 @@ std::vector<sim::Time> span_ends(const std::string& path,
 // have finished the exchange and recorded the schedule, others have not.
 // Rollback must restore every node's record with the rest of its state, or
 // the finished nodes replay while the others re-inspect and wait forever
-// for needs nobody sends. The window comes from the inspect spans of the
-// same run without the crash (a bare fault spec keeps the reliable channel
-// on, so the timeline is the one the crash interrupts): from the first
-// node done with the exchange to the last.
+// for needs nobody sends. Both modes that inspect run it; under message
+// passing one rollback restores both epoch inboxes, the needs exchange's
+// and the MP data's. The window comes from the inspect spans of the same
+// run without the crash (a bare fault spec keeps the reliable channel on,
+// so the timeline is the one the crash interrupts): from the first node
+// done with the exchange to the last.
 TEST(CrashRecovery, CrashDuringNeedsExchangeRecovers) {
   const auto prog = apps::spmv(4096, 8, 4, /*pattern=*/0);
-  exec::RunConfig traced = crash_cfg("1", 8, 1);
-  traced.trace_path = ::testing::TempDir() + "fgdsm_needs_exchange.json";
-  const exec::RunResult clean = exec::run(prog, traced);
-  const std::vector<sim::Time> ends = span_ends(traced.trace_path, "inspect");
-  std::remove(traced.trace_path.c_str());
-  ASSERT_EQ(ends.size(), 8u);  // one inspection per node, then replays
-  const auto [first, last] = std::minmax_element(ends.begin(), ends.end());
-  ASSERT_LT(*first, *last);
+  for (const core::Options& opt :
+       {core::shmem_opt_full(), core::msg_passing()}) {
+    SCOPED_TRACE(opt.label());
+    const auto cfg = [&opt](const std::string& spec) {
+      exec::RunConfig c = crash_cfg(spec, 8, 1);
+      c.opt = opt;
+      return c;
+    };
+    exec::RunConfig traced = cfg("1");
+    traced.trace_path = ::testing::TempDir() + "fgdsm_needs_exchange.json";
+    const exec::RunResult clean = exec::run(prog, traced);
+    const std::vector<sim::Time> ends =
+        span_ends(traced.trace_path, "inspect");
+    std::remove(traced.trace_path.c_str());
+    // One inspection per node in either mode, then replays.
+    ASSERT_EQ(ends.size(), 8u);
+    const auto [first, last] = std::minmax_element(ends.begin(), ends.end());
+    ASSERT_LT(*first, *last);
 
-  for (int k = 0; k < 6; ++k) {
-    const std::string spec =
-        "crash=7@" + std::to_string(*first + (*last - *first) * k / 5);
-    SCOPED_TRACE(spec);
-    exec::RunResult rec;
-    ASSERT_NO_THROW(rec = exec::run(prog, crash_cfg(spec, 8, 1)));
-    expect_scalars_identical(clean, rec);
-    util::NodeStats t;
-    for (const auto& ns : rec.stats.node) t += ns;
-    EXPECT_EQ(t.crashes, 1u);
-    EXPECT_GT(t.recoveries, 0u);
+    for (int k = 0; k < 6; ++k) {
+      const std::string spec =
+          "crash=7@" + std::to_string(*first + (*last - *first) * k / 5);
+      SCOPED_TRACE(spec);
+      exec::RunResult rec;
+      ASSERT_NO_THROW(rec = exec::run(prog, cfg(spec)));
+      expect_scalars_identical(clean, rec);
+      util::NodeStats t;
+      for (const auto& ns : rec.stats.node) t += ns;
+      EXPECT_EQ(t.crashes, 1u);
+      EXPECT_GT(t.recoveries, 0u);
+    }
   }
+}
+
+// The inbox's checkpoint hook: a rollback to a checkpoint taken while one
+// message sat in a node's kept slot and another in its stash must bring
+// both back. Node 1 reads both after the checkpointed barrier, then
+// crashes; the replayed timeline must read them again.
+TEST(CrashRecovery, EpochInboxRestoresKeptPayloadsAndTheStash) {
+  tempest::ClusterConfig cfg;
+  cfg.nnodes = 2;
+  cfg.checkpoint_every = 1;
+  std::string err;
+  cfg.faults = sim::FaultConfig::parse("crash=1@600000", &err);
+  ASSERT_TRUE(err.empty()) << err;
+  tempest::Cluster c(cfg);
+  c.allocate("pad", 64);
+  tempest::EpochInbox inbox(
+      c, "probe", /*slots=*/1,
+      [](tempest::Node&, sim::Message& m, std::span<sim::Payload> kept) {
+        kept[0] = std::move(m.payload);
+        return std::int64_t{1};
+      });
+  c.register_handler(
+      tempest::MsgType::kMpData,
+      [&](tempest::Node& n, sim::Message& m, tempest::HandlerClock& clk) {
+        inbox.accept(n, m, clk.t);
+      });
+  std::vector<int> read;  // node 1's reads, both timelines
+  const util::RunStats rs = c.run([&](tempest::Node& n, sim::Task& t) {
+    if (n.id() == 0) {
+      // Byte 10 for epoch 0 and byte 11 for epoch 1, before the barrier.
+      for (std::int64_t epoch : {0, 1}) {
+        sim::Message m;
+        m.dst = 1;
+        m.type = static_cast<std::uint16_t>(tempest::MsgType::kMpData);
+        m.arg[1] = epoch;
+        m.payload = c.payload_pool().acquire(1);
+        m.payload.mutable_data()[0] = static_cast<std::byte>(10 + epoch);
+        n.send(t, std::move(m));
+      }
+      n.barrier(t);
+      return;
+    }
+    t.charge(100 * sim::kUs);  // both messages are in before the barrier
+    n.barrier(t);              // the checkpoint
+    for (int epoch = 0; epoch < 2; ++epoch) {
+      if (epoch > 0) inbox.advance(n, t);
+      inbox.wait(n, t, 1);
+      sim::Payload& p = inbox.kept(1)[0];
+      read.push_back(p.size() == 1 ? static_cast<int>(p.data()[0]) : -1);
+      p.reset();
+    }
+    t.charge(sim::kMs);  // the crash lands here
+  });
+  EXPECT_EQ(rs.totals().crashes, 1u);
+  EXPECT_EQ(rs.totals().recoveries, 2u);  // both nodes roll back
+  EXPECT_EQ(read, (std::vector<int>{10, 11, 10, 11}));
 }
 
 // ---------------------------------------------------------------------------

@@ -14,7 +14,9 @@
 #include "src/exec/batch.h"
 #include "src/exec/executor.h"
 #include "src/irreg/inspector.h"
+#include "src/irreg/runtime.h"
 #include "src/sim/fault.h"
+#include "src/tempest/cluster.h"
 
 namespace fgdsm::exec {
 namespace {
@@ -192,6 +194,51 @@ TEST(Irreg, ChaosPreservesResults) {
       EXPECT_GT(chaotic.stats.totals().retransmits, 0u) << label;
     }
   }
+}
+
+// The needs exchange without barriers: a node may receive round k+1's list
+// while it still waits in round k. Node 1's long list makes each of its
+// round-k sends slow (every send charges the list's copy time, in
+// destination order), so node 0 finishes round k and its round-k+1 list
+// reaches node 3 before node 1's round-k list does. Every round must still
+// return exactly its own lists.
+TEST(IrregRuntime, ALaterRoundsListWaitsForItsRound) {
+  constexpr int kNodes = 4;
+  constexpr int kRounds = 3;
+  constexpr std::size_t kLong = 1000;
+  tempest::ClusterConfig cfg;
+  cfg.nnodes = kNodes;
+  tempest::Cluster c(cfg);
+  c.allocate("pad", 64);
+  irreg::IrregRuntime rt(c);
+  // Count arrivals tagged with a later round than the receiver's.
+  std::vector<std::int64_t> round(kNodes, 0);
+  int early = 0;
+  const tempest::Cluster::Handler needs =
+      c.handler(tempest::MsgType::kIrregNeeds);
+  c.register_handler(
+      tempest::MsgType::kIrregNeeds,
+      [&](tempest::Node& n, sim::Message& m, tempest::HandlerClock& clk) {
+        if (m.arg[1] > round[static_cast<std::size_t>(n.id())]) ++early;
+        needs(n, m, clk);
+      });
+  c.run([&](tempest::Node& n, sim::Task& t) {
+    for (std::int64_t r = 0; r < kRounds; ++r) {
+      // Each list names its sender and round.
+      const std::vector<irreg::Need> mine(n.id() == 1 ? kLong : 1,
+                                          irreg::Need{n.id(), r, r});
+      const std::span<const sim::Payload> lists = rt.exchange(n, t, mine);
+      ++round[static_cast<std::size_t>(n.id())];
+      ASSERT_EQ(lists.size(), static_cast<std::size_t>(kNodes));
+      for (int s = 0; s < kNodes; ++s) {
+        const irreg::NeedList got(lists[static_cast<std::size_t>(s)].bytes());
+        EXPECT_EQ(got.size(), s == 1 ? kLong : 1) << "round " << r;
+        EXPECT_EQ(got[0], (irreg::Need{s, r, r}))
+            << "node " << n.id() << " round " << r << " sender " << s;
+      }
+    }
+  });
+  EXPECT_GT(early, 0);
 }
 
 }  // namespace

@@ -3,9 +3,11 @@
 #include <functional>
 #include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/tempest/cluster.h"
+#include "src/tempest/epoch_inbox.h"
 #include "src/tempest/node.h"
 #include "src/tempest/protocol.h"
 #include "src/tempest/types.h"
@@ -323,6 +325,76 @@ TEST(ClusterRun, RunIsOneShot) {
   c.allocate("pad", 64);
   c.run([](Node&, sim::Task&) {});
   EXPECT_THROW(c.run([](Node&, sim::Task&) {}), AssertionError);
+}
+
+// ---- EpochInbox ----
+
+// An inbox on kMpData whose consumer logs each delivery as (message id,
+// the receiver's epoch at delivery) and posts 1.
+struct InboxProbe {
+  explicit InboxProbe(Cluster& c)
+      : inbox(c, "probe", /*slots=*/0,
+              [this](Node& n, sim::Message& m, std::span<sim::Payload>) {
+                log.emplace_back(m.arg[0], inbox.epoch(n.id()));
+                return std::int64_t{1};
+              }) {
+    c.register_handler(MsgType::kMpData,
+                       [this](Node& n, sim::Message& m, HandlerClock& clk) {
+                         inbox.accept(n, m, clk.t);
+                       });
+  }
+  static void send(Node& n, sim::Task& t, std::int64_t id,
+                   std::int64_t epoch) {
+    sim::Message m;
+    m.dst = 1 - n.id();
+    m.type = static_cast<std::uint16_t>(MsgType::kMpData);
+    m.arg[0] = id;
+    m.arg[1] = epoch;
+    n.send(t, std::move(m));
+  }
+  EpochInbox inbox;
+  std::vector<std::pair<std::int64_t, std::int64_t>> log;
+};
+
+TEST(EpochInbox, LaterEpochsSurfaceInArrivalOrderAtTheirAdvance) {
+  Cluster c(small_config(2));
+  c.allocate("pad", 64);
+  InboxProbe probe(c);
+  c.run([&](Node& n, sim::Task& t) {
+    if (n.id() == 0) {
+      // Messages 1..5 for epochs 2, 1, 2, 0, 1, sent back to back.
+      const std::int64_t epochs[] = {2, 1, 2, 0, 1};
+      for (std::int64_t id = 1; id <= 5; ++id)
+        InboxProbe::send(n, t, id, epochs[id - 1]);
+      return;
+    }
+    t.charge(sim::kMs);  // every message has arrived
+    probe.inbox.wait(n, t, 1);
+    probe.inbox.advance(n, t);
+    probe.inbox.wait(n, t, 2);
+    probe.inbox.advance(n, t);
+    probe.inbox.wait(n, t, 2);
+  });
+  const std::vector<std::pair<std::int64_t, std::int64_t>> want = {
+      {4, 0}, {2, 1}, {5, 1}, {1, 2}, {3, 2}};
+  EXPECT_EQ(probe.log, want);
+}
+
+TEST(EpochInbox, OlderEpochIsAnError) {
+  Cluster c(small_config(2));
+  c.allocate("pad", 64);
+  InboxProbe probe(c);
+  EXPECT_THROW(c.run([&](Node& n, sim::Task& t) {
+                 if (n.id() == 1) {
+                   probe.inbox.advance(n, t);
+                   probe.inbox.advance(n, t);
+                   t.charge(sim::kMs);
+                   return;
+                 }
+                 t.charge(sim::kUs);  // the receiver is in epoch 2 by now
+                 InboxProbe::send(n, t, 1, /*epoch=*/1);
+               }),
+               AssertionError);
 }
 
 }  // namespace
