@@ -53,9 +53,9 @@ Stache::Stache(tempest::Cluster& cluster)
     cluster.node(i).protocol = this;
   // Crash recovery: directories, compiler-contracted opens, transaction
   // bookkeeping and semaphores are host state the cluster checkpoint cannot
-  // see. Each capture builds a fresh snapshot: assigning into the last one
-  // raised chaos8_st4's peak RSS by about 1 MiB (EXPERIMENTS.md, "One epoch
-  // inbox and one checkpoint hook").
+  // see. Each capture builds a fresh snapshot: under glibc's dynamic mmap
+  // threshold, assigning into the last one raised chaos8_st4's peak RSS by
+  // about 1 MiB (EXPERIMENTS.md, "One epoch inbox and one checkpoint hook").
   cluster.register_host_state_hook(
       {[this] {
          snap_.resize(nodes_.size());
