@@ -14,7 +14,7 @@
 
 int main(int argc, char** argv) {
   using namespace fgdsm;
-  const bench::BenchConfig bc = bench::BenchConfig::from_args(argc, argv, {});
+  bench::BenchConfig bc = bench::BenchConfig::from_args(argc, argv, {});
   bench::JsonReport jr("ablation", bc);
 
   // ---- 1. Block-size sweep on jacobi ----
@@ -25,13 +25,13 @@ int main(int argc, char** argv) {
     util::Table t({"block", "elapsed (ms)", "misses/node",
                    "% misses removed vs unopt"});
     const hpf::Program prog = apps::registry()[5].scaled(bc.scale);
-    bench::RunMatrix m;
+    bench::RunMatrix m(bc);
     for (std::size_t block : {32u, 64u, 128u}) {
       const std::string row = std::to_string(block);
       m.add(row, "unopt", prog, core::shmem_unopt(), bc.nodes, true, block);
       m.add(row, "opt", prog, core::shmem_opt_full(), bc.nodes, true, block);
     }
-    m.run(bc.jobs);
+    m.run();
     for (std::size_t block : {32u, 64u, 128u}) {
       const std::string row = std::to_string(block);
       const auto& u = m.at(row, "unopt");
@@ -55,14 +55,14 @@ int main(int argc, char** argv) {
     std::printf("\nAblation 2: bulk-transfer payload sweep (pde)\n");
     util::Table t({"max payload", "elapsed (ms)", "ccc msgs/node"});
     const hpf::Program prog = apps::registry()[0].scaled(bc.scale);
-    bench::RunMatrix m;
+    bench::RunMatrix m(bc);
     for (std::size_t payload : {128u, 512u, 2048u, 4096u, 16384u}) {
       core::Options opt = core::shmem_opt_full();
       opt.max_payload = payload;
       m.add(std::to_string(payload), "run", prog, opt, bc.nodes, true,
             bc.block);
     }
-    m.run(bc.jobs);
+    m.run();
     for (std::size_t payload : {128u, 512u, 2048u, 4096u, 16384u}) {
       const auto& r = m.at(std::to_string(payload), "run");
       jr.add_run("pde", "payload" + std::to_string(payload), r);
@@ -83,13 +83,13 @@ int main(int argc, char** argv) {
     util::Table t({"grid", "% misses removed", "note"});
     const hpf::Program g127 = apps::grav(127, 2);
     const hpf::Program g128 = apps::grav(128, 2);
-    bench::RunMatrix m;
+    bench::RunMatrix m(bc);
     for (const auto* p : {&g127, &g128}) {
       const std::string row = p == &g127 ? "127" : "128";
       m.add(row, "unopt", *p, core::shmem_unopt(), bc.nodes, true, 128);
       m.add(row, "opt", *p, core::shmem_opt_full(), bc.nodes, true, 128);
     }
-    m.run(bc.jobs);
+    m.run();
     for (std::int64_t g : {127, 128}) {  // arrays are (g+1)^2: 128 vs 129
       const std::string row = std::to_string(g);
       jr.add_run("grav", "grid" + row + "/unopt", m.at(row, "unopt"));

@@ -78,10 +78,6 @@ int crash_main(int argc, char** argv) {
   }
   cfg.nodes = node_counts.back();  // JSON config block: the largest point
 
-  // Weak-scaled jacobi, as in bench_scale: per-node tile fixed by --scale.
-  const std::int64_t tile = std::max<std::int64_t>(
-      8, static_cast<std::int64_t>(64 * std::max(0.05, cfg.scale) * 4));
-
   std::printf(
       "Crash recovery: checkpoint overhead + MTTR (jacobi, %lld sweeps), "
       "block=%zuB, collectives=%s\n",
@@ -94,15 +90,17 @@ int crash_main(int argc, char** argv) {
   std::deque<hpf::Program> progs;  // stable addresses; specs hold pointers
 
   for (const int nodes : node_counts) {
-    const std::int64_t n = std::max<std::int64_t>(
-        nodes, tile * bench::isqrt(static_cast<std::int64_t>(nodes)));
-    progs.push_back(apps::jacobi(n, sweeps));
+    // Weak-scaled jacobi, as in bench_scale: per-node tile fixed by --scale.
+    bench::WeakScaled w =
+        bench::weak_scaled("jacobi", cfg.scale, nodes, sweeps);
+    progs.push_back(std::move(w.prog));
     const hpf::Program& prog = progs.back();
 
     const auto spec_for = [&](const sim::FaultConfig& faults,
                               int checkpoint_every) {
-      exec::ExperimentSpec s = bench::make_spec(
-          prog, core::shmem_opt_full(), nodes, /*dual_cpu=*/true, cfg.block);
+      exec::ExperimentSpec s =
+          bench::make_spec(cfg, prog, core::shmem_opt_full(), nodes,
+                           /*dual_cpu=*/true, cfg.block);
       s.config.cluster.faults = faults;
       s.config.cluster.checkpoint_every = checkpoint_every;
       s.config.cluster.watchdog_ns =
@@ -114,7 +112,7 @@ int crash_main(int argc, char** argv) {
 
     // 1. Fault-free baseline.
     std::fprintf(stderr, "[%d nodes] baseline n=%lld...\n", nodes,
-                 static_cast<long long>(n));
+                 static_cast<long long>(w.n));
     const exec::RunResult base =
         bench::run_spec(spec_for(sim::FaultConfig{}, /*checkpoint_every=*/0));
     const double base_ns = static_cast<double>(base.stats.elapsed_ns);

@@ -15,7 +15,7 @@
 
 int main(int argc, char** argv) {
   using namespace fgdsm;
-  const bench::BenchConfig bc =
+  bench::BenchConfig bc =
       bench::BenchConfig::from_args(argc, argv, bench::registry_names());
   std::printf(
       "Figure 4: normalized execution time, dual-cpu (scale=%.2f, %d "
@@ -33,11 +33,11 @@ int main(int argc, char** argv) {
       {"full", core::shmem_opt_full()},
       {"pre", core::shmem_opt_pre()},
   };
-  bench::RunMatrix m;
+  bench::RunMatrix m(bc);
   for (const auto& [name, prog] : progs)
     for (const auto& [lvl, opt] : levels)
       m.add(name, lvl, prog, opt, bc.nodes, true, bc.block);
-  m.run(bc.jobs);
+  m.run();
 
   util::Table t({"app", "unopt", "base opts", "+bulk", "+bulk+rtelim",
                  "+pre (ext.)"});

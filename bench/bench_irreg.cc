@@ -24,7 +24,7 @@
 
 int main(int argc, char** argv) {
   using namespace fgdsm;
-  const bench::BenchConfig bc =
+  bench::BenchConfig bc =
       bench::BenchConfig::from_args(argc, argv, {"spmv"}, {"pattern"});
   const util::Options o(argc, argv);
   const std::string pattern_name = o.get("pattern", "band");
@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
       static_cast<long long>(iters), pattern_name.c_str(), bc.nodes,
       bc.block);
 
-  bench::RunMatrix m;
+  bench::RunMatrix m(bc);
   m.add("spmv", "serial", prog, core::serial(), 1, true, bc.block);
   m.add("spmv", "sm-unopt", prog, core::shmem_unopt(), bc.nodes, true,
         bc.block);
@@ -60,13 +60,13 @@ int main(int argc, char** argv) {
   {
     // Schedule-reuse sweep endpoint: inspect on every visit.
     exec::ExperimentSpec s = bench::make_spec(
-        prog, core::shmem_opt_full(), bc.nodes, true, bc.block);
+        bc, prog, core::shmem_opt_full(), bc.nodes, true, bc.block);
     s.config.opt.reuse_schedule = false;
     m.add("spmv", "sm-opt-nocache", std::move(s));
   }
   m.add("spmv", "msg-passing", prog, core::msg_passing(), bc.nodes, true,
         bc.block);
-  m.run(bc.jobs);
+  m.run();
 
   const auto& serial = m.at("spmv", "serial");
   util::Table t({"config", "elapsed", "speedup", "messages", "sched h/m",

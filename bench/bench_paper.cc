@@ -29,7 +29,7 @@
 
 int main(int argc, char** argv) {
   using namespace fgdsm;
-  const bench::BenchConfig bc =
+  bench::BenchConfig bc =
       bench::BenchConfig::from_args(argc, argv, bench::registry_names());
 
   std::vector<std::pair<std::string, hpf::Program>> progs;
@@ -37,7 +37,7 @@ int main(int argc, char** argv) {
     if (bc.selected(app.name))
       progs.emplace_back(app.name, app.scaled(bc.scale));
 
-  bench::RunMatrix m;
+  bench::RunMatrix m(bc);
   for (const auto& [name, prog] : progs) {
     m.add(name, "u2", prog, core::shmem_unopt(), bc.nodes, true, bc.block);
     m.add(name, "o2", prog, core::shmem_opt_full(), bc.nodes, true, bc.block);
@@ -46,7 +46,7 @@ int main(int argc, char** argv) {
     m.add(name, "serial", prog, core::serial(), 1, true, bc.block);
     m.add(name, "mp", prog, core::msg_passing(), bc.nodes, true, bc.block);
   }
-  m.run(bc.jobs);
+  m.run();
 
   // Headers report only experiment parameters — never --jobs, so output
   // files compare byte-identical across job counts.

@@ -1,52 +1,124 @@
 // Host-side (wall-clock) performance of the simulator itself — the perf
-// regression gate. Unlike every other harness, this one measures how fast
-// the *simulator* runs, not what it simulates:
+// regression gate, and the one harness that times the simulator. Unlike
+// every other harness, it measures how fast the *simulator* runs, not what
+// it simulates:
 //
 //   events/sec        engine events processed per host second
 //   ns/event          inverse, in host nanoseconds
-//   allocs/event      heap allocations per event (the operator new hook in
-//                     bench/hostperf.cc counts every allocation the
-//                     process makes while the workload runs)
+//   allocs/event      heap allocations per event (this file replaces the
+//                     global operator new with a counting one, so every
+//                     allocation the process makes while a workload runs
+//                     is counted)
 //
-// over five workloads: the full bench_paper default matrix ("paper"), the
-// same matrix with the engine's windowed parallel mode at four workers
-// ("paper_st4" — the intra-run scaling axis; compare its events/s against
-// "paper"), the jacobi six-configuration slice ("jacobi"), the irregular
-// spmv sweep ("spmv"), and jacobi under chaos-mode fault injection
-// ("chaos"). --sim-threads=N additionally applies N engine workers to the
-// four base workloads (default 1).
+// Five workloads run at --nodes (default 8, the paper's cluster): the full
+// bench_paper default matrix ("paper"), the same matrix with the engine's
+// windowed parallel mode at four workers ("paper_st4" — the intra-run
+// scaling axis; compare its events/s against "paper"), the jacobi
+// six-configuration slice ("jacobi"), the irregular spmv sweep ("spmv"), and
+// jacobi under chaos-mode fault injection ("chaos"). Then, for each N in
+// --nodes-list (default 8,64,256,1024), "jacobi@N" and "spmv@N": bench_scale's
+// weak-scaled programs at its default sizes, sm-opt dual-cpu under binomial
+// collectives, where simulator cost must grow with active links and touched
+// pages, not with nodes^2. --sim-threads=N applies N engine workers to every
+// workload but paper_st4 (default 1).
 //
 // Raw events/sec is machine-dependent, so the harness also times a fixed
 // pure-CPU calibration loop (splitmix64) and reports each workload's
 // throughput normalized by it; scripts/check_perf.py gates CI on the
-// normalized number (see EXPERIMENTS.md for the methodology and caveats).
+// normalized number against BENCH_PERF.json (see EXPERIMENTS.md for the
+// methodology and caveats).
 //
-// Workloads execute one simulation at a time (--jobs has no analogue here);
-// --reps=N keeps the best wall time of N repetitions.
+// Workloads execute one simulation at a time, since the allocation count is
+// process-wide (--jobs has no analogue here); --reps=N keeps the best wall
+// time of N repetitions, and --workload=W runs workload W alone.
+#include <atomic>
+#include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <deque>
 #include <fstream>
 #include <iostream>
+#include <new>
 #include <string>
 #include <thread>
 #include <vector>
 
-#include "bench/hostperf.h"
+#include "bench/common.h"
 #include "src/apps/apps.h"
 #include "src/core/options.h"
 #include "src/exec/batch.h"
 #include "src/exec/executor.h"
-#include "src/sim/engine.h"
 #include "src/sim/fault.h"
 #include "src/util/json.h"
 #include "src/util/options.h"
 #include "src/util/table.h"
 
+// Counting allocator: every operator new in the process bumps the counter.
+// Only this executable replaces the global allocator; the library never
+// does.
+namespace {
+// Atomic: the engine's --sim-threads worker crew allocates concurrently.
+// Relaxed is enough — the count is read only between runs, after joins.
+std::atomic<std::uint64_t> g_allocs{0};
+}  // namespace
+
+void* operator new(std::size_t n) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  if (void* p = std::malloc(n ? n : 1)) return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n) { return ::operator new(n); }
+void* operator new(std::size_t n, std::align_val_t a) {
+  g_allocs.fetch_add(1, std::memory_order_relaxed);
+  const std::size_t align = static_cast<std::size_t>(a);
+  if (void* p = std::aligned_alloc(align, (n + align - 1) / align * align))
+    return p;
+  throw std::bad_alloc();
+}
+void* operator new[](std::size_t n, std::align_val_t a) {
+  return ::operator new(n, a);
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete[](void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::size_t) noexcept { std::free(p); }
+void operator delete(void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete[](void* p, std::align_val_t) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+
 namespace fgdsm {
 namespace {
 
-using bench::Clock;
-using bench::seconds_since;
+using Clock = std::chrono::steady_clock;
+
+double seconds_since(Clock::time_point t0) {
+  return std::chrono::duration<double>(Clock::now() - t0).count();
+}
+
+// Fixed-work splitmix64 loop: a host-speed yardstick with no allocation and
+// no branches, in Mops/s, so workload throughput can be normalized across
+// machines.
+double calibrate_mops() {
+  constexpr std::uint64_t kOps = 200'000'000;
+  std::uint64_t x = 0x9e3779b97f4a7c15ull, acc = 0;
+  const auto t0 = Clock::now();
+  for (std::uint64_t i = 0; i < kOps; ++i) {
+    x += 0x9e3779b97f4a7c15ull;
+    std::uint64_t z = x;
+    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ull;
+    z = (z ^ (z >> 27)) * 0x94d049bb133111ebull;
+    acc ^= z ^ (z >> 31);
+  }
+  const double s = seconds_since(t0);
+  // Defeat dead-code elimination without affecting output determinism.
+  if (acc == 0x12345678) std::fprintf(stderr, "calib sentinel\n");
+  return static_cast<double>(kOps) / 1e6 / s;
+}
 
 struct Measurement {
   std::uint64_t events = 0;
@@ -73,48 +145,34 @@ Measurement measure(const std::vector<exec::ExperimentSpec>& specs,
   Measurement best;
   for (int r = 0; r < reps; ++r) {
     Measurement m;
-    const std::uint64_t a0 = bench::allocation_count();
+    const std::uint64_t a0 = g_allocs.load(std::memory_order_relaxed);
     const auto t0 = Clock::now();
     for (const exec::ExperimentSpec& s : specs) {
-      const exec::RunResult res = exec::run(*s.program, s.config);
+      const exec::RunResult res = bench::run_spec(s);
       m.events += res.engine_events;
       m.windows += res.engine_windows;
     }
     m.seconds = seconds_since(t0);
-    m.allocs = bench::allocation_count() - a0;
+    m.allocs = g_allocs.load(std::memory_order_relaxed) - a0;
     if (r == 0 || m.seconds < best.seconds) best = m;
   }
   return best;
 }
 
-// --sim-threads applied to every spec built by spec_for (the dedicated
-// paper_st4 workload overrides it to 4 explicitly).
-int g_sim_threads_default = 1;
-
-exec::ExperimentSpec spec_for(const hpf::Program& prog,
-                              const core::Options& opt, int nodes,
-                              bool dual_cpu, std::size_t block) {
-  exec::ExperimentSpec s;
-  s.program = &prog;
-  s.config.cluster.nnodes = nodes;
-  s.config.cluster.block_size = block;
-  s.config.cluster.dual_cpu = dual_cpu;
-  s.config.cluster.sim_threads = g_sim_threads_default;
-  s.config.opt = opt;
-  s.config.gather_arrays = false;
-  return s;
-}
-
 // The bench_paper six-configuration slice for one program.
-void add_paper_configs(std::vector<exec::ExperimentSpec>& out,
-                       const hpf::Program& prog, int nodes,
-                       std::size_t block) {
-  out.push_back(spec_for(prog, core::serial(), 1, true, block));
-  out.push_back(spec_for(prog, core::shmem_unopt(), nodes, true, block));
-  out.push_back(spec_for(prog, core::shmem_opt_full(), nodes, true, block));
-  out.push_back(spec_for(prog, core::shmem_unopt(), nodes, false, block));
-  out.push_back(spec_for(prog, core::shmem_opt_full(), nodes, false, block));
-  out.push_back(spec_for(prog, core::msg_passing(), nodes, true, block));
+void add_paper_configs(bench::BenchConfig& cfg,
+                       std::vector<exec::ExperimentSpec>& out,
+                       const hpf::Program& prog) {
+  const auto add = [&](const core::Options& opt, int nodes, bool dual_cpu) {
+    out.push_back(bench::make_spec(cfg, prog, opt, nodes, dual_cpu,
+                                   cfg.block));
+  };
+  add(core::serial(), 1, true);
+  add(core::shmem_unopt(), cfg.nodes, true);
+  add(core::shmem_opt_full(), cfg.nodes, true);
+  add(core::shmem_unopt(), cfg.nodes, false);
+  add(core::shmem_opt_full(), cfg.nodes, false);
+  add(core::msg_passing(), cfg.nodes, true);
 }
 
 std::string cpu_model() {
@@ -135,29 +193,30 @@ std::string cpu_model() {
 
 int selfperf_main(int argc, char** argv) {
   util::Options o(argc, argv);
-  o.check_known(
-      {"scale", "nodes", "block", "reps", "workload", "json", "sim-threads"});
-  const double scale = o.get_double("scale", 0.15);
-  const int nodes = static_cast<int>(o.get_int("nodes", 8));
-  const std::size_t block = static_cast<std::size_t>(o.get_int("block", 128));
+  o.check_known({"scale", "nodes", "block", "reps", "workload", "json",
+                 "sim-threads", "nodes-list"});
+  // One BenchConfig builds every spec; the shared harness flags this binary
+  // does not take keep their defaults (no faults, no checker, flat
+  // collectives).
+  bench::BenchConfig cfg;
+  cfg.scale = o.get_double("scale", 0.15);
+  cfg.nodes = static_cast<int>(o.get_int("nodes", 8));
+  cfg.block = static_cast<std::size_t>(o.get_int("block", 128));
+  cfg.sim_threads = static_cast<int>(o.get_int("sim-threads", 1));
   const int reps = static_cast<int>(o.get_int("reps", 1));
   const std::string only = o.get("workload", "");
   const std::string json_path = o.get("json", "");
-  const int sim_threads = static_cast<int>(o.get_int("sim-threads", 1));
+  const std::string nodes_list = o.get("nodes-list", "8,64,256,1024");
   if (reps < 1) {
     std::fprintf(stderr, "fgdsm: --reps must be >= 1\n");
     return 2;
   }
-  if (sim_threads < 1) {
+  if (cfg.sim_threads < 1) {
     std::fprintf(stderr, "fgdsm: --sim-threads must be >= 1\n");
     return 2;
   }
-
-  std::printf("Simulator self-performance (scale=%.2f, %d nodes, %zuB "
-              "blocks, best of %d)\n",
-              scale, nodes, block, reps);
-  const double calib = bench::calibrate_mops();
-  std::printf("calibration: %.0f Mops/s (splitmix64)\n", calib);
+  const std::vector<int> node_counts = bench::parse_int_list(
+      nodes_list, "--nodes-list", 1, tempest::kMaxNodes);
 
   // Programs must outlive the spec lists; deque keeps references stable as
   // it grows (specs hold pointers into it).
@@ -169,13 +228,12 @@ int selfperf_main(int argc, char** argv) {
   };
   std::vector<Workload> workloads;
 
-  g_sim_threads_default = sim_threads;
   {
     // Full bench_paper default matrix — the headline workload.
     Workload w{"paper", {}};
     for (const auto& app : apps::registry()) {
-      progs.push_back(app.scaled(scale));
-      add_paper_configs(w.specs, progs.back(), nodes, block);
+      progs.push_back(app.scaled(cfg.scale));
+      add_paper_configs(cfg, w.specs, progs.back());
     }
     // Intra-run scaling axis: the same matrix with four engine workers
     // (conservative synchronous-window PDES). Bit-identical simulated
@@ -191,27 +249,27 @@ int selfperf_main(int argc, char** argv) {
     Workload w{"jacobi", {}};
     for (const auto& app : apps::registry()) {
       if (app.name != "jacobi") continue;
-      progs.push_back(app.scaled(scale));
-      add_paper_configs(w.specs, progs.back(), nodes, block);
+      progs.push_back(app.scaled(cfg.scale));
+      add_paper_configs(cfg, w.specs, progs.back());
     }
     workloads.push_back(std::move(w));
   }
   {
     // Irregular gather path (inspector–executor), as in bench_irreg.
     const std::int64_t n = std::max<std::int64_t>(
-        512, static_cast<std::int64_t>(4096 * scale));
+        512, static_cast<std::int64_t>(4096 * cfg.scale));
     progs.push_back(apps::spmv(n, 8, std::max<std::int64_t>(
                                          4, static_cast<std::int64_t>(
-                                                20 * scale)),
+                                                20 * cfg.scale)),
                                /*pattern=*/0));
     Workload w{"spmv", {}};
-    w.specs.push_back(spec_for(progs.back(), core::serial(), 1, true, block));
-    w.specs.push_back(
-        spec_for(progs.back(), core::shmem_unopt(), nodes, true, block));
-    w.specs.push_back(
-        spec_for(progs.back(), core::shmem_opt_full(), nodes, true, block));
-    w.specs.push_back(
-        spec_for(progs.back(), core::msg_passing(), nodes, true, block));
+    w.specs.push_back(bench::make_spec(cfg, progs.back(), core::serial(), 1,
+                                       true, cfg.block));
+    for (const core::Options& opt : {core::shmem_unopt(),
+                                     core::shmem_opt_full(),
+                                     core::msg_passing()})
+      w.specs.push_back(bench::make_spec(cfg, progs.back(), opt, cfg.nodes,
+                                         true, cfg.block));
     workloads.push_back(std::move(w));
   }
   {
@@ -219,23 +277,45 @@ int selfperf_main(int argc, char** argv) {
     Workload w{"chaos", {}};
     for (const auto& app : apps::registry()) {
       if (app.name != "jacobi") continue;
-      progs.push_back(app.scaled(scale));
+      progs.push_back(app.scaled(cfg.scale));
       std::string err;
-      sim::FaultConfig fc = sim::FaultConfig::parse(
+      const sim::FaultConfig fc = sim::FaultConfig::parse(
           "drop=0.01,dup=0.002,delay=0.05,reorder=0.01,seed=1", &err);
-      exec::ExperimentSpec s = spec_for(progs.back(), core::shmem_opt_full(),
-                                        nodes, true, block);
-      s.config.cluster.faults = fc;
-      s.config.cluster.watchdog_ns = 2'000'000'000;
-      w.specs.push_back(s);
-      exec::ExperimentSpec mp = spec_for(progs.back(), core::msg_passing(),
-                                         nodes, true, block);
-      mp.config.cluster.faults = fc;
-      mp.config.cluster.watchdog_ns = 2'000'000'000;
-      w.specs.push_back(mp);
+      for (const core::Options& opt :
+           {core::shmem_opt_full(), core::msg_passing()}) {
+        exec::ExperimentSpec s = bench::make_spec(cfg, progs.back(), opt,
+                                                  cfg.nodes, true, cfg.block);
+        s.config.cluster.faults = fc;
+        s.config.cluster.watchdog_ns = 2'000'000'000;
+        w.specs.push_back(std::move(s));
+      }
     }
     workloads.push_back(std::move(w));
   }
+  // Weak scaling: a flat coordinator at 1024 nodes would serialize every
+  // barrier, so these rows run under the binomial tree, as bench_scale does.
+  for (const int nodes : node_counts) {
+    for (const std::string app : {"jacobi", "spmv"}) {
+      progs.push_back(bench::weak_scaled(app, cfg.scale, nodes).prog);
+      exec::ExperimentSpec s =
+          bench::make_spec(cfg, progs.back(), core::shmem_opt_full(), nodes,
+                           /*dual_cpu=*/true, cfg.block);
+      s.config.cluster.collectives = tempest::Collectives::kBinomial;
+      workloads.push_back({app + "@" + std::to_string(nodes), {s}});
+    }
+  }
+
+  if (!only.empty()) {
+    std::vector<std::string> names;
+    for (const Workload& w : workloads) names.push_back(w.name);
+    bench::require_one_of("workload", only, names);
+  }
+
+  std::printf("Simulator self-performance (scale=%.2f, %d nodes, %zuB "
+              "blocks, best of %d)\n",
+              cfg.scale, cfg.nodes, cfg.block, reps);
+  const double calib = calibrate_mops();
+  std::printf("calibration: %.0f Mops/s (splitmix64)\n", calib);
 
   util::Table t({"workload", "events", "seconds", "events/s", "ns/event",
                  "allocs/event", "norm (ev/Mop)"});
@@ -279,9 +359,10 @@ int selfperf_main(int argc, char** argv) {
     w.end_object();
     w.key("config");
     w.begin_object();
-    w.kv("scale", scale);
-    w.kv("nodes", nodes);
-    w.kv("block", static_cast<std::uint64_t>(block));
+    w.kv("scale", cfg.scale);
+    w.kv("nodes", cfg.nodes);
+    w.kv("nodes_list", nodes_list);
+    w.kv("block", static_cast<std::uint64_t>(cfg.block));
     w.kv("reps", static_cast<std::uint64_t>(reps));
     w.end_object();
     w.key("workloads");

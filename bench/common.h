@@ -69,29 +69,24 @@
 
 namespace fgdsm::bench {
 
-// --check-coherence: every spec built by make_spec runs the protocol's
-// invariant checker at each barrier (debug aid; no virtual-time cost).
-inline bool g_check_coherence = false;
-// --trace=<file>: the FIRST spec built by make_spec records an event trace
-// to this path. One file, one run — combine with --app (and a harness with
-// one configuration per app) to choose which.
-inline std::string g_trace_path;
-inline bool g_trace_assigned = false;
-// --faults=<spec>: every spec built by make_spec runs under deterministic
-// chaos (fault injector + reliable channel). Disabled by default.
-inline sim::FaultConfig g_faults;
-// --watchdog-ns=<n>: virtual-time stall threshold for every spec (0 = off).
-inline sim::Time g_watchdog_ns = 0;
-// --checkpoint-every=<k>: barrier-interval checkpointing for every spec
-// built by make_spec (0 = off).
-inline int g_checkpoint_every = 0;
-// --sim-threads=<n>: engine worker threads per simulation for every spec
-// built by make_spec (bit-identical results at any value).
-inline int g_sim_threads = 1;
-// --collectives=<topo>: barrier/reduction topology for every spec built by
-// make_spec (default flat, the paper's centralized coordinator).
-inline tempest::Collectives g_collectives = tempest::Collectives::kFlat;
-inline int g_collective_group = 0;
+// Exits 2 unless `value` is one of `choices`, naming --`flag` and the closest
+// choice (or every choice, when none is a plausible typo).
+inline void require_one_of(const char* flag, const std::string& value,
+                           const std::vector<std::string>& choices) {
+  if (std::find(choices.begin(), choices.end(), value) != choices.end())
+    return;
+  const std::string hint = util::Options::closest_match(value, choices);
+  std::fprintf(stderr, "fgdsm: unknown --%s=%s", flag, value.c_str());
+  if (!hint.empty()) {
+    std::fprintf(stderr, " (did you mean --%s=%s?)", flag, hint.c_str());
+  } else {
+    std::fprintf(stderr, " (expected one of:");
+    for (const auto& name : choices) std::fprintf(stderr, " %s", name.c_str());
+    std::fprintf(stderr, ")");
+  }
+  std::fprintf(stderr, "\n");
+  std::exit(2);
+}
 
 // The names of every app in apps::registry(): the suite the paper harnesses
 // run.
@@ -109,7 +104,7 @@ struct BenchConfig {
   std::optional<std::string> only_app;
   bool per_loop = false;       // print per-parallel-loop breakdowns
   std::string json_path;       // --json=<file>; empty = off
-  std::string trace_path;      // --trace=<file>; empty = off
+  std::string trace_path;      // --trace=<file>; the first make_spec takes it
   bool check_coherence = false;
   sim::FaultConfig faults;     // --faults=<spec>; disabled by default
   sim::Time watchdog_ns = 0;   // --watchdog-ns=<n>; 0 = off
@@ -150,21 +145,7 @@ struct BenchConfig {
     c.jobs = static_cast<int>(o.get_int("jobs", 1));
     if (o.has("app")) {
       c.only_app = o.get("app");
-      if (std::find(apps.begin(), apps.end(), *c.only_app) == apps.end()) {
-        const std::string hint =
-            util::Options::closest_match(*c.only_app, apps);
-        std::fprintf(stderr, "fgdsm: unknown --app=%s", c.only_app->c_str());
-        if (!hint.empty()) {
-          std::fprintf(stderr, " (did you mean --app=%s?)", hint.c_str());
-        } else {
-          std::fprintf(stderr, " (expected one of:");
-          for (const auto& name : apps)
-            std::fprintf(stderr, " %s", name.c_str());
-          std::fprintf(stderr, ")");
-        }
-        std::fprintf(stderr, "\n");
-        std::exit(2);
-      }
+      require_one_of("app", *c.only_app, apps);
     }
     c.per_loop = o.get_bool("per-loop");
     if (o.has("json")) c.json_path = o.get("json");
@@ -207,15 +188,6 @@ struct BenchConfig {
       std::fprintf(stderr, "fgdsm: --checkpoint-every must be >= 0\n");
       std::exit(2);
     }
-    g_check_coherence = c.check_coherence;
-    g_faults = c.faults;
-    g_watchdog_ns = c.watchdog_ns;
-    g_checkpoint_every = c.checkpoint_every;
-    g_sim_threads = c.sim_threads;
-    g_collectives = c.collectives;
-    g_collective_group = c.collective_group;
-    g_trace_path = c.trace_path;
-    g_trace_assigned = false;
     return c;
   }
 
@@ -224,12 +196,15 @@ struct BenchConfig {
   }
 };
 
-// Spec for one run of `prog` under the given options; gather_arrays stays
-// off (programs verify themselves through checksum scalars).
-inline exec::ExperimentSpec make_spec(const hpf::Program& prog,
+// Spec for one run of `prog` under `opt` and the run-wide settings of `cfg`;
+// gather_arrays stays off (programs verify themselves through checksum
+// scalars). The first spec built takes cfg.trace_path, so --trace records
+// one run: combine it with --app (and a harness whose first registered
+// configuration is the one wanted) to choose which.
+inline exec::ExperimentSpec make_spec(BenchConfig& cfg,
+                                      const hpf::Program& prog,
                                       const core::Options& opt, int nodes,
-                                      bool dual_cpu, std::size_t block,
-                                      std::string label = "") {
+                                      bool dual_cpu, std::size_t block) {
   exec::ExperimentSpec s;
   s.program = &prog;
   s.config.cluster.nnodes = nodes;
@@ -237,18 +212,15 @@ inline exec::ExperimentSpec make_spec(const hpf::Program& prog,
   s.config.cluster.dual_cpu = dual_cpu;
   s.config.opt = opt;
   s.config.gather_arrays = false;
-  s.config.cluster.check_coherence = g_check_coherence;
-  s.config.cluster.faults = g_faults;
-  s.config.cluster.watchdog_ns = g_watchdog_ns;
-  s.config.cluster.checkpoint_every = g_checkpoint_every;
-  s.config.cluster.sim_threads = g_sim_threads;
-  s.config.cluster.collectives = g_collectives;
-  s.config.cluster.collective_group = g_collective_group;
-  if (!g_trace_path.empty() && !g_trace_assigned) {
-    s.config.trace_path = g_trace_path;
-    g_trace_assigned = true;
-  }
-  s.label = label.empty() ? opt.label() : std::move(label);
+  s.config.cluster.check_coherence = cfg.check_coherence;
+  s.config.cluster.faults = cfg.faults;
+  s.config.cluster.watchdog_ns = cfg.watchdog_ns;
+  s.config.cluster.checkpoint_every = cfg.checkpoint_every;
+  s.config.cluster.sim_threads = cfg.sim_threads;
+  s.config.cluster.collectives = cfg.collectives;
+  s.config.cluster.collective_group = cfg.collective_group;
+  s.config.trace_path = std::exchange(cfg.trace_path, {});
+  s.label = opt.label();
   return s;
 }
 
@@ -373,6 +345,8 @@ inline void print_per_loop(const std::string& title,
 // batch, results addressed back by (row, column) label.
 class RunMatrix {
  public:
+  explicit RunMatrix(BenchConfig& cfg) : cfg_(cfg) {}
+
   // Register one cell; `row` is typically the app name and `col` the
   // configuration label. Programs must outlive run().
   void add(const std::string& row, const std::string& col,
@@ -386,17 +360,17 @@ class RunMatrix {
   void add(const std::string& row, const std::string& col,
            const hpf::Program& prog, const core::Options& opt, int nodes,
            bool dual_cpu, std::size_t block) {
-    add(row, col, make_spec(prog, opt, nodes, dual_cpu, block));
+    add(row, col, make_spec(cfg_, prog, opt, nodes, dual_cpu, block));
   }
 
-  // Execute every cell on `jobs` host threads. Results are byte-identical
+  // Execute every cell on --jobs host threads. Results are byte-identical
   // for any job count (see exec::BatchRunner). A stalled simulation (the
   // watchdog fired or a channel retry budget ran out) terminates the whole
   // harness with the structured diagnostic and exit code 86.
-  void run(int jobs) {
+  void run() {
     try {
       const std::vector<exec::RunResult> out =
-          exec::BatchRunner(jobs).run_all(specs_);
+          exec::BatchRunner(cfg_.jobs).run_all(specs_);
       for (std::size_t i = 0; i < out.size(); ++i)
         results_[keys_[i]] = out[i];
     } catch (const sim::CrashError& e) {
@@ -430,6 +404,7 @@ class RunMatrix {
   }
 
  private:
+  BenchConfig& cfg_;
   std::vector<exec::ExperimentSpec> specs_;
   std::vector<std::string> keys_;
   std::map<std::string, exec::RunResult> results_;
@@ -456,8 +431,36 @@ inline std::int64_t isqrt(std::int64_t v) {
   return m;
 }
 
+// A weak-scaled program, as bench_scale, bench_crash and bench_selfperf run
+// it: at --scale s (at least 0.05) each node owns a jacobi tile of side
+// 256·s (at least 8) or 2048·s spmv rows (at least 64), so the work per
+// node stays fixed as the cluster grows. jacobi relaxes an n x n grid, n = tile·isqrt(nodes), for
+// `sweeps` sweeps; spmv multiplies n = rows·nodes banded rows, k = 8, for
+// `iters` iterations. The defaults are bench_scale's.
+struct WeakScaled {
+  std::int64_t n = 0;  // linear problem size
+  hpf::Program prog;
+};
+inline WeakScaled weak_scaled(const std::string& app, double scale, int nodes,
+                              std::int64_t sweeps = 8,
+                              std::int64_t iters = 4) {
+  const double s = std::max(0.05, scale);
+  if (app == "jacobi") {
+    const std::int64_t tile =
+        std::max<std::int64_t>(8, static_cast<std::int64_t>(64 * s * 4));
+    const std::int64_t n =
+        std::max<std::int64_t>(nodes, tile * isqrt(nodes));
+    return {n, apps::jacobi(n, sweeps)};
+  }
+  FGDSM_ASSERT_MSG(app == "spmv", "no weak-scaled program " << app);
+  const std::int64_t rows =
+      std::max<std::int64_t>(64, static_cast<std::int64_t>(512 * s * 4));
+  return {rows * nodes, apps::spmv(rows * nodes, 8, iters, /*pattern=*/0)};
+}
+
 // A comma-separated list of integers in [lo, hi], e.g. --nodes-list=8,256.
-// An entry outside the range, or an empty list, exits 2 naming the flag.
+// An entry that is not an integer or lies outside the range, or an empty
+// list, exits 2 naming the flag.
 inline std::vector<int> parse_int_list(const std::string& s, const char* flag,
                                        int lo, int hi) {
   std::vector<int> out;
@@ -468,13 +471,19 @@ inline std::vector<int> parse_int_list(const std::string& s, const char* flag,
       continue;
     }
     if (item.empty()) continue;
-    const int v = std::atoi(item.c_str());
+    char* end = nullptr;
+    const long long v = std::strtoll(item.c_str(), &end, 10);
+    if (end != item.c_str() + item.size()) {
+      std::fprintf(stderr, "fgdsm: invalid integer value '%s' for %s\n",
+                   item.c_str(), flag);
+      std::exit(2);
+    }
     if (v < lo || v > hi) {
       std::fprintf(stderr, "fgdsm: %s entry '%s' is outside [%d, %d]\n", flag,
                    item.c_str(), lo, hi);
       std::exit(2);
     }
-    out.push_back(v);
+    out.push_back(static_cast<int>(v));
     item.clear();
   }
   if (out.empty()) {

@@ -1,19 +1,15 @@
 #!/usr/bin/env python3
-"""Perf-regression gate for the simulator self-benchmarks.
+"""Perf-regression gate for the simulator self-benchmark.
 
 Usage:
   scripts/check_perf.py CURRENT.json [--baseline BENCH_PERF.json]
                         [--tolerance 0.20] [--update] [--allocs-only]
 
-CURRENT.json is a fresh run of either host-side harness:
-  - `bench_selfperf --json=...`      (schema fgdsm-selfperf-v1, baseline
-    BENCH_PERF.json, schema fgdsm-perf-baseline-v1), or
-  - `bench_scale --perf-json=...`    (schema fgdsm-scale-v1, baseline
-    BENCH_SCALE.json, schema fgdsm-scale-baseline-v1).
-Both emit the same per-workload shape (events / allocs_per_event /
-normalized_events_per_mop), so one gate serves both; the schema pair just
-has to match. The baseline (committed at the repo root) records the
-reference numbers this gate compares against.
+CURRENT.json is a fresh `bench_selfperf --json=...` run (schema
+fgdsm-selfperf-v1), gated against the committed baseline at the repo root
+(BENCH_PERF.json, schema fgdsm-perf-baseline-v1), which records the
+reference numbers of every workload: the five 8-node rows and the
+jacobi@N/spmv@N weak-scaling rows.
 
 Every workload of CURRENT.json must be in the baseline and vice versa: a
 workload on one side only fails the gate, naming it.
@@ -50,11 +46,8 @@ import os
 import sys
 
 
-# current schema -> the baseline schema it is gated against
-SCHEMA_PAIRS = {
-    "fgdsm-selfperf-v1": "fgdsm-perf-baseline-v1",
-    "fgdsm-scale-v1": "fgdsm-scale-baseline-v1",
-}
+RUN_SCHEMA = "fgdsm-selfperf-v1"
+BASELINE_SCHEMA = "fgdsm-perf-baseline-v1"
 
 
 def load(path):
@@ -83,11 +76,10 @@ def main():
         args.allocs_only = True
 
     cur = load(args.current)
-    baseline_schema = SCHEMA_PAIRS.get(cur.get("schema"))
-    if baseline_schema is None:
+    if cur.get("schema") != RUN_SCHEMA:
         print(f"check_perf: {args.current}: unexpected schema "
-              f"{cur.get('schema')!r} (expected one of "
-              f"{sorted(SCHEMA_PAIRS)})", file=sys.stderr)
+              f"{cur.get('schema')!r} (expected {RUN_SCHEMA!r})",
+              file=sys.stderr)
         return 1
 
     if args.update:
@@ -95,7 +87,7 @@ def main():
             base = load(args.baseline)
         except SystemExit:
             base = {}  # first --update may create the baseline from scratch
-        base["schema"] = baseline_schema
+        base["schema"] = BASELINE_SCHEMA
         base["host"] = cur["host"]
         base["config"] = cur["config"]
         base["baseline"] = cur["workloads"]
@@ -107,10 +99,10 @@ def main():
         return 0
 
     base = load(args.baseline)
-    if base.get("schema") != baseline_schema:
+    if base.get("schema") != BASELINE_SCHEMA:
         print(f"check_perf: {args.baseline}: unexpected schema "
-              f"{base.get('schema')!r} (expected {baseline_schema!r} for a "
-              f"{cur.get('schema')!r} run)", file=sys.stderr)
+              f"{base.get('schema')!r} (expected {BASELINE_SCHEMA!r})",
+              file=sys.stderr)
         return 1
 
     tol = args.tolerance

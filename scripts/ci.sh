@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Local CI entry point — the same jobs the GitHub Actions workflow runs:
 #   scripts/ci.sh            tier-1 verify: configure, build, ctest, then
-#                            bench_paper and bench_irreg smoke runs with
-#                            --json + --check-coherence whose output is
-#                            schema-validated
+#                            bench_paper, bench_irreg and 64-node bench_scale
+#                            smoke runs with --json + --check-coherence whose
+#                            output is schema-validated
 #   scripts/ci.sh sanitize   ASan+UBSan build + ctest (the batch runner
 #                            introduces host threads; sanitizers gate races
 #                            and UB in the concurrent path). Task fibers
@@ -28,19 +28,14 @@
 #                            a crash with
 #                            --checkpoint-every=0 must exit 87 naming the
 #                            crashed node
-#   scripts/ci.sh perf       perf-regression gate: bench_selfperf vs the
-#                            committed BENCH_PERF.json baseline, normalized
-#                            by host calibration, 20% tolerance band
+#   scripts/ci.sh perf       perf-regression gate: bench_selfperf's five
+#                            8-node workloads and its jacobi@N/spmv@N rows at
+#                            8, 64, 256 and 1024 nodes vs the committed
+#                            BENCH_PERF.json baseline, normalized by host
+#                            calibration, 20% tolerance band
 #                            (PERF_ALLOCS_ONLY=1 gates allocs/event only and
 #                            demotes throughput to an artifact trend — for
 #                            runners whose variance trips the 20% band)
-#   scripts/ci.sh scale      weak-scaling gate: a 64-node jacobi+spmv smoke
-#                            run (hierarchical collectives, schema-checked
-#                            JSON), then bench_scale's host-side numbers at
-#                            8, 64, 256 and 1024 nodes vs the committed
-#                            BENCH_SCALE.json baseline through
-#                            the same check_perf.py band (PERF_ALLOCS_ONLY=1
-#                            applies here too)
 #   scripts/ci.sh simthreads bit-identity matrix for the windowed PDES mode:
 #                            determinism suite + PDES unit tests, then
 #                            bench_paper fault-free and under chaos at
@@ -84,8 +79,12 @@ case "$job" in
     # matvec, same coherence + schema gates.
     build/bench/bench_irreg --pattern=band --scale=0.05 --jobs="$jobs" \
       --check-coherence --json=results/smoke_irreg.json
+    # Weak-scaling smoke: jacobi + spmv with fixed work per node at 64 nodes
+    # under the binomial collectives.
+    build/bench/bench_scale --nodes-list=64 --jobs="$jobs" --check-coherence \
+      --json=results/smoke_scale.json
     python3 scripts/check_results_json.py results/smoke_paper.json \
-      results/smoke_irreg.json
+      results/smoke_irreg.json results/smoke_scale.json
     ;;
   sanitize)
     cmake -B build-asan -S . \
@@ -287,14 +286,18 @@ case "$job" in
     echo "crash: unrecoverable run correctly exited 87 naming node 1"
     ;;
   perf)
-    # Perf-regression gate: run the simulator self-benchmark and compare
-    # against the committed baseline (BENCH_PERF.json) with a tolerance
-    # band. Normalization against the host's calibrated integer throughput
-    # makes the comparison tolerant of slower/faster CI machines; the wide
-    # band absorbs the rest of the host variance. On runners where even the
-    # normalized throughput is too noisy for the band, set
-    # PERF_ALLOCS_ONLY=1: allocs/event (host-independent) stays a hard gate
-    # and throughput is reported as a trend in the selfperf.json artifact.
+    # Perf-regression gate: run the simulator self-benchmark — the five
+    # 8-node workloads and the weak-scaling rows at 8, 64, 256 and 1024
+    # nodes — and compare against the committed baseline (BENCH_PERF.json)
+    # with a tolerance band. Event and window counts are exact and
+    # allocs/event is a hard cap (resident simulator state must grow with
+    # active links and touched pages, not nodes^2). Normalization against
+    # the host's calibrated integer throughput makes the comparison tolerant
+    # of slower/faster CI machines; the wide band absorbs the rest of the
+    # host variance. On runners where even the normalized throughput is too
+    # noisy for the band, set PERF_ALLOCS_ONLY=1: allocs/event
+    # (host-independent) stays a hard gate and throughput is reported as a
+    # trend in the selfperf.json artifact.
     cmake -B build -S . -DCMAKE_BUILD_TYPE=Release "$@"
     cmake --build build -j "$jobs" --target bench_selfperf
     mkdir -p results
@@ -303,27 +306,6 @@ case "$job" in
     [[ "${PERF_ALLOCS_ONLY:-0}" == "1" ]] && allocs_flag="--allocs-only"
     python3 scripts/check_perf.py results/selfperf.json \
       --baseline BENCH_PERF.json --tolerance 0.20 $allocs_flag
-    ;;
-  scale)
-    # Weak-scaling gate. First a correctness smoke at 64 nodes: jacobi +
-    # spmv with fixed work per node under the binomial collectives, JSON
-    # schema-validated like every other bench artifact. Then the host-side
-    # regression band: simulated event counts are exact, allocs/event is a
-    # hard cap (resident simulator state must keep growing with active
-    # links/touched pages, not nodes^2), normalized throughput gets the
-    # same 20% band as the perf job (or trend-only with PERF_ALLOCS_ONLY=1).
-    cmake -B build -S . -DCMAKE_BUILD_TYPE=Release "$@"
-    cmake --build build -j "$jobs" --target bench_scale
-    mkdir -p results
-    build/bench/bench_scale --nodes-list=64 --check-coherence \
-      --json=results/scale_smoke.json
-    python3 scripts/check_results_json.py results/scale_smoke.json
-    build/bench/bench_scale --nodes-list=8,64,256,1024 --reps=3 \
-      --perf-json=results/scale_perf.json
-    allocs_flag=""
-    [[ "${PERF_ALLOCS_ONLY:-0}" == "1" ]] && allocs_flag="--allocs-only"
-    python3 scripts/check_perf.py results/scale_perf.json \
-      --baseline BENCH_SCALE.json --tolerance 0.20 $allocs_flag
     ;;
   simthreads)
     # Bit-identity matrix for conservative synchronous-window PDES: the same
@@ -405,7 +387,7 @@ case "$job" in
     # harness <h> at --scale=0.5, results/<h>_full.txt the same harness at
     # --full. The tables were generated with the default build type, so
     # configure with it even if this build tree was last configured for
-    # Release (perf, scale).
+    # Release (perf).
     tables="$(git ls-files 'results/*.txt')"
     [[ -n "$tables" ]] || {
       echo "fixedpoint: git lists no results/*.txt" >&2
@@ -432,10 +414,12 @@ case "$job" in
     ;;
   perfbench)
     # perfbench/ builds the simulator from src/ and calls into its layers
-    # directly (BodyCtx, Bindings, chunk_footprint, ref_section,
-    # irreg::scan, Node::ensure_chunk). No other job builds it, so an API
-    # change that breaks it would otherwise first show when the benchmark
-    # runs. run.py configures and builds it on first use.
+    # directly (chunk_footprint(_into), linearize, analyze_transfers,
+    # plan_from_transfers, irreg::scan, Node::ensure_chunk and
+    # ensure_readable, through its own hpf::BodyCtx over hpf::Bindings). No
+    # other job builds it, so an API change that breaks it would otherwise
+    # first show when the benchmark runs. run.py configures and builds it on
+    # first use.
     for w in paper8 scale256 chaos8_st4; do
       for tr in 0 1; do
         python3 perfbench/run.py --workload "$w" --seed 1 --seconds 0 \
@@ -447,7 +431,7 @@ case "$job" in
     ;;
   *)
     echo "unknown job '$job' (expected: verify | sanitize | chaos | crash |" \
-      "perf | scale | simthreads | tsan | fixedpoint | perfbench)" >&2
+      "perf | simthreads | tsan | fixedpoint | perfbench)" >&2
     exit 2
     ;;
 esac

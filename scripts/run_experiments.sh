@@ -44,8 +44,8 @@ found=0
 for bin in "$BIN"/bench_*; do
   [[ -x "$bin" ]] || continue
   name="$(basename "$bin")"
-  # bench_selfperf measures the simulator itself (host throughput, allocs);
-  # it rejects --jobs and is gated separately by scripts/ci.sh perf.
+  # bench_selfperf, the one harness that times the simulator itself (host
+  # throughput, allocs/event), rejects --jobs; scripts/ci.sh perf gates it.
   [[ "$name" == bench_selfperf ]] && continue
   run "$name"
   found=1

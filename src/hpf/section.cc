@@ -4,7 +4,6 @@
 #include <functional>
 #include <numeric>
 #include <set>
-#include <sstream>
 
 #include "src/util/assert.h"
 
@@ -162,18 +161,6 @@ std::int64_t ConcreteSet::exact_count_slow(
   };
   if (!universe.empty()) rec(0);
   return count;
-}
-
-std::string Section::to_string() const {
-  std::ostringstream os;
-  os << "(";
-  for (std::size_t d = 0; d < dims.size(); ++d) {
-    if (d) os << ", ";
-    os << dims[d].lo.to_string() << ":" << dims[d].hi.to_string();
-    if (dims[d].stride != 1) os << ":" << dims[d].stride;
-  }
-  os << ")";
-  return os.str();
 }
 
 }  // namespace fgdsm::hpf

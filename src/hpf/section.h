@@ -4,14 +4,10 @@
 // (optionally a 2-D family of ranges separated by a fixed stride) — it notes
 // (§4.1) they "could be represented by traditional regular section
 // descriptors"; Omega was used for engineering convenience. This module is
-// that RSD package, in two layers:
-//
-//   - Section / SectionSet: symbolic per-dimension strided intervals whose
-//     bounds are AffineExpr (parametric in processor id, problem sizes and
-//     time-step symbols). Built by the access analysis at "compile time".
-//   - ConcreteSection / ConcreteSet: fully evaluated integer sections with
-//     exact set algebra (intersect, subtract, enumerate), used when the
-//     runtime instantiates a plan with concrete symbol values.
+// that RSD package: ConcreteSection / ConcreteSet are integer sections with
+// exact set algebra (intersect, subtract, enumerate). The access analysis
+// (analysis.h) evaluates its symbolic bounds (AffineExpr, symbolic.h) with
+// the runtime's concrete symbol values and produces these sections.
 #pragma once
 
 #include <cstdint>
@@ -21,10 +17,6 @@
 #include "src/hpf/symbolic.h"
 
 namespace fgdsm::hpf {
-
-// ---------------------------------------------------------------------------
-// Concrete layer
-// ---------------------------------------------------------------------------
 
 // One dimension: { lo + k*stride : 0 <= k, lo + k*stride <= hi }.
 // Empty iff lo > hi.
@@ -107,36 +99,6 @@ class ConcreteSet {
 
  private:
   std::vector<ConcreteSection> pieces_;
-};
-
-// ---------------------------------------------------------------------------
-// Symbolic layer
-// ---------------------------------------------------------------------------
-
-struct Interval {
-  AffineExpr lo;
-  AffineExpr hi;
-  std::int64_t stride = 1;
-
-  ConcreteInterval eval(const Bindings& b) const {
-    return ConcreteInterval{lo.eval(b), hi.eval(b), stride}.normalized();
-  }
-  bool operator==(const Interval& o) const {
-    return lo == o.lo && hi == o.hi && stride == o.stride;
-  }
-};
-
-struct Section {
-  std::vector<Interval> dims;
-
-  ConcreteSection eval(const Bindings& b) const {
-    ConcreteSection s;
-    s.dims.reserve(dims.size());
-    for (const auto& d : dims) s.dims.push_back(d.eval(b));
-    return s;
-  }
-  bool operator==(const Section& o) const { return dims == o.dims; }
-  std::string to_string() const;
 };
 
 }  // namespace fgdsm::hpf

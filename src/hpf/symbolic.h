@@ -69,18 +69,6 @@ class AffineExpr {
     return v;
   }
 
-  // Substitute a symbol with another expression (used to rewrite loop-index
-  // symbols in subscripts by loop bounds).
-  AffineExpr substitute(const std::string& s, const AffineExpr& repl) const {
-    AffineExpr r = *this;
-    auto it = r.terms_.find(s);
-    if (it == r.terms_.end()) return r;
-    const std::int64_t c = it->second;
-    r.terms_.erase(it);
-    r = r + repl * c;
-    return r;
-  }
-
   AffineExpr operator+(const AffineExpr& o) const {
     AffineExpr r = *this;
     r.c0_ += o.c0_;

@@ -147,6 +147,22 @@ TEST(OptionsStrictDeathTest, UnknownFlagExits2NamingFlagAndSuggestion) {
               "unknown option --tarce \\(did you mean --trace\\?\\)");
 }
 
+// A list entry must be an integer as strictly as a single --nodes value:
+// atoi would run "8x" as 8 nodes and exit 0.
+TEST(OptionsStrictDeathTest, MalformedListEntryExits2NamingFlag) {
+  EXPECT_EXIT((void)bench::parse_int_list("8,64x", "--nodes-list", 1, 1024),
+              ::testing::ExitedWithCode(2),
+              "invalid integer value '64x' for --nodes-list");
+  EXPECT_EXIT((void)bench::parse_int_list("1,four", "--intervals", 1, 16),
+              ::testing::ExitedWithCode(2),
+              "invalid integer value 'four' for --intervals");
+  EXPECT_EXIT((void)bench::parse_int_list("8,2048", "--nodes-list", 1, 1024),
+              ::testing::ExitedWithCode(2),
+              "--nodes-list entry '2048' is outside \\[1, 1024\\]");
+  EXPECT_EQ(bench::parse_int_list("8,64,,256", "--nodes-list", 1, 1024),
+            (std::vector<int>{8, 64, 256}));
+}
+
 TEST(OptionsStrict, KnownFlagsPass) {
   const char* argv[] = {"bench", "--trace=x.json", "--scale=0.5"};
   util::Options o(3, argv);

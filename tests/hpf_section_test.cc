@@ -24,15 +24,6 @@ TEST(AffineExpr, ArithmeticAndEval) {
   EXPECT_EQ((n - n).constant(), 0);
 }
 
-TEST(AffineExpr, Substitute) {
-  const AffineExpr e = AffineExpr::sym("i") * 3 + 5;
-  const AffineExpr r = e.substitute("i", AffineExpr::sym("k") + 1);
-  Bindings b;
-  b.set("k", 2);
-  EXPECT_EQ(r.eval(b), 3 * 3 + 5);
-  EXPECT_FALSE(r.references("i"));
-}
-
 TEST(AffineExpr, UnboundSymbolThrows) {
   Bindings b;
   EXPECT_THROW(AffineExpr::sym("x").eval(b), AssertionError);
@@ -137,23 +128,6 @@ TEST(ConcreteSet, SetAlgebraPropertyRandom2D) {
         EXPECT_EQ(inter.contains({i, j}), in_a && in_b);
       }
   }
-}
-
-TEST(SymbolicSection, EvaluatesToConcrete) {
-  Section s;
-  s.dims.push_back(
-      Interval{AffineExpr(0), AffineExpr::sym("n") - 1, 1});
-  s.dims.push_back(Interval{AffineExpr::sym("$p") * 4,
-                            AffineExpr::sym("$p") * 4 + 3, 1});
-  Bindings b;
-  b.set("n", 16);
-  b.set("$p", 2);
-  const ConcreteSection c = s.eval(b);
-  EXPECT_EQ(c.dims[0].lo, 0);
-  EXPECT_EQ(c.dims[0].hi, 15);
-  EXPECT_EQ(c.dims[1].lo, 8);
-  EXPECT_EQ(c.dims[1].hi, 11);
-  EXPECT_EQ(s.to_string(), "(0:-1+n, 4*$p:3+4*$p)");
 }
 
 TEST(Distribution, BlockOwnership) {
