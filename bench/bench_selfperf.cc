@@ -16,7 +16,7 @@
 // scaling axis; compare its events/s against "paper"), the jacobi
 // six-configuration slice ("jacobi"), the irregular spmv sweep ("spmv"), and
 // jacobi under chaos-mode fault injection ("chaos"). Then, for each N in
-// --nodes-list (default 8,64,256,1024), "jacobi@N" and "spmv@N": bench_scale's
+// kScaleNodes (8, 64, 256 and 1024), "jacobi@N" and "spmv@N": bench_scale's
 // weak-scaled programs at its default sizes, sm-opt dual-cpu under binomial
 // collectives, where simulator cost must grow with active links and touched
 // pages, not with nodes^2. --sim-threads=N applies N engine workers to every
@@ -95,6 +95,9 @@ namespace fgdsm {
 namespace {
 
 using Clock = std::chrono::steady_clock;
+
+// Cluster sizes of the weak-scaling rows; BENCH_PERF.json gates each of them.
+constexpr int kScaleNodes[] = {8, 64, 256, 1024};
 
 double seconds_since(Clock::time_point t0) {
   return std::chrono::duration<double>(Clock::now() - t0).count();
@@ -194,29 +197,22 @@ std::string cpu_model() {
 int selfperf_main(int argc, char** argv) {
   util::Options o(argc, argv);
   o.check_known({"scale", "nodes", "block", "reps", "workload", "json",
-                 "sim-threads", "nodes-list"});
+                 "sim-threads"});
   // One BenchConfig builds every spec; the shared harness flags this binary
   // does not take keep their defaults (no faults, no checker, flat
   // collectives).
   bench::BenchConfig cfg;
   cfg.scale = o.get_double("scale", 0.15);
-  cfg.nodes = static_cast<int>(o.get_int("nodes", 8));
+  cfg.nodes = bench::nodes_flag(o);
   cfg.block = static_cast<std::size_t>(o.get_int("block", 128));
-  cfg.sim_threads = static_cast<int>(o.get_int("sim-threads", 1));
+  cfg.sim_threads = bench::sim_threads_flag(o);
   const int reps = static_cast<int>(o.get_int("reps", 1));
   const std::string only = o.get("workload", "");
   const std::string json_path = o.get("json", "");
-  const std::string nodes_list = o.get("nodes-list", "8,64,256,1024");
   if (reps < 1) {
     std::fprintf(stderr, "fgdsm: --reps must be >= 1\n");
     return 2;
   }
-  if (cfg.sim_threads < 1) {
-    std::fprintf(stderr, "fgdsm: --sim-threads must be >= 1\n");
-    return 2;
-  }
-  const std::vector<int> node_counts = bench::parse_int_list(
-      nodes_list, "--nodes-list", 1, tempest::kMaxNodes);
 
   // Programs must outlive the spec lists; deque keeps references stable as
   // it grows (specs hold pointers into it).
@@ -294,7 +290,7 @@ int selfperf_main(int argc, char** argv) {
   }
   // Weak scaling: a flat coordinator at 1024 nodes would serialize every
   // barrier, so these rows run under the binomial tree, as bench_scale does.
-  for (const int nodes : node_counts) {
+  for (const int nodes : kScaleNodes) {
     for (const std::string app : {"jacobi", "spmv"}) {
       progs.push_back(bench::weak_scaled(app, cfg.scale, nodes).prog);
       exec::ExperimentSpec s =
@@ -361,7 +357,6 @@ int selfperf_main(int argc, char** argv) {
     w.begin_object();
     w.kv("scale", cfg.scale);
     w.kv("nodes", cfg.nodes);
-    w.kv("nodes_list", nodes_list);
     w.kv("block", static_cast<std::uint64_t>(cfg.block));
     w.kv("reps", static_cast<std::uint64_t>(reps));
     w.end_object();

@@ -96,6 +96,30 @@ inline std::vector<std::string> registry_names() {
   return names;
 }
 
+// --nodes (default 8) and --sim-threads (default 1), read alike by
+// BenchConfig::from_args and bench_selfperf: a value out of range exits 2
+// naming the flag.
+inline int nodes_flag(const util::Options& o) {
+  const std::int64_t nodes = o.get_int("nodes", 8);
+  if (nodes < 1 || nodes > tempest::kMaxNodes) {
+    std::fprintf(stderr,
+                 "fgdsm: --nodes=%lld is outside the supported range [1, %d] "
+                 "(index/bitmask arithmetic is only validated up to this "
+                 "size)\n",
+                 static_cast<long long>(nodes), tempest::kMaxNodes);
+    std::exit(2);
+  }
+  return static_cast<int>(nodes);
+}
+inline int sim_threads_flag(const util::Options& o) {
+  const std::int64_t threads = o.get_int("sim-threads", 1);
+  if (threads < 1) {
+    std::fprintf(stderr, "fgdsm: --sim-threads must be >= 1\n");
+    std::exit(2);
+  }
+  return static_cast<int>(threads);
+}
+
 struct BenchConfig {
   double scale = 0.15;
   int nodes = 8;
@@ -132,15 +156,7 @@ struct BenchConfig {
     o.check_known(known);
     BenchConfig c;
     c.scale = o.get_double("scale", o.get_bool("full") ? 1.0 : 0.15);
-    c.nodes = static_cast<int>(o.get_int("nodes", 8));
-    if (c.nodes < 1 || c.nodes > tempest::kMaxNodes) {
-      std::fprintf(stderr,
-                   "fgdsm: --nodes=%d is outside the supported range [1, %d] "
-                   "(index/bitmask arithmetic is only validated up to this "
-                   "size)\n",
-                   c.nodes, tempest::kMaxNodes);
-      std::exit(2);
-    }
+    c.nodes = nodes_flag(o);
     c.block = static_cast<std::size_t>(o.get_int("block", 128));
     c.jobs = static_cast<int>(o.get_int("jobs", 1));
     if (o.has("app")) {
@@ -178,11 +194,7 @@ struct BenchConfig {
         "watchdog-ns",
         c.faults.enabled ? tempest::default_watchdog_ns(c.nodes, c.collectives)
                          : 0));
-    c.sim_threads = static_cast<int>(o.get_int("sim-threads", 1));
-    if (c.sim_threads < 1) {
-      std::fprintf(stderr, "fgdsm: --sim-threads must be >= 1\n");
-      std::exit(2);
-    }
+    c.sim_threads = sim_threads_flag(o);
     c.checkpoint_every = static_cast<int>(o.get_int("checkpoint-every", 0));
     if (c.checkpoint_every < 0) {
       std::fprintf(stderr, "fgdsm: --checkpoint-every must be >= 0\n");

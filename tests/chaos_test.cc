@@ -163,6 +163,25 @@ TEST(OptionsStrictDeathTest, MalformedListEntryExits2NamingFlag) {
             (std::vector<int>{8, 64, 256}));
 }
 
+// bench_selfperf reads --nodes and --sim-threads without from_args, through
+// the same helpers, so a bad value exits 2 there too instead of failing an
+// assertion inside the first run.
+TEST(OptionsStrictDeathTest, NodesOrSimThreadsOutOfRangeExits2) {
+  const char* zero[] = {"bench_selfperf", "--nodes=0"};
+  EXPECT_EXIT((void)bench::nodes_flag(util::Options(2, zero)),
+              ::testing::ExitedWithCode(2),
+              "--nodes=0 is outside the supported range \\[1, 65536\\]");
+  const char* huge[] = {"bench_selfperf", "--nodes=65537"};
+  EXPECT_EXIT((void)bench::nodes_flag(util::Options(2, huge)),
+              ::testing::ExitedWithCode(2),
+              "--nodes=65537 is outside the supported range");
+  const char* threads[] = {"bench_selfperf", "--sim-threads=0"};
+  EXPECT_EXIT((void)bench::sim_threads_flag(util::Options(2, threads)),
+              ::testing::ExitedWithCode(2), "--sim-threads must be >= 1");
+  const char* ok[] = {"bench_selfperf", "--nodes=1024"};
+  EXPECT_EQ(bench::nodes_flag(util::Options(2, ok)), 1024);
+}
+
 TEST(OptionsStrict, KnownFlagsPass) {
   const char* argv[] = {"bench", "--trace=x.json", "--scale=0.5"};
   util::Options o(3, argv);

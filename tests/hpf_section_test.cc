@@ -22,6 +22,12 @@ TEST(AffineExpr, ArithmeticAndEval) {
   EXPECT_EQ(e.coeff("q"), 0);
   EXPECT_TRUE((n - n).is_constant());
   EXPECT_EQ((n - n).constant(), 0);
+  // The form analysis.cc's diagnostics print.
+  EXPECT_EQ(e.to_string(), "-3+2*n+p");
+  EXPECT_EQ((n - 1).to_string(), "-1+n");
+  EXPECT_EQ((AffineExpr::sym("$p") * 4 + 3).to_string(), "3+4*$p");
+  EXPECT_EQ((AffineExpr(0) - n).to_string(), "-n");
+  EXPECT_EQ((n - n).to_string(), "0");
 }
 
 TEST(AffineExpr, UnboundSymbolThrows) {
