@@ -8,8 +8,7 @@
 #                            introduces host threads; sanitizers gate races
 #                            and UB in the concurrent path). Task fibers
 #                            announce their stack switches to ASan, so
-#                            use-after-return detection is on everywhere
-#                            but the rollback tests
+#                            use-after-return detection is on for every test
 #   scripts/ci.sh chaos      fault-injection gauntlet: bench_paper's full
 #                            app suite and bench_irreg under --faults at two
 #                            seeds with the coherence checker on; results
@@ -93,15 +92,8 @@ case "$job" in
       -DCMAKE_EXE_LINKER_FLAGS="-fsanitize=address,undefined" \
       "$@"
     cmake --build build-asan -j "$jobs"
-    # Rollback tests run without use-after-return detection: it moves frames
-    # with addressable locals to ASan's heap-side fake stack, outside the
-    # fiber-stack bytes a checkpoint copies, so a restored fiber would point
-    # at recycled fake frames. Everything else runs with it on.
-    rollback='^(CrashRecovery|TaskRollback)\.|^SimThreads\.CrashRecovery'
     ASAN_OPTIONS="detect_stack_use_after_return=1" \
-      ctest --test-dir build-asan --output-on-failure -j "$jobs" -E "$rollback"
-    ASAN_OPTIONS="detect_stack_use_after_return=0" \
-      ctest --test-dir build-asan --output-on-failure -j "$jobs" -R "$rollback"
+      ctest --test-dir build-asan --output-on-failure -j "$jobs"
     ;;
   chaos)
     cmake -B build -S . "$@"

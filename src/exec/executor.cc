@@ -67,6 +67,17 @@ struct CompiledVisit {
   std::vector<CompiledIndirect> ind;
 };
 
+// The executor's Node::barrier calls, where every checkpoint but the t=0
+// image is taken, in the order a loop visit reaches them.
+enum class Site : std::uint8_t {
+  kStart,       // none: the t=0 image runs the program from its start
+  kMkWritable,  // ccc_prologue, after mk_writable
+  kOpen,        // ccc_prologue, after implicit_writable
+  kFlush,       // ccc_prologue, before the flush phase
+  kLoopEnd,     // the end of a loop visit
+  kEnd,         // node_main's final barrier
+};
+
 // The part of a node's execution state a checkpoint carries (see the hook
 // registered in the Executor ctor): everything the replayed program path
 // reads, including the elision registries (opened ranges, availability)
@@ -75,8 +86,7 @@ struct CompiledVisit {
 // the collective any_comm/any_flush choices and the inspector's needs
 // exchange aligned across nodes. The records point into the run's
 // PlanTable, whose entries live until the run ends, so they stay valid
-// across rollbacks — as does the plan reference exec_loop_inner holds on
-// the fiber stack.
+// across rollbacks.
 struct ReplayState {
   Bindings bind;  // sizes + $p/$np + live time-loop counters
   std::map<std::string, double> scalars;
@@ -103,12 +113,28 @@ struct ReplayState {
   // loops with indirect reads this record is the inspect-or-replay
   // decision.
   std::map<const hpf::ParallelLoop*, const core::PlanTable::Entry*> plans;
+
+  // Where the node stands, which a restarted task follows back into the
+  // barrier its checkpoint found it in: the phase index per time-loop level
+  // (the counters are in bind), the barrier's site, and what the loop
+  // visit (one at a time) holds across that barrier.
+  struct Position {
+    Site site = Site::kStart;
+    std::vector<std::uint32_t> path;
+    util::NodeStats before;          // exec_loop
+    sim::Time lt0 = 0;               // exec_loop
+    const CommPlan* plan = nullptr;  // in the PlanTable, or kNoComm
+    sim::Time sched0 = 0;            // exec_loop_inner
+    sim::Time p0 = 0;                // ccc_prologue
+  } at;
 };
 
 // Per-node execution state.
 struct NodeRun : ReplayState {
   Node* node = nullptr;
   sim::Task* task = nullptr;
+  // Restarted at a barrier position and not yet back in that barrier.
+  bool resuming = false;
   // Not restored at rollback, like NodeStats.
   std::uint64_t plan_hits = 0;    // visits served by `plans`
   std::uint64_t plan_misses = 0;  // visits that went to the table
@@ -231,11 +257,10 @@ class Executor {
         irreg::has_indirect(prog_))
       irreg_ = std::make_unique<irreg::IrregRuntime>(cluster_);
     nodes_.resize(static_cast<std::size_t>(cluster_.nnodes()));
-    // Crash recovery: the cluster checkpoint covers node memory, tags and
-    // task fibers, but the executor keeps per-node interpreter state on the
-    // host. The initial t=0 capture sees default-constructed NodeRuns —
-    // consistent with its not-yet-activated task snapshots (node_main
-    // re-initializes both on replay).
+    // Crash recovery: the cluster checkpoint covers node memory and tags,
+    // but the executor keeps per-node interpreter state on the host, its
+    // position included. The initial t=0 capture sees default-constructed
+    // NodeRuns, whose position runs node_main from the start.
     cluster_.register_host_state_hook(
         {[this] { snap_.assign(nodes_.begin(), nodes_.end()); },
          [this] {
@@ -288,10 +313,16 @@ class Executor {
     NodeRun& st = nodes_[static_cast<std::size_t>(n.id())];
     st.node = &n;
     st.task = &t;
-    st.bind = bind0();
-    st.bind.set(hpf::kSymProc, n.id());
-    exec_phases(prog_.phases, st);
-    n.barrier(t);
+    // A rollback runs this again; a node the checkpoint found in a barrier
+    // heads back into it.
+    st.resuming = st.at.site != Site::kStart;
+    if (!st.resuming) {
+      st.bind = bind0();
+      st.bind.set(hpf::kSymProc, n.id());
+    }
+    exec_phases(prog_.phases, st, 0);
+    barrier(st, Site::kEnd);
+    FGDSM_ASSERT_MSG(!st.resuming, "node " << n.id() << " resumed nowhere");
     st.snap = n.stats;
     st.snap.plan_cache_hits = st.plan_hits;
     st.snap.plan_cache_misses = st.plan_misses;
@@ -299,8 +330,28 @@ class Executor {
     if (cfg_.gather_arrays && shmem()) gather_owned(st);
   }
 
-  void exec_phases(const std::vector<hpf::Phase>& phases, NodeRun& st) {
-    for (const auto& ph : phases) {
+  // Every Node::barrier call: records the site, or, for a resuming node,
+  // passes by the sites before its own and finishes the barrier there.
+  void barrier(NodeRun& st, Site site) {
+    if (!st.resuming) {
+      st.at.site = site;
+      st.node->barrier(*st.task);
+    } else if (site == st.at.site) {
+      st.resuming = false;
+      st.node->finish_barrier(*st.task);
+    }
+  }
+
+  // Runs the phase list at time-loop level `depth`, the running phase's
+  // index in the path (from the recorded one when resuming). A finished
+  // list's index is its size, so resuming at the final barrier skips it.
+  void exec_phases(const std::vector<hpf::Phase>& phases, NodeRun& st,
+                   std::size_t depth) {
+    std::vector<std::uint32_t>& path = st.at.path;
+    if (path.size() <= depth) path.resize(depth + 1);
+    if (!st.resuming) path[depth] = 0;
+    for (; path[depth] < phases.size(); ++path[depth]) {
+      const hpf::Phase& ph = phases[path[depth]];
       switch (ph.kind) {
         case hpf::Phase::Kind::kParallelLoop:
           exec_loop(*ph.loop, st);
@@ -309,7 +360,7 @@ class Executor {
           exec_scalar(*ph.scalar, st);
           break;
         case hpf::Phase::Kind::kTimeLoop:
-          exec_time(*ph.time, st);
+          exec_time(*ph.time, st, depth + 1);
           break;
       }
     }
@@ -322,11 +373,13 @@ class Executor {
     st.node->stats.compute_ns += static_cast<sim::Time>(sp.cost_ns);
   }
 
-  void exec_time(const hpf::TimeLoop& tl, NodeRun& st) {
+  void exec_time(const hpf::TimeLoop& tl, NodeRun& st, std::size_t depth) {
     const std::int64_t count = tl.count.eval(st.bind);
-    for (std::int64_t it = 0; it < count; ++it) {
+    // A resuming node re-enters the iteration its restored counter names.
+    for (std::int64_t it = st.resuming ? st.bind.get(tl.counter) : 0;
+         it < count; ++it) {
       st.bind.set(tl.counter, it);
-      exec_phases(tl.phases, st);
+      exec_phases(tl.phases, st, depth);
       if (tl.exit_when) {
         ExecCtx ctx(st, layouts_, 0);
         if (tl.exit_when(ctx)) break;
@@ -336,16 +389,17 @@ class Executor {
 
   // ---- The heart: one parallel loop under the configured mode ----
   void exec_loop(const hpf::ParallelLoop& loop, NodeRun& st) {
-    const util::NodeStats before = st.node->stats;
-    const sim::Time lt0 = st.task->now();
+    if (!st.resuming) {
+      st.at.before = st.node->stats;
+      st.at.lt0 = st.task->now();
+    }
     exec_loop_inner(loop, st);
     util::NodeStats delta = st.node->stats;
-    delta -= before;
+    delta -= st.at.before;
     st.loop_stats[loop.name] += delta;
     if (auto* tr = cluster_.tracer())
       tr->span(sim::Tracer::compute_track(st.node->id()), "loop",
-               tr->intern(loop.name),
-               lt0, st.task->now());
+               tr->intern(loop.name), st.at.lt0, st.task->now());
   }
 
   void exec_loop_inner(const hpf::ParallelLoop& loop, NodeRun& st) {
@@ -366,33 +420,36 @@ class Executor {
     }
 
     const bool irregular = irreg::has_indirect(loop);
-    // The plan lives in the run's PlanTable (or is kNoComm), never on the
-    // fiber stack, so it survives the checkpoint barriers below.
     const bool planned = cfg_.opt.mode == Mode::kShmemOpt ||
                          cfg_.opt.mode == Mode::kMsgPassing;
-    const CommPlan& plan = !planned    ? kNoComm
-                           : irregular ? plan_for_irreg_loop(loop, st)
-                                       : plan_for_loop(loop, st);
-
     // Executor half of the inspector–executor pair: replaying the
     // materialized schedule is the ordinary prologue/epilogue below, traced
-    // separately so schedule replay is attributable against inspection.
-    const sim::Time sched0 = t.now();
+    // separately so schedule replay is attributable against inspection. A
+    // resumed visit reads both back, as planning again would count twice.
+    if (!st.resuming) {
+      st.at.plan = !planned    ? &kNoComm
+                   : irregular ? &plan_for_irreg_loop(loop, st)
+                               : &plan_for_loop(loop, st);
+      st.at.sched0 = t.now();
+    }
+    const CommPlan& plan = *st.at.plan;
     if (cfg_.opt.mode == Mode::kShmemOpt && plan.any_comm)
       ccc_prologue(loop, plan, st);
-    if (cfg_.opt.mode == Mode::kMsgPassing && plan.any_comm)
-      mp_prologue(plan, st);
-    if (irregular && plan.any_comm)
-      if (auto* tr = cluster_.tracer())
-        tr->span(sim::Tracer::compute_track(n.id()), "schedule-exec",
-                 tr->intern(loop.name), sched0, t.now());
+    if (!st.resuming) {
+      if (cfg_.opt.mode == Mode::kMsgPassing && plan.any_comm)
+        mp_prologue(plan, st);
+      if (irregular && plan.any_comm)
+        if (auto* tr = cluster_.tracer())
+          tr->span(sim::Tracer::compute_track(n.id()), "schedule-exec",
+                   tr->intern(loop.name), st.at.sched0, t.now());
 
-    run_chunks(loop, st, iters, /*checks=*/shmem(), 1.0);
+      run_chunks(loop, st, iters, /*checks=*/shmem(), 1.0);
 
-    if (cfg_.opt.mode == Mode::kShmemOpt && plan.any_comm)
-      ccc_epilogue(plan, st);
-    if (cfg_.opt.mode == Mode::kMsgPassing && plan.any_comm)
-      mp_epilogue(plan, st);
+      if (cfg_.opt.mode == Mode::kShmemOpt && plan.any_comm)
+        ccc_epilogue(plan, st);
+      if (cfg_.opt.mode == Mode::kMsgPassing && plan.any_comm)
+        mp_epilogue(plan, st);
+    }
 
     // End-of-loop synchronization: the reduction is itself synchronizing;
     // otherwise a barrier separates this loop's writes from the next loop's
@@ -414,7 +471,7 @@ class Executor {
           st.node->allreduce(*st.task, st.reduce_acc, op);
       st.reduce_acc = 0.0;
     } else if (need_barrier) {
-      st.node->barrier(*st.task);
+      barrier(st, Site::kLoopEnd);
     }
   }
 
@@ -554,56 +611,65 @@ class Executor {
     const std::size_t bs = cluster_.block_size();
     const std::size_t payload =
         cfg_.opt.bulk_transfer ? cfg_.opt.max_payload : bs;
-    const sim::Time p0 = t.now();
 
-    // CCC calls happen only after pending transactions complete (§5).
+    // A resuming node skips the work before each barrier up to its own.
     sim::Time t0 = t.now();
-    p.drain(n, t);
-
+    if (!st.resuming) {
+      st.at.p0 = t0;
+      // CCC calls happen only after pending transactions complete (§5).
+      p.drain(n, t);
+      if (!cfg_.opt.rt_overhead_elim) {
+        for (const Run& r : plan.mk_writable)
+          p.mk_writable(n, t, cluster_.block_of(r.addr),
+                        cluster_.block_of(r.addr + r.len - 1));
+        st.node->stats.ccc_ns += t.now() - t0;
+      }
+    }
     if (!cfg_.opt.rt_overhead_elim) {
-      for (const Run& r : plan.mk_writable)
-        p.mk_writable(n, t, cluster_.block_of(r.addr),
-                      cluster_.block_of(r.addr + r.len - 1));
-      st.node->stats.ccc_ns += t.now() - t0;
-      n.barrier(t);
+      barrier(st, Site::kMkWritable);
       t0 = t.now();
     }
 
-    // implicit_writable — first-time-only under rt overhead elimination.
-    bool open_needed = !plan.recv.empty();
-    if (cfg_.opt.rt_overhead_elim) {
-      auto it = st.opened.find(&loop);
-      if (it != st.opened.end() && it->second == plan.recv) {
-        open_needed = false;
-        t.charge(cluster_.costs().ccc_test_only_cost);
-        ++n.stats.ccc_calls_elided;
-      } else {
-        st.opened[&loop] = plan.recv;
+    if (!st.resuming) {
+      // implicit_writable — first-time-only under rt overhead elimination.
+      bool open_needed = !plan.recv.empty();
+      if (cfg_.opt.rt_overhead_elim) {
+        auto it = st.opened.find(&loop);
+        if (it != st.opened.end() && it->second == plan.recv) {
+          open_needed = false;
+          t.charge(cluster_.costs().ccc_test_only_cost);
+          ++n.stats.ccc_calls_elided;
+        } else {
+          st.opened[&loop] = plan.recv;
+        }
       }
+      if (open_needed)
+        for (const Run& r : plan.recv)
+          p.implicit_writable(n, t, cluster_.block_of(r.addr),
+                              cluster_.block_of(r.addr + r.len - 1));
+      st.node->stats.ccc_ns += t.now() - t0;
     }
-    if (open_needed)
-      for (const Run& r : plan.recv)
-        p.implicit_writable(n, t, cluster_.block_of(r.addr),
-                            cluster_.block_of(r.addr + r.len - 1));
-    st.node->stats.ccc_ns += t.now() - t0;
 
-    n.barrier(t);
+    barrier(st, Site::kOpen);
 
-    t0 = t.now();
-    for (const auto& s : plan.sends)
-      p.send_blocks(n, t, s.run.addr, s.run.len, s.dst, payload);
-    p.ready_to_recv(n, t, plan.expected_pre);
-    st.node->stats.ccc_ns += t.now() - t0;
+    if (!st.resuming) {
+      t0 = t.now();
+      for (const auto& s : plan.sends)
+        p.send_blocks(n, t, s.run.addr, s.run.len, s.dst, payload);
+      p.ready_to_recv(n, t, plan.expected_pre);
+      st.node->stats.ccc_ns += t.now() - t0;
+    }
 
     // Non-owner writes add a post-loop flush phase that posts the same
     // counting semaphore; a fast writer's flush must not satisfy a slow
     // node's pre-loop wait (and the late pre-loop data would then overwrite
     // its freshly computed values). One barrier separates the phases —
     // any_flush is a global decision, so every node agrees.
-    if (plan.any_flush) n.barrier(t);
+    if (plan.any_flush) barrier(st, Site::kFlush);
+    if (st.resuming) return;  // headed for the visit's closing barrier
     if (auto* tr = cluster_.tracer())
-      tr->span(sim::Tracer::compute_track(n.id()), "ccc", "ccc_prologue", p0,
-               t.now());
+      tr->span(sim::Tracer::compute_track(n.id()), "ccc", "ccc_prologue",
+               st.at.p0, t.now());
   }
 
   void ccc_epilogue(const CommPlan& plan, NodeRun& st) {

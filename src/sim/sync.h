@@ -52,11 +52,12 @@ class Semaphore {
   }
 
   std::int64_t count() const { return count_; }
+  // The task parked here, if any (a halted waiter stays registered).
+  const Task* waiter() const { return waiter_; }
 
-  // Rollback-restart support: force the semaphore to `count` with no waiter
-  // registered. A task restored from a checkpoint resumes *inside* its wait
-  // loop and re-evaluates the condition against this count (re-registering
-  // itself if it must keep blocking), so the waiter slot must be empty.
+  // Rollback support: force the semaphore to `count` with no waiter
+  // registered. The abandoned timeline's waiter was unwound, and the
+  // restarted task waits afresh if it waits at all.
   void restore_for_recovery(std::int64_t count) {
     count_ = count;
     waiter_ = nullptr;

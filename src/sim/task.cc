@@ -30,9 +30,6 @@
 #endif
 #if defined(FGDSM_TSAN_FIBERS)
 #include <sanitizer/tsan_interface.h>
-// The compiler's function-entry hook: pushes one entry on the current
-// fiber's shadow call stack.
-extern "C" void __tsan_func_entry(void* call_pc);
 #endif
 #if !defined(__x86_64__)
 #include <ucontext.h>
@@ -44,18 +41,6 @@ namespace fgdsm::sim {
 
 namespace {
 constexpr std::size_t kStackBytes = 512 * 1024;
-
-// ASan poisons redzones around stack locals and does not see the frames a
-// fiber abandons, so stack bytes are unpoisoned before they are reused for a
-// new entry frame or copied in either direction by snapshot()/restore().
-void unpoison(const void* p, std::size_t n) {
-#if defined(FGDSM_ASAN_FIBERS)
-  __asan_unpoison_memory_region(p, n);
-#else
-  (void)p;
-  (void)n;
-#endif
-}
 }  // namespace
 
 #if defined(__x86_64__)
@@ -116,12 +101,6 @@ fgdsm_fiber_entry:
 )");
 
 namespace {
-// Everything a suspended fiber still needs lies at or above its saved stack
-// pointer: the switch pushed its registers there, the callers' frames sit
-// above them, and a caller of the switch is not a leaf, so it keeps nothing
-// in the red zone below.
-constexpr std::size_t kBelowSavedSp = 0;
-
 void fiber_switch(void** save_sp, void* load_sp) {
   fgdsm_fiber_switch(save_sp, load_sp);
 }
@@ -153,11 +132,7 @@ void* build_entry_frame([[maybe_unused]] char* base, char* top, Task* task,
 
 namespace {
 // The suspended side's ucontext_t lives in its own fiber_switch frame, and
-// the "saved stack pointer" is its address. swapcontext's real stack
-// pointer is a little lower, inside that frame, so a snapshot keeps a
-// margin below the ucontext as well.
-constexpr std::size_t kBelowSavedSp = 256;
-
+// the "saved stack pointer" is its address.
 void fiber_switch(void** save_sp, void* load_sp) {
   ucontext_t here;
   *save_sp = &here;
@@ -285,8 +260,12 @@ void Task::resume_for_engine() {
   if (state_ == State::kBlocked && pending_wake_time_ > clock_)
     clock_ = pending_wake_time_;
   if (fiber_sp_ == nullptr) {
-    unpoison(stack_.base(), static_cast<std::size_t>(stack_.top() -
-                                                     stack_.base()));
+#if defined(FGDSM_ASAN_FIBERS)
+    // ASan poisons redzones around stack locals and does not see the frames
+    // a fiber abandons: unpoison the stack before a new entry frame uses it.
+    __asan_unpoison_memory_region(
+        stack_.base(), static_cast<std::size_t>(stack_.top() - stack_.base()));
+#endif
     fiber_sp_ = build_entry_frame(stack_.base(), stack_.top(), this,
                                   &Task::fiber_main);
   }
@@ -442,75 +421,21 @@ void Task::halt() {
   }
 }
 
-Task::Snapshot Task::snapshot() const {
-  FGDSM_ASSERT_MSG(state_ != State::kRunning,
-                   "snapshot() of a running task");
-  Snapshot s;
-  s.clock = clock_;
-  s.state = state_;
-  s.pending_wake_time = pending_wake_time_;
-  s.wait_reason = wait_reason_;
-  s.started = started_;
-  s.sp = fiber_sp_;
-  if (fiber_sp_ != nullptr) {
-    // Only the live region matters: the stack grows down from top(), so
-    // everything below the saved stack pointer is dead.
-    const char* lo = static_cast<const char*>(fiber_sp_) - kBelowSavedSp;
-    if (lo < stack_.base()) lo = stack_.base();
-    unpoison(lo, static_cast<std::size_t>(stack_.top() - lo));
-    s.stack.assign(lo, static_cast<const char*>(stack_.top()));
-  }
-  return s;
-}
-
-void Task::restore(const Snapshot& s, Time resume_at) {
-  FGDSM_ASSERT_MSG(fiber_sp_ == nullptr,
-                   "restore() of task " << name_
-                                        << " with live frames; unwind() it "
-                                           "first");
+void Task::restart(Time t) {
+  FGDSM_ASSERT_MSG(fiber_sp_ == nullptr, "restart() of task "
+                                             << name_ << " with live frames");
   ++epoch_;  // resume events from the abandoned timeline become no-ops
-  clock_ = s.clock;
-  state_ = s.state;
-  pending_wake_time_ = s.pending_wake_time;
-  wait_reason_ = s.wait_reason;
-  started_ = s.started;
+  wait_reason_ = nullptr;
   cancel_ = false;
-  exception_ = nullptr;
-  fiber_sp_ = s.sp;
-  if (!s.stack.empty()) {
-    unpoison(stack_.base(),
-             static_cast<std::size_t>(stack_.top() - stack_.base()));
-    std::memcpy(stack_.top() - s.stack.size(), s.stack.data(),
-                s.stack.size());
-  }
 #if defined(FGDSM_TSAN_FIBERS)
-  // TSan keeps a shadow call stack per fiber: an instrumented function
-  // pushes an entry on entry and pops it on return. unwind() popped entries
-  // only in frames that run a cleanup, so the count no longer matches, and
-  // each restored frame pops one entry as it returns; past the start, TSan
-  // faults. Start the fiber on a fresh context holding one placeholder per
-  // 16 restored bytes: the stack pointer is 16-byte aligned at every call,
-  // so no suspended frame is smaller, and the returns never run out.
+  // unwind() left the old shadow call stack out of step with the frames it
+  // destroyed: the new body starts on a fresh context.
   __tsan_destroy_fiber(san_.tsan_fiber);
   san_.tsan_fiber = __tsan_create_fiber(0);
   __tsan_set_fiber_name(san_.tsan_fiber, name_.c_str());
-  void* const caller = __tsan_get_current_fiber();
-  __tsan_switch_to_fiber(san_.tsan_fiber, 0);
-  for (std::size_t i = 0; i < s.stack.size() / 16; ++i)
-    __tsan_func_entry(__builtin_return_address(0));
-  __tsan_switch_to_fiber(caller, 0);
 #endif
-  if (state_ == State::kBlocked) {
-    wake(resume_at);
-  } else {
-    // Initial-state snapshot (kReady, body never entered): restart the body
-    // from the top at the rollback time.
-    clock_ = resume_at;
-    pending_wake_time_ = resume_at;
-    engine_.schedule_task_resume(partition_, resume_at, [this, e = epoch_] {
-      if (e == epoch_) resume_for_engine();
-    });
-  }
+  started_ = false;
+  start(t);
 }
 
 }  // namespace fgdsm::sim

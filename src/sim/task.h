@@ -24,7 +24,6 @@
 #include <cstdint>
 #include <exception>
 #include <string>
-#include <vector>
 
 #include "src/sim/engine.h"
 #include "src/sim/resource.h"
@@ -66,6 +65,12 @@ class Task {
   // those instead.
   void block();
 
+  // Move the clock past any time a handler held cpu() beyond it, counting
+  // the jump into the steal counter, as every return from a yield does. A
+  // body restarted where it was blocked calls this in place of the return
+  // from block() that it stands for.
+  void absorb_cpu_steal();
+
   // ---- Callable from engine/handler context ----
 
   // Wake a blocked task; it resumes no earlier than virtual time t.
@@ -76,44 +81,22 @@ class Task {
   // Fail-stop halt: park the task permanently and orphan every resume event
   // already scheduled for it (the events carry the resume epoch and fire as
   // no-ops once it moves). The fiber is left intact so unwind() can still
-  // run its destructors, and restore() can later bring the task back.
+  // run its destructors before restart() runs the body afresh.
   void halt();
 
   // Discard the body's live frames: resume the fiber with a cancellation
   // that unwinds it through every destructor, leaving the task finished.
-  // A rollback calls this before restore(), so whatever the abandoned
-  // frames own is freed instead of being overwritten. No-op when the body
-  // holds no frames (never entered, or finished).
+  // A rollback calls this before restart(), so whatever the abandoned
+  // frames own is freed. No-op when the body holds no frames (never
+  // entered, or finished).
   void unwind();
 
- private:
-  enum class State : std::uint8_t { kNotStarted, kReady, kRunning, kBlocked,
-                                    kFinished };
-
- public:
-  // A resumable copy of the task's execution state: the fiber stack's live
-  // bytes (everything at and above the saved stack pointer, which includes
-  // the saved registers), that stack pointer, clock and blocking state. Only
-  // valid for restore() on the SAME Task object: the bytes hold absolute
-  // addresses into this task's stack.
-  struct Snapshot {
-    std::vector<char> stack;  // the top stack.size() bytes of the stack
-    void* sp = nullptr;       // saved stack pointer; null = body not entered
-    Time clock = 0;
-    State state;
-    Time pending_wake_time = 0;
-    const char* wait_reason = nullptr;
-    bool started = false;
-    std::size_t bytes() const { return stack.size() + sizeof(sp); }
-  };
-  // Capture the current state. The task must not be running (it is blocked
-  // at a quiescent point, or not yet activated).
-  Snapshot snapshot() const;
-  // Roll back to `s` and schedule the task to resume at `resume_at`. Bumps
-  // the resume epoch first, so resume events from the abandoned timeline
+  // Run the body again from the top, first activated at virtual time t.
+  // Bumps the resume epoch, so resume events from the abandoned timeline
   // become no-ops. The task must hold no live frames (never entered,
-  // finished, or unwind()-ed).
-  void restore(const Snapshot& s, Time resume_at);
+  // finished, or unwind()-ed). Where the body resumes is its own business:
+  // it reads the position a rollback restored into its host state.
+  void restart(Time t);
 
   // ---- Configuration / inspection ----
 
@@ -147,6 +130,8 @@ class Task {
   void resume_for_engine();  // run until the task yields/blocks/finishes
 
  private:
+  enum class State : std::uint8_t { kNotStarted, kReady, kRunning, kBlocked,
+                                    kFinished };
   struct Cancelled {};  // thrown into the body to unwind it
 
   // A fiber stack: an anonymous mapping of the usable bytes above one
@@ -177,7 +162,6 @@ class Task {
   // Give the baton to the engine with no resume scheduled; wake() resumes.
   void yield_blocked();
   void switch_to_engine();
-  void absorb_cpu_steal();
   // Highest clock value this task may currently advance to (pending events
   // and other tasks' resumes + lookahead).
   Time advance_limit() const;
@@ -197,7 +181,7 @@ class Task {
   bool started_ = false;
   Time pending_wake_time_ = 0;
   // Resume-event epoch: every scheduled resume captures the epoch at
-  // scheduling time and fires only if it still matches, so halt()/restore()
+  // scheduling time and fires only if it still matches, so halt()/restart()
   // can invalidate in-flight resume events without touching the queues.
   std::uint64_t epoch_ = 0;
   std::exception_ptr exception_;

@@ -521,16 +521,19 @@ void Cluster::capture_checkpoint(sim::Time t, bool at_barrier) {
       std::memcpy(out, n.mem(block_addr(r.first)), len);
       out += len;
     }
-    c.task = n.task()->snapshot();
-    // At a barrier capture the completed barrier's never-resent release is
-    // folded in as a count of 1: a restored node resumes inside
-    // barrier_sem.wait and proceeds as if the release had just arrived.
-    c.barrier_sem = at_barrier ? 1 : n.barrier_sem.count();
+    // A rollback to a barrier capture restarts each node by finishing the
+    // barrier, so each must be parked in it (one that crashed after
+    // arriving still is).
+    const char* why = n.task()->wait_reason();
+    FGDSM_ASSERT_MSG(!at_barrier || n.barrier_sem.waiter() == n.task(),
+                     "barrier checkpoint: node "
+                         << i << " waits on "
+                         << (why != nullptr ? why : "nothing"));
+    c.barrier_t0 = n.barrier_t0;
+    c.barrier_sem = n.barrier_sem.count();
     c.reduce_sem = n.reduce_sem.count();
     c.reduce_result = n.reduce_result;
-    // Charged: the node's captured blocks and tags. Not the fiber stack —
-    // those bytes are the simulator's own frames, whose size depends on the
-    // compiler and on how deep the host code calls into the collective.
+    // Charged: the node's captured blocks and tags.
     c.bytes = static_cast<std::int64_t>(c.data.size() +
                                         c.tags.size() * sizeof(Access));
     n.stats.checkpoints += 1;
@@ -565,9 +568,8 @@ bool Cluster::recover() {
   // committed time (events must not land in the past), plus the fixed
   // coordination cost of the restart itself.
   const sim::Time t_rec = engine_.max_partition_now() + cfg_.costs.ckpt_base_ns;
-  // Destroy every node's abandoned frames before anything is restored, so
-  // what they allocated after the checkpoint is freed rather than
-  // overwritten by the snapshot bytes.
+  // Destroy every node's abandoned frames, freeing what they own; each
+  // task then restarts its body below.
   for (const auto& n : nodes_) n->task()->unwind();
   ++recovery_epoch_;  // everything stamped before this instant is now dead
   if (channel_ != nullptr) channel_->reset_for_recovery();
@@ -584,11 +586,12 @@ bool Cluster::recover() {
       std::memcpy(n.mem(block_addr(r.first)), in, len);
       in += len;
     }
+    n.barrier_t0 = c.barrier_t0;
     n.barrier_sem.restore_for_recovery(c.barrier_sem);
     n.reduce_sem.restore_for_recovery(c.reduce_sem);
     n.reduce_result = c.reduce_result;
     n.set_pending_checkpoint(-1);
-    n.task()->restore(c.task, t_rec);
+    n.task()->restart(t_rec);
     // Stats deliberately NOT rolled back: re-executed work is real simulated
     // work, and the bit-identity gate covers results, not effort counters.
     n.stats.recoveries += 1;
@@ -658,9 +661,9 @@ util::RunStats Cluster::run(
     }
   }
   // Initial checkpoint: a crash before the first checkpointed barrier must
-  // still be recoverable. Capture the pristine post-layout state at t=0 —
-  // tasks are created but not yet activated, and a kReady snapshot restores
-  // through the first-activation path.
+  // still be recoverable. Capture the pristine post-layout state at t=0,
+  // before any task is activated: a rollback to it runs every body from
+  // its start.
   if (cfg_.checkpoint_every > 0 && cfg_.nnodes > 1)
     capture_checkpoint(0, /*at_barrier=*/false);
   engine_.run();

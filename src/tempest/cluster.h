@@ -65,7 +65,9 @@ class Cluster {
 
   // ---- Execution ----
   // Run `program` as one compute task per node. One-shot per Cluster.
-  // Returns per-node statistics and the elapsed virtual time.
+  // Returns per-node statistics and the elapsed virtual time. After a
+  // rollback the body runs again from the top and resumes from the state its
+  // own host-state hook restored (in a barrier: Node::finish_barrier).
   util::RunStats run(
       const std::function<void(Node&, sim::Task&)>& program);
 
@@ -196,9 +198,8 @@ class Cluster {
     std::vector<BlockRun> runs;    // captured blocks, ascending, maximal
     std::vector<std::byte> data;   // the runs' bytes, concatenated
     std::vector<Access> tags;      // full tag array
-    sim::Task::Snapshot task;
-    std::int64_t barrier_sem = 0;  // value to restore (1 at barrier capture:
-                                   // the completed barrier's release, folded)
+    sim::Time barrier_t0 = 0;      // Node::barrier_t0
+    std::int64_t barrier_sem = 0;
     std::int64_t reduce_sem = 0;
     double reduce_result = 0.0;
     std::int64_t bytes = 0;  // serialized size charged to the model
@@ -216,9 +217,9 @@ class Cluster {
   // its inline release fan-out — the capture itself runs at the engine's
   // window barrier (the request event runs inside one partition's drain,
   // where other partitions' task fibers may still be executing on their
-  // host workers and cannot be snapshotted), and the releases are replayed
-  // one window later by finish_barrier_release so no node moves past the
-  // barrier before the capture sees it.
+  // host workers, writing state the capture reads), and the releases are
+  // replayed one window later by finish_barrier_release so no node moves
+  // past the barrier before the capture sees it.
   bool on_barrier_complete(sim::Time t);
   // Deferred release fan-out for checkpoint epochs: same messages/costs as
   // the inline path, charged to the root's host (node 0) protocol
@@ -252,7 +253,7 @@ class Cluster {
   std::vector<std::pair<std::string, GAddr>> regions_;
   bool ran_ = false;
   // Compute tasks live for the whole run (member, not run()-local, so the
-  // recovery hook can restore their snapshots mid-run).
+  // recovery hook can restart them mid-run).
   std::vector<std::unique_ptr<sim::Task>> tasks_;
   std::vector<HostStateHook> host_hooks_;
   Checkpoint ckpt_;

@@ -363,7 +363,7 @@ void Node::execute_one_handler() {
 }
 
 void Node::barrier(sim::Task& task) {
-  const sim::Time t0 = task.now();
+  barrier_t0 = task.now();
   ++stats.barriers;
   if (protocol != nullptr) protocol->drain(*this, task);
   task.charge(cluster_.costs().barrier_local_cost);
@@ -378,9 +378,16 @@ void Node::barrier(sim::Task& task) {
     // Single node: drained means quiescent.
     protocol->check_invariants(*this);
   }
-  stats.sync_ns += task.now() - t0;
+  finish_barrier(task);
+}
+
+void Node::finish_barrier(sim::Task& task) {
+  // What the wait's return does (a no-op right after it): catch up with
+  // handlers that held this processor past the task's clock.
+  task.absorb_cpu_steal();
+  stats.sync_ns += task.now() - barrier_t0;
   if (auto* tr = cluster_.tracer())
-    tr->span(sim::Tracer::compute_track(id_), "sync", "barrier", t0,
+    tr->span(sim::Tracer::compute_track(id_), "sync", "barrier", barrier_t0,
              task.now());
   if (pending_ckpt_bytes_ >= 0) {
     // The barrier-root capture ran at this barrier's completion point and

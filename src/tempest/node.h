@@ -85,6 +85,9 @@ class Node {
 
   // ---- Synchronization (task context) ----
   void barrier(sim::Task& task);
+  // barrier() after its wait; a task restarted from a checkpoint taken
+  // while this node waited in a barrier calls it in place of the wait.
+  void finish_barrier(sim::Task& task);
   enum class ReduceOp { kSum, kMax, kMin };
   double allreduce(sim::Task& task, double v, ReduceOp op = ReduceOp::kSum);
 
@@ -103,6 +106,7 @@ class Node {
   sim::Semaphore barrier_sem;
   sim::Semaphore reduce_sem;
   double reduce_result = 0.0;
+  sim::Time barrier_t0 = 0;  // entry time of the latest barrier
 
   // Internal wiring (Cluster only).
   void finalize_memory(std::size_t segment_bytes, std::size_t nblocks,

@@ -18,11 +18,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <map>
+#include <set>
 #include <string>
+#include <tuple>
+#include <utility>
 #include <vector>
 
 #include "src/apps/apps.h"
@@ -33,8 +38,10 @@
 #include "src/sim/fault.h"
 #include "src/sim/network.h"
 #include "src/sim/task.h"
+#include "src/sim/trace.h"
 #include "src/tempest/cluster.h"
 #include "src/tempest/epoch_inbox.h"
+#include "tests/shifted_writer.h"
 
 namespace fgdsm {
 namespace {
@@ -266,24 +273,44 @@ TEST(CrashRecovery, IrregularInspectorExecutorRecoversToo) {
   EXPECT_GT(t.recoveries, 0u);
 }
 
-// End times of every span of category `cat` in a Chrome trace written by
-// sim::Tracer (ts and dur follow the cat key, in microseconds).
-std::vector<sim::Time> span_ends(const std::string& path,
-                                 const std::string& cat) {
+// One slice of a Chrome trace written by sim::Tracer: its track, category,
+// name and virtual-time interval. ts and dur are microseconds printed with
+// three decimals, so the nanoseconds come back exactly.
+struct TraceSpan {
+  int tid = 0;
+  std::string cat, name;
+  sim::Time t0 = 0, t1 = 0;
+};
+
+std::vector<TraceSpan> read_spans(const std::string& path) {
   std::ifstream f(path);
   const std::string text{std::istreambuf_iterator<char>(f),
                          std::istreambuf_iterator<char>()};
-  const auto ns_after = [&](std::size_t from, const std::string& key) {
-    const std::size_t at = text.find(key, from) + key.size();
-    return static_cast<sim::Time>(
-        std::llround(std::stod(text.substr(at, 32)) * 1000));
-  };
-  std::vector<sim::Time> ends;
-  const std::string tag = "\"cat\": \"" + cat + "\"";
-  for (std::size_t at = text.find(tag); at != std::string::npos;
-       at = text.find(tag, at + 1))
-    ends.push_back(ns_after(at, "\"ts\": ") + ns_after(at, "\"dur\": "));
-  return ends;
+  std::vector<TraceSpan> spans;
+  const std::string slice = "\"ph\": \"X\"";
+  for (std::size_t at = text.find(slice); at != std::string::npos;
+       at = text.find(slice, at + 1)) {
+    const std::string obj = text.substr(at, text.find('}', at) - at);
+    const auto field = [&](const std::string& key) {
+      const std::size_t v = obj.find("\"" + key + "\": ") + key.size() + 4;
+      return obj.substr(v, obj.find_first_of(",\n", v) - v);
+    };
+    const auto quoted = [&](const std::string& key) {
+      const std::string v = field(key);
+      return v.substr(1, v.size() - 2);
+    };
+    const auto ns = [&](const std::string& key) {
+      return static_cast<sim::Time>(std::llround(std::stod(field(key)) * 1000));
+    };
+    TraceSpan sp;
+    sp.tid = std::stoi(field("tid"));
+    sp.cat = quoted("cat");
+    sp.name = quoted("name");
+    sp.t0 = ns("ts");
+    sp.t1 = sp.t0 + ns("dur");
+    spans.push_back(std::move(sp));
+  }
+  return spans;
 }
 
 // A crash while the inspector's needs exchange is in flight: some nodes
@@ -309,8 +336,9 @@ TEST(CrashRecovery, CrashDuringNeedsExchangeRecovers) {
     exec::RunConfig traced = cfg("1");
     traced.trace_path = ::testing::TempDir() + "fgdsm_needs_exchange.json";
     const exec::RunResult clean = exec::run(prog, traced);
-    const std::vector<sim::Time> ends =
-        span_ends(traced.trace_path, "inspect");
+    std::vector<sim::Time> ends;
+    for (const TraceSpan& sp : read_spans(traced.trace_path))
+      if (sp.cat == "inspect") ends.push_back(sp.t1);
     std::remove(traced.trace_path.c_str());
     // One inspection per node in either mode, then replays.
     ASSERT_EQ(ends.size(), 8u);
@@ -330,6 +358,146 @@ TEST(CrashRecovery, CrashDuringNeedsExchangeRecovers) {
       EXPECT_GT(t.recoveries, 0u);
     }
   }
+}
+
+// One barrier a node waited in, and the executor's call site it waited at.
+struct SiteBarrier {
+  int node = 0;
+  std::string site;
+  sim::Time t0 = 0, t1 = 0;
+};
+
+// Reads the site of every barrier off a trace's compute tracks. Inside a
+// ccc_prologue span the barriers come in the order mk_writable (only
+// without run-time overhead elimination), implicit_writable, flush. Outside
+// one, a node's last barrier is the final one and the others end a loop
+// visit.
+std::vector<SiteBarrier> barrier_sites(const std::vector<TraceSpan>& spans,
+                                       bool rt_overhead_elim) {
+  std::map<int, std::vector<const TraceSpan*>> barriers, prologues;
+  for (const TraceSpan& sp : spans) {
+    if (sp.cat == "sync" && sp.name == "barrier")
+      barriers[sp.tid].push_back(&sp);
+    if (sp.cat == "ccc" && sp.name == "ccc_prologue")
+      prologues[sp.tid].push_back(&sp);
+  }
+  static const char* const kPrologueSites[] = {"mk_writable",
+                                               "implicit_writable", "flush"};
+  std::vector<SiteBarrier> out;
+  for (auto& [tid, bs] : barriers) {
+    std::sort(bs.begin(), bs.end(), [](const TraceSpan* a,
+                                       const TraceSpan* b) {
+      return a->t0 < b->t0;
+    });
+    for (std::size_t i = 0; i < bs.size(); ++i) {
+      SiteBarrier b{tid / 2, i + 1 == bs.size() ? "final" : "loop end",
+                    bs[i]->t0, bs[i]->t1};
+      for (const TraceSpan* p : prologues[tid]) {
+        if (p->t0 > b.t0 || b.t1 > p->t1) continue;
+        std::size_t k = rt_overhead_elim ? 1 : 0;
+        for (std::size_t j = 0; j < i; ++j) k += bs[j]->t0 >= p->t0;
+        b.site = kPrologueSites[k];
+      }
+      out.push_back(b);
+    }
+  }
+  return out;
+}
+
+// A rollback restarts every node's task, and the executor takes the node
+// back into the barrier its checkpoint found it in. This resumes at each of
+// the executor's barrier sites, and at the t=0 image, in every mode that
+// reaches them, and the recovered arrays and scalars must equal the
+// fault-free run's. Crash times come from the barrier spans of a clean
+// traced run with the same checkpoint cadence. A node killed 1 ns before
+// its release from a barrier is parked in it after the barrier's capture,
+// so the rollback returns to that barrier: the rollback span starts at the
+// capture, inside the barrier, and the node's resumed barrier span starts
+// at its original entry. A node killed before its first barrier returns
+// every node to the t=0 image.
+TEST(CrashRecovery, RollbackResumesAtEveryBarrierSite) {
+  std::set<std::string> resumed;
+  for (const hpf::Program& prog :
+       {apps::jacobi(64, 4), test_programs::shifted_writer(48, 3)}) {
+    for (const core::Options& opt :
+         {core::shmem_unopt(), core::shmem_opt_base(),
+          core::shmem_opt_full(), core::msg_passing()}) {
+      SCOPED_TRACE(prog.name + " " + opt.label());
+      const auto run_traced = [&](const std::string& spec) {
+        exec::RunConfig c = crash_cfg(spec, 4, 1);
+        c.opt = opt;
+        c.gather_arrays = true;
+        c.trace_path = ::testing::TempDir() + "fgdsm_barrier_sites.json";
+        const exec::RunResult r = exec::run(prog, c);
+        std::vector<TraceSpan> spans = read_spans(c.trace_path);
+        std::remove(c.trace_path.c_str());
+        return std::make_pair(r, spans);
+      };
+      exec::RunConfig clean_cfg = crash_cfg("", 4, 0);
+      clean_cfg.opt = opt;
+      clean_cfg.gather_arrays = true;
+      const exec::RunResult clean = exec::run(prog, clean_cfg);
+      // A bare fault spec keeps the reliable channel on, so this is the
+      // timeline the crashes interrupt.
+      const std::vector<SiteBarrier> all =
+          barrier_sites(run_traced("1").second, opt.rt_overhead_elim);
+      ASSERT_FALSE(all.empty());
+
+      // The first barrier any node enters, for the t=0 image; then the
+      // middle barrier of each site in release order.
+      std::vector<std::pair<std::string, SiteBarrier>> targets;
+      targets.emplace_back(
+          "t=0", *std::min_element(all.begin(), all.end(),
+                                   [](const SiteBarrier& a,
+                                      const SiteBarrier& b) {
+                                     return a.t0 < b.t0;
+                                   }));
+      std::map<std::string, std::vector<SiteBarrier>> by_site;
+      for (const SiteBarrier& b : all) by_site[b.site].push_back(b);
+      for (auto& [site, bs] : by_site) {
+        std::sort(bs.begin(), bs.end(),
+                  [](const SiteBarrier& a, const SiteBarrier& b) {
+                    return std::tie(a.t1, a.node) < std::tie(b.t1, b.node);
+                  });
+        targets.emplace_back(site, bs[bs.size() / 2]);
+      }
+
+      for (const auto& [site, b] : targets) {
+        const sim::Time at = site == "t=0" ? b.t0 - 1 : b.t1 - 1;
+        const std::string spec =
+            "crash=" + std::to_string(b.node) + "@" + std::to_string(at);
+        SCOPED_TRACE(site + ": " + spec);
+        std::pair<exec::RunResult, std::vector<TraceSpan>> rec;
+        ASSERT_NO_THROW(rec = run_traced(spec));
+        expect_scalars_identical(clean, rec.first);
+        EXPECT_EQ(clean.arrays, rec.first.arrays);
+        util::NodeStats t;
+        for (const auto& ns : rec.first.stats.node) t += ns;
+        EXPECT_EQ(t.crashes, 1u);
+
+        std::vector<TraceSpan> rollbacks, resumes;
+        for (const TraceSpan& sp : rec.second)
+          if (sp.cat == "recovery") rollbacks.push_back(sp);
+        ASSERT_EQ(rollbacks.size(), 1u);
+        const TraceSpan& rb = rollbacks[0];
+        if (site == "t=0") {
+          EXPECT_EQ(rb.t0, 0);
+        } else {
+          EXPECT_GT(rb.t0, b.t0);
+          EXPECT_LT(rb.t0, b.t1);
+          for (const TraceSpan& sp : rec.second)
+            if (sp.tid == sim::Tracer::compute_track(b.node) &&
+                sp.name == "barrier" && sp.t0 == b.t0 && sp.t1 >= rb.t1)
+              resumes.push_back(sp);
+          EXPECT_EQ(resumes.size(), 1u);
+        }
+        resumed.insert(site);
+      }
+    }
+  }
+  EXPECT_EQ(resumed, (std::set<std::string>{"t=0", "mk_writable",
+                                            "implicit_writable", "flush",
+                                            "loop end", "final"}));
 }
 
 // The inbox's checkpoint hook: a rollback to a checkpoint taken while one
@@ -357,23 +525,35 @@ TEST(CrashRecovery, EpochInboxRestoresKeptPayloadsAndTheStash) {
         inbox.accept(n, m, clk.t);
       });
   std::vector<int> read;  // node 1's reads, both timelines
+  // The program is resumable: each node records that it reached the
+  // barrier, and after a rollback to the barrier's checkpoint it finishes
+  // the barrier instead of running the part before it again.
+  std::array<bool, 2> parked{}, parked_ckpt{};
+  c.register_host_state_hook({[&] { parked_ckpt = parked; },
+                              [&] { parked = parked_ckpt; }});
   const util::RunStats rs = c.run([&](tempest::Node& n, sim::Task& t) {
-    if (n.id() == 0) {
-      // Byte 10 for epoch 0 and byte 11 for epoch 1, before the barrier.
-      for (std::int64_t epoch : {0, 1}) {
-        sim::Message m;
-        m.dst = 1;
-        m.type = static_cast<std::uint16_t>(tempest::MsgType::kMpData);
-        m.arg[1] = epoch;
-        m.payload = c.payload_pool().acquire(1);
-        m.payload.mutable_data()[0] = static_cast<std::byte>(10 + epoch);
-        n.send(t, std::move(m));
+    bool& at_barrier = parked[static_cast<std::size_t>(n.id())];
+    if (at_barrier) {
+      n.finish_barrier(t);
+    } else {
+      if (n.id() == 0) {
+        // Byte 10 for epoch 0 and byte 11 for epoch 1, before the barrier.
+        for (std::int64_t epoch : {0, 1}) {
+          sim::Message m;
+          m.dst = 1;
+          m.type = static_cast<std::uint16_t>(tempest::MsgType::kMpData);
+          m.arg[1] = epoch;
+          m.payload = c.payload_pool().acquire(1);
+          m.payload.mutable_data()[0] = static_cast<std::byte>(10 + epoch);
+          n.send(t, std::move(m));
+        }
+      } else {
+        t.charge(100 * sim::kUs);  // both messages are in before the barrier
       }
-      n.barrier(t);
-      return;
+      at_barrier = true;
+      n.barrier(t);  // the checkpoint
     }
-    t.charge(100 * sim::kUs);  // both messages are in before the barrier
-    n.barrier(t);              // the checkpoint
+    if (n.id() == 0) return;
     for (int epoch = 0; epoch < 2; ++epoch) {
       if (epoch > 0) inbox.advance(n, t);
       inbox.wait(n, t, 1);
@@ -403,9 +583,9 @@ void barrier_at_depth(tempest::Node& n, sim::Task& t, int depth) {
   frame[1] = frame[0];
 }
 
-// A checkpoint is charged for the blocks and tags it captured. The fiber
-// stack it also saves holds the simulator's own frames, whose size depends
-// on the compiler and on the host call depth, so it must not move
+// A checkpoint is charged for the blocks and tags it captured, never for
+// what the simulator itself holds at the barrier: its own frames' size
+// depends on the compiler and on the host call depth, so it must not move
 // simulated time.
 TEST(CheckpointAccounting, ChargeIsIndependentOfHostCallDepth) {
   auto run_at = [](int depth) {

@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/sim/engine.h"
@@ -290,69 +291,43 @@ TEST(TaskDeathTest, StackOverflowFaultsOnTheGuardPage) {
       "");
 }
 
-// Rollback at the sim level, without a cluster. These tests copy raw stack
-// bytes back into a fiber, like a checkpoint restore does.
-TEST(TaskRollback, RestoreResumesFromTheSnapshotWithItsLocals) {
-  Engine e;
-  std::vector<int> seen;
-  Task::Snapshot snap;
-  Task t(e, "t", [&](Task& self) {
-    volatile int local = 7;  // in the fiber stack's bytes
-    self.block();            // the snapshot is taken while parked here
-    seen.push_back(static_cast<int>(local));
-    local = 99;
-    seen.push_back(static_cast<int>(local));
-  });
-  e.schedule(100, [&] {
-    snap = t.snapshot();
-    t.wake(100);
-  });
-  e.schedule(200, [&] {
-    ASSERT_TRUE(t.finished());
-    t.restore(snap, 300);
-  });
-  t.start(0);
-  e.run();
-  EXPECT_EQ(seen, (std::vector<int>{7, 99, 7, 99}));
-  EXPECT_EQ(t.now(), 300);
-  EXPECT_TRUE(t.finished());
-}
-
-TEST(TaskRollback, UnwindDestroysLocalsCreatedAfterTheSnapshot) {
+// Rollback at the sim level, without a cluster: unwind() frees what the
+// abandoned frames own, restart() runs the body again from the top at the
+// given time, and the resume events of the old timeline fire as no-ops.
+TEST(Task, RestartRunsTheBodyAfreshAfterUnwindFreesItsFrames) {
   struct Probe {
     int* live;
     explicit Probe(int* l) : live(l) { ++*live; }
     ~Probe() { --*live; }
   };
   Engine e;
-  Task::Snapshot snap;
   int live = 0;
-  int runs = 0;
+  // At each entry to the body: the engine's time and the task's clock.
+  std::vector<std::pair<Time, Time>> entries;
   Task t(e, "t", [&](Task& self) {
-    self.block();  // snapshot point
-    ++runs;
+    entries.emplace_back(e.now(), self.now());
     const auto owned = std::make_unique<Probe>(&live);
-    self.block();  // rolled back from here
+    self.block();
   });
   e.schedule(100, [&] {
-    snap = t.snapshot();
-    t.wake(100);
-  });
-  e.schedule(200, [&] {
     EXPECT_EQ(live, 1);
+    t.wake(500);  // the old timeline's resume, still pending at restart
     t.unwind();
     EXPECT_EQ(live, 0);  // the abandoned frame's heap is freed
     EXPECT_TRUE(t.finished());
-    t.restore(snap, 300);
+    t.restart(300);
   });
-  e.schedule(400, [&] {
-    EXPECT_EQ(live, 1);  // re-created by the replayed timeline
-    t.wake(400);
+  e.schedule(550, [&] {
+    EXPECT_EQ(live, 1);  // re-created by the restarted body, which the
+    EXPECT_FALSE(t.finished());  // stale resume at 500 did not wake
+    t.wake(600);
   });
   t.start(0);
   e.run();
-  EXPECT_EQ(runs, 2);
+  EXPECT_EQ(entries,
+            (std::vector<std::pair<Time, Time>>{{0, 0}, {300, 300}}));
   EXPECT_EQ(live, 0);
+  EXPECT_EQ(t.now(), 600);
   EXPECT_TRUE(t.finished());
 }
 
