@@ -21,8 +21,9 @@
 #                            each (plus one 256-node binomial-collectives
 #                            leg); recovered results must be bit-identical
 #                            to the fault-free baseline and byte-identical
-#                            across --sim-threads={1,4} (bench_paper jacobi
-#                            and bench_irreg) and --jobs={1,4}, where an
+#                            across --sim-threads={1,4} (bench_paper jacobi,
+#                            and bench_irreg at a checkpoint every 4 barriers
+#                            and every barrier) and --jobs={1,4}, where an
 #                            explicit crash lands in every multi-node run;
 #                            a crash with
 #                            --checkpoint-every=0 must exit 87 naming the
@@ -257,6 +258,21 @@ case "$job" in
     }
     python3 scripts/check_chaos.py --crash results/crash_irreg_baseline.json \
       results/crash_irreg_st1.json results/crash_irreg_st4.json
+    # The same at a checkpoint every barrier: every barrier the irregular
+    # path reaches is captured, so each one's drained-state checks (epoch
+    # inboxes, the Stache, the collectives) run.
+    for st in 1 4; do
+      FGDSM_HOST_CORES=4 build/bench/bench_irreg --pattern=band --scale=0.05 \
+        --sim-threads="$st" --check-coherence \
+        --faults="crash=3@2000000,crashp=0.05,seed=1" --checkpoint-every=1 \
+        --json="results/crash_irreg_k1_st$st.json"
+    done
+    cmp results/crash_irreg_k1_st1.json results/crash_irreg_k1_st4.json || {
+      echo "crash: irregular results at K=1 differ across --sim-threads" >&2
+      exit 1
+    }
+    python3 scripts/check_chaos.py --crash results/crash_irreg_baseline.json \
+      results/crash_irreg_k1_st1.json results/crash_irreg_k1_st4.json
     echo "crash: recovered results byte-identical at --sim-threads={1,4}" \
       "and --jobs={1,4}"
     # Unrecoverable-crash path: with checkpointing disabled a crash must

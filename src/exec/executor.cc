@@ -257,15 +257,19 @@ class Executor {
         irreg::has_indirect(prog_))
       irreg_ = std::make_unique<irreg::IrregRuntime>(cluster_);
     nodes_.resize(static_cast<std::size_t>(cluster_.nnodes()));
+    snap_.resize(nodes_.size());
     // Crash recovery: the cluster checkpoint covers node memory and tags,
     // but the executor keeps per-node interpreter state on the host, its
     // position included. The initial t=0 capture sees default-constructed
     // NodeRuns, whose position runs node_main from the start.
     cluster_.register_host_state_hook(
-        {[this] { snap_.assign(nodes_.begin(), nodes_.end()); },
-         [this] {
-           for (std::size_t i = 0; i < nodes_.size(); ++i)
-             static_cast<ReplayState&>(nodes_[i]) = snap_[i];
+        {[this](int n) {
+           snap_[static_cast<std::size_t>(n)] =
+               nodes_[static_cast<std::size_t>(n)];
+         },
+         [this](int n) {
+           static_cast<ReplayState&>(nodes_[static_cast<std::size_t>(n)]) =
+               snap_[static_cast<std::size_t>(n)];
          }});
   }
 

@@ -48,9 +48,6 @@ struct RunResult {
   // schema.
   std::uint64_t engine_events = 0;
   std::uint64_t engine_windows = 0;
-  double elapsed_seconds() const {
-    return static_cast<double>(stats.elapsed_ns) / 1e9;
-  }
 };
 
 // Reentrant: a run is a self-contained value (engine + cluster + executor

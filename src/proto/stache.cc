@@ -15,7 +15,8 @@ Stache::Stache(tempest::Cluster& cluster)
       dir_(static_cast<std::size_t>(cluster.nnodes()),
            Directory{{}, SharerArena(cluster.nnodes())}),
       nodes_(static_cast<std::size_t>(cluster.nnodes())),
-      ccc_open_(static_cast<std::size_t>(cluster.nnodes())) {
+      ccc_open_(static_cast<std::size_t>(cluster.nnodes())),
+      snap_(static_cast<std::size_t>(cluster.nnodes())) {
   // Sharer sets spill past 64 nodes lazily (SharerSet); the dirty-word mask
   // below is a genuine geometry limit (block <= 512 bytes), not a cluster
   // size limit.
@@ -32,56 +33,64 @@ Stache::Stache(tempest::Cluster& cluster)
       (this->*fn)(n, m, c);
     };
   };
-  cluster.register_handler(MsgType::kReadReq, bind(&Stache::h_read_req));
+  cluster.register_handler(MsgType::kReadReq, bind(&Stache::h_request));
+  cluster.register_handler(MsgType::kWriteReq, bind(&Stache::h_request));
+  cluster.register_handler(MsgType::kFetchExclReq, bind(&Stache::h_request));
   cluster.register_handler(MsgType::kPutDataReq,
                            bind(&Stache::h_put_data_req));
   cluster.register_handler(MsgType::kPutDataResp,
                            bind(&Stache::h_put_data_resp));
   cluster.register_handler(MsgType::kReadResp, bind(&Stache::h_read_resp));
-  cluster.register_handler(MsgType::kWriteReq, bind(&Stache::h_write_req));
   cluster.register_handler(MsgType::kInval, bind(&Stache::h_inval));
   cluster.register_handler(MsgType::kInvalAck, bind(&Stache::h_inval_ack));
   cluster.register_handler(MsgType::kWriteGrant,
                            bind(&Stache::h_write_grant));
-  cluster.register_handler(MsgType::kFetchExclReq,
-                           bind(&Stache::h_fetch_excl_req));
   cluster.register_handler(MsgType::kFetchExclResp,
                            bind(&Stache::h_fetch_excl_resp));
   cluster.register_handler(MsgType::kDirectData, bind(&Stache::h_ccc_data));
   cluster.register_handler(MsgType::kCccFlush, bind(&Stache::h_ccc_data));
   for (int i = 0; i < cluster.nnodes(); ++i)
     cluster.node(i).protocol = this;
-  // Crash recovery: directories, compiler-contracted opens, transaction
-  // bookkeeping and semaphores are host state the cluster checkpoint cannot
-  // see. Each capture builds a fresh snapshot: under glibc's dynamic mmap
-  // threshold, assigning into the last one raised chaos8_st4's peak RSS by
-  // about 1 MiB (EXPERIMENTS.md, "One epoch inbox and one checkpoint hook").
+  // Crash recovery: directories, compiler-contracted opens and the drain
+  // semaphore are host state the cluster checkpoint cannot see. A
+  // checkpoint's barrier has drained every transaction; drain() stops
+  // waiting once none is outstanding, so posts from transactions that
+  // completed meanwhile stay counted in drain_sem. Each capture builds a
+  // fresh snapshot: under glibc's dynamic mmap threshold, assigning into the
+  // last one raised chaos8_st4's peak RSS by about 1 MiB (EXPERIMENTS.md,
+  // "One epoch inbox and one checkpoint hook").
   cluster.register_host_state_hook(
-      {[this] {
-         snap_.resize(nodes_.size());
-         for (std::size_t n = 0; n < nodes_.size(); ++n) {
-           for (const DirEntry& e : dir_[n].entries)
-             FGDSM_ASSERT_MSG(!e.busy && e.queue_empty(),
-                              "checkpoint capture at a non-quiescent "
-                              "directory (node " << n << ")");
-           const NodeState& st = nodes_[n];
-           snap_[n] = NodeSnapshot{dir_[n], ccc_open_[n], st.upgrade,
-                                   st.outstanding, st.miss_sem.count(),
-                                   st.drain_sem.count(), st.recv_sem.count()};
-         }
+      {[this](int n) {
+         const std::size_t i = static_cast<std::size_t>(n);
+         for (const DirEntry& e : dir_[i].entries)
+           FGDSM_ASSERT_MSG(!e.busy && e.queue_empty(),
+                            "checkpoint capture at a non-quiescent "
+                            "directory (node " << n << ")");
+         const NodeState& st = nodes_[i];
+         FGDSM_ASSERT_MSG(st.outstanding == 0 && st.upgrade.empty() &&
+                              st.miss_sem.count() == 0 &&
+                              st.recv_sem.count() == 0,
+                          "checkpoint capture with undrained protocol state "
+                          "at node "
+                              << n << ": " << st.outstanding
+                              << " outstanding transactions, "
+                              << st.upgrade.size() << " pending upgrades, "
+                              << "read miss count " << st.miss_sem.count()
+                              << ", ready_to_recv count "
+                              << st.recv_sem.count());
+         snap_[i] = NodeSnapshot{dir_[i], ccc_open_[i], st.drain_sem.count()};
        },
-       [this] {
-         for (std::size_t n = 0; n < nodes_.size(); ++n) {
-           const NodeSnapshot& s = snap_[n];
-           NodeState& st = nodes_[n];
-           dir_[n] = s.dir;
-           ccc_open_[n] = s.ccc_open;
-           st.outstanding = s.outstanding;
-           st.upgrade = s.upgrade;
-           st.miss_sem.restore_for_recovery(s.miss_sem);
-           st.drain_sem.restore_for_recovery(s.drain_sem);
-           st.recv_sem.restore_for_recovery(s.recv_sem);
-         }
+       [this](int n) {
+         const std::size_t i = static_cast<std::size_t>(n);
+         const NodeSnapshot& s = snap_[i];
+         NodeState& st = nodes_[i];
+         dir_[i] = s.dir;
+         ccc_open_[i] = s.ccc_open;
+         st.outstanding = 0;
+         st.upgrade.clear();
+         st.miss_sem.restore_for_recovery(0);
+         st.drain_sem.restore_for_recovery(s.drain_sem);
+         st.recv_sem.restore_for_recovery(0);
        }});
 }
 
@@ -236,41 +245,19 @@ void Stache::send_block_msg(Node& from, HandlerClock& clk, int dst,
   from.send_from_handler(clk, std::move(m));
 }
 
-void Stache::h_read_req(Node& self, sim::Message& m, HandlerClock& clk) {
+// kReadReq, kWriteReq and kFetchExclReq: queued while the entry is busy,
+// serviced otherwise.
+void Stache::h_request(Node& self, sim::Message& m, HandlerClock& clk) {
   const BlockId b = cluster_.block_of(m.addr);
   FGDSM_DCHECK(cluster_.home_of(b) == self.id());
   DirEntry& e = dir(self, b);
   clk.charge(cluster_.costs().dir_lookup_cost);
+  const MsgType type = static_cast<MsgType>(m.type);
   if (e.busy) {
-    e.queue_push({MsgType::kReadReq, m.src});
+    e.queue_push({type, m.src});
     return;
   }
-  service(self, MsgType::kReadReq, m.src, b, clk);
-}
-
-void Stache::h_write_req(Node& self, sim::Message& m, HandlerClock& clk) {
-  const BlockId b = cluster_.block_of(m.addr);
-  FGDSM_DCHECK(cluster_.home_of(b) == self.id());
-  DirEntry& e = dir(self, b);
-  clk.charge(cluster_.costs().dir_lookup_cost);
-  if (e.busy) {
-    e.queue_push({MsgType::kWriteReq, m.src});
-    return;
-  }
-  service(self, MsgType::kWriteReq, m.src, b, clk);
-}
-
-void Stache::h_fetch_excl_req(Node& self, sim::Message& m,
-                              HandlerClock& clk) {
-  const BlockId b = cluster_.block_of(m.addr);
-  FGDSM_DCHECK(cluster_.home_of(b) == self.id());
-  DirEntry& e = dir(self, b);
-  clk.charge(cluster_.costs().dir_lookup_cost);
-  if (e.busy) {
-    e.queue_push({MsgType::kFetchExclReq, m.src});
-    return;
-  }
-  service(self, MsgType::kFetchExclReq, m.src, b, clk);
+  service(self, type, m.src, b, clk);
 }
 
 void Stache::service(Node& home, MsgType type, int requester, BlockId b,

@@ -208,28 +208,22 @@ class Stache : public tempest::Protocol {
   // One node's protocol state at a checkpoint (the host-state hook
   // registered in the constructor), taken at a quiescent point: the
   // directory entries homed at the node (all idle — no busy entries or
-  // queued requests), its compiler-contracted opens, and its drained
-  // transaction bookkeeping.
+  // queued requests), its compiler-contracted opens, and the drain
+  // semaphore's count. The rest of NodeState is drained there.
   struct NodeSnapshot {
     Directory dir;
     std::unordered_set<BlockId> ccc_open;
-    std::vector<PendingUpgrade> upgrade;
-    int outstanding = 0;
-    std::int64_t miss_sem = 0;
     std::int64_t drain_sem = 0;
-    std::int64_t recv_sem = 0;
   };
 
   // Handler bodies (run at the node owning the directory / the copy).
-  void h_read_req(Node& self, sim::Message& m, HandlerClock& clk);
+  void h_request(Node& self, sim::Message& m, HandlerClock& clk);
   void h_put_data_req(Node& self, sim::Message& m, HandlerClock& clk);
   void h_put_data_resp(Node& self, sim::Message& m, HandlerClock& clk);
   void h_read_resp(Node& self, sim::Message& m, HandlerClock& clk);
-  void h_write_req(Node& self, sim::Message& m, HandlerClock& clk);
   void h_inval(Node& self, sim::Message& m, HandlerClock& clk);
   void h_inval_ack(Node& self, sim::Message& m, HandlerClock& clk);
   void h_write_grant(Node& self, sim::Message& m, HandlerClock& clk);
-  void h_fetch_excl_req(Node& self, sim::Message& m, HandlerClock& clk);
   void h_fetch_excl_resp(Node& self, sim::Message& m, HandlerClock& clk);
   void h_ccc_data(Node& self, sim::Message& m, HandlerClock& clk);
 

@@ -75,9 +75,6 @@ struct CostModel {
   Time bytes_time(std::int64_t bytes) const {
     return static_cast<Time>(static_cast<double>(bytes) * ns_per_byte);
   }
-  Time wire_time(std::int64_t payload_bytes) const {
-    return wire_latency + bytes_time(payload_bytes + msg_header_bytes);
-  }
   Time copy_time(std::int64_t bytes) const {
     return static_cast<Time>(static_cast<double>(bytes) *
                              block_copy_ns_per_byte);

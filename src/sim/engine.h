@@ -90,8 +90,8 @@
 // to workers, and all cross-partition effects flow through the outboxes,
 // handed over by the window handshake, which is also the only cross-thread
 // happens-before edge the simulation needs. The thread-affine pieces are
-// per host thread (the drain context below, InlineFn's diagnostic boxed
-// counter, and the portable fallback's fiber-entry slot in task.cc).
+// per host thread (the drain context below and the portable fallback's
+// fiber-entry slot in task.cc).
 // Host-level sizing (how many workers actually spawn) comes from the
 // process-wide sim::HostBudget so batch-level and sim-level parallelism
 // share one core budget; the grant affects wall time only, never results.
@@ -200,10 +200,6 @@ class Engine {
   void schedule(Time t, F&& fn) {
     schedule_impl(current_partition_index(), t, /*is_resume=*/false,
                   InlineFn(std::forward<F>(fn)));
-  }
-  template <typename F>
-  void schedule_after(Time dt, F&& fn) {
-    schedule(now() + dt, std::forward<F>(fn));
   }
 
   // Schedule into the partition owning `node` — the network's delivery

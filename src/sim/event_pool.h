@@ -8,12 +8,13 @@
 //
 //   BasicInlineFn<Sig>
 //               a move-only callable with a 128-byte inline buffer, sized so
-//               a whole sim::Message rides inside the event record. Oversized
-//               callables still work (heap-boxed) but are counted, so tests
-//               can assert the hot path never boxes. Parameterized on the
-//               call signature: the engine stores InlineFn (= void()), and
-//               sim::Task stores its body as TaskFn (= void(Task&)) so task
-//               construction doesn't pay std::function's allocation either.
+//               a whole sim::Message rides inside the event record. A
+//               callable that does not fit, or may throw on move, does not
+//               convert: it is a compile error, never a heap box.
+//               Parameterized on the call signature: the engine stores
+//               InlineFn (= void()), and sim::Task stores its body as TaskFn
+//               (= void(Task&)) so task construction doesn't pay
+//               std::function's allocation either.
 //   EventQueue  a slab of event records recycled through a free list, with a
 //               binary min-heap of record indices keyed on (time, seq). The
 //               key is a total order (seq is unique), so pop order is
@@ -21,10 +22,7 @@
 //               and pops allocate nothing; slab growth is counted
 //               (slab_grows) for the zero-allocation regression tests.
 //
-// Reentrancy: all state is per-instance; the only static is BasicInlineFn's
-// thread_local boxed-callable counter (diagnostic only), which is per host
-// thread and so composes with the partitioned engine's worker crew (each
-// worker counts its own boxing; see engine.h).
+// Reentrancy: all state is per-instance.
 #pragma once
 
 #include <cstddef>
@@ -51,23 +49,13 @@ class BasicInlineFn<R(Args...)> {
 
   BasicInlineFn() = default;
 
-  template <typename F,
-            typename = std::enable_if_t<
-                !std::is_same_v<std::remove_cvref_t<F>, BasicInlineFn>>>
+  template <typename F, typename D = std::remove_cvref_t<F>>
+    requires(!std::is_same_v<D, BasicInlineFn> && sizeof(D) <= kCapacity &&
+             alignof(D) <= alignof(std::max_align_t) &&
+             std::is_nothrow_move_constructible_v<D>)
   BasicInlineFn(F&& f) {  // NOLINT(google-explicit-constructor)
-    using D = std::remove_cvref_t<F>;
-    if constexpr (sizeof(D) <= kCapacity &&
-                  alignof(D) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<D>) {
-      ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
-      ops_ = inline_ops<D>();
-    } else {
-      // Fallback for oversized / throwing-move callables: box on the heap.
-      // Counted so perf tests can assert the hot path stays inline.
-      ::new (static_cast<void*>(buf_)) D*(new D(std::forward<F>(f)));
-      ops_ = boxed_ops<D>();
-      ++boxed_count;
-    }
+    ::new (static_cast<void*>(buf_)) D(std::forward<F>(f));
+    ops_ = inline_ops<D>();
   }
 
   BasicInlineFn(BasicInlineFn&& o) noexcept : ops_(o.ops_) {
@@ -100,10 +88,6 @@ class BasicInlineFn<R(Args...)> {
     }
   }
 
-  // Callables that did not fit inline on this thread (diagnostic; the
-  // engine hot path is expected to keep this flat).
-  inline static thread_local std::uint64_t boxed_count = 0;
-
  private:
   struct Ops {
     R (*invoke)(void*, Args&&...);
@@ -127,21 +111,6 @@ class BasicInlineFn<R(Args...)> {
     };
     return &ops;
   }
-  template <typename D>
-  static const Ops* boxed_ops() {
-    static constexpr Ops ops = {
-        [](void* p, Args&&... args) -> R {
-          return (**std::launder(reinterpret_cast<D**>(p)))(
-              std::forward<Args>(args)...);
-        },
-        [](void* from, void* to) noexcept {
-          ::new (to) D*(*std::launder(reinterpret_cast<D**>(from)));
-        },
-        [](void* p) noexcept { delete *std::launder(reinterpret_cast<D**>(p)); },
-    };
-    return &ops;
-  }
-
   alignas(std::max_align_t) std::byte buf_[kCapacity];
   const Ops* ops_ = nullptr;
 };
@@ -198,7 +167,6 @@ class EventQueue {
   // Times the record slab's backing store grew (an allocation); flat in
   // steady state once the high-water mark is reached.
   std::uint64_t slab_grows() const { return slab_grows_; }
-  std::size_t slab_capacity() const { return slab_.capacity(); }
 
  private:
   struct Rec {

@@ -2,10 +2,11 @@
 //
 // A payload is written once, by the producer that acquired it, and only
 // read after that. Copying a Payload shares its buffer, so a broadcast, the
-// reliable channel's retained copy, a retransmission, a fault-injected
-// duplicate and a checkpointed stash all point at one buffer. The host
-// copies go; the simulated ones stay: every message still charges its own
-// wire bytes (Message::size_bytes) and copy time.
+// reliable channel's retained copy, a retransmission and a fault-injected
+// duplicate all point at one buffer. The host copies go; the simulated ones
+// stay: every message still charges its own wire bytes
+// (Message::size_bytes) and copy time. No checkpoint holds a handle: the
+// barrier a checkpoint is taken at has consumed every message.
 //
 // Buffers come from a BufferPool and go back to it when the last handle
 // drops. A cluster keeps one pool per event partition (PayloadPools), and
@@ -18,8 +19,8 @@
 // drop a handle. Its drops are deferred, and the coordinator applies them
 // at the window barrier (PayloadPools::settle) in partition order, so which
 // buffer a producer reuses, and so the allocation count, is the same at any
-// --sim-threads. Outside a drain (the barrier, checkpoint capture and
-// restore, setup, teardown) handles may be copied and dropped freely.
+// --sim-threads. Outside a drain (the barrier, checkpoint restore, setup,
+// teardown) handles may be copied and dropped freely.
 #pragma once
 
 #include <atomic>

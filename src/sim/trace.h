@@ -56,8 +56,6 @@ class Tracer {
   void flow_end(std::uint64_t id, int tid, const char* cat, const char* name,
                 Time t0, Time t1);
 
-  std::size_t num_events() const { return events_.size(); }
-
   // Chrome trace_event JSON ("traceEvents" array form).
   void write(std::ostream& os) const;
   // Returns false (and logs to stderr) if the file cannot be opened.

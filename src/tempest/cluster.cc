@@ -116,9 +116,8 @@ Cluster::Cluster(ClusterConfig cfg)
 Cluster::~Cluster() = default;
 
 GAddr Cluster::allocate(const std::string& name, std::size_t bytes) {
-  FGDSM_ASSERT_MSG(!ran_, "allocate after run");
+  FGDSM_ASSERT_MSG(!ran_, "allocate after run (" << name << ")");
   const GAddr addr = round_up(segment_bytes_, cfg_.page_size);
-  regions_.emplace_back(name, addr);
   segment_bytes_ = addr + round_up(bytes, cfg_.page_size);
   return addr;
 }
@@ -484,7 +483,6 @@ void Cluster::capture_checkpoint(sim::Time t, bool at_barrier) {
   }
   ckpt_.t = t;
   ckpt_.nodes.resize(static_cast<std::size_t>(cfg_.nnodes));
-  for (const HostStateHook& h : host_hooks_) h.capture();
   const std::size_t blocks_per_page = cfg_.page_size / bs;
   for (int i = 0; i < cfg_.nnodes; ++i) {
     Node& n = *nodes_[static_cast<std::size_t>(i)];
@@ -530,9 +528,13 @@ void Cluster::capture_checkpoint(sim::Time t, bool at_barrier) {
                          << i << " waits on "
                          << (why != nullptr ? why : "nothing"));
     c.barrier_t0 = n.barrier_t0;
-    c.barrier_sem = n.barrier_sem.count();
-    c.reduce_sem = n.reduce_sem.count();
-    c.reduce_result = n.reduce_result;
+    FGDSM_ASSERT_MSG(n.barrier_sem.count() == 0 && n.reduce_sem.count() == 0,
+                     "checkpoint with undrained collectives at node "
+                         << i << ": barrier semaphore count "
+                         << n.barrier_sem.count()
+                         << ", allreduce semaphore count "
+                         << n.reduce_sem.count());
+    for (const HostStateHook& h : host_hooks_) h.capture(i);
     // Charged: the node's captured blocks and tags.
     c.bytes = static_cast<std::int64_t>(c.data.size() +
                                         c.tags.size() * sizeof(Access));
@@ -587,9 +589,9 @@ bool Cluster::recover() {
       in += len;
     }
     n.barrier_t0 = c.barrier_t0;
-    n.barrier_sem.restore_for_recovery(c.barrier_sem);
-    n.reduce_sem.restore_for_recovery(c.reduce_sem);
-    n.reduce_result = c.reduce_result;
+    n.barrier_sem.restore_for_recovery(0);
+    n.reduce_sem.restore_for_recovery(0);
+    for (const HostStateHook& h : host_hooks_) h.restore(i);
     n.set_pending_checkpoint(-1);
     n.task()->restart(t_rec);
     // Stats deliberately NOT rolled back: re-executed work is real simulated
@@ -605,7 +607,6 @@ bool Cluster::recover() {
     x.op = -1;
   }
   ckpt_request_ = false;  // any capture requested on the dead timeline
-  for (const HostStateHook& h : host_hooks_) h.restore();
   if (sim::Tracer* tr = cfg_.tracer)
     tr->span(sim::Tracer::compute_track(dead), "recovery", "rollback",
              ckpt_.t, t_rec);

@@ -74,14 +74,18 @@ class Cluster {
   // ---- Host-state checkpoint hooks ----
   // Every layer above the cluster keeps per-node state outside node memory:
   // the protocol's directory and semaphores, the executor's interpreter
-  // state, the epoch inboxes' stashes. Each registers one capture/restore
-  // pair over a snapshot it owns: capture copies the live state into it at
-  // every checkpoint, restore copies it back during rollback. Both run at
-  // the window barrier, where every task is parked and payload handles may
-  // be copied. Register before run().
+  // state, the epoch inboxes' epochs. Each registers one capture/restore
+  // pair over one node's share of a snapshot it owns. Capture and restore
+  // each make one pass over the nodes, calling every hook for a node right
+  // after the cluster's own part of it, so a hook touches only that node's
+  // state. Checkpoints are taken where every node is parked in a barrier
+  // (or at t=0), which has drained every transaction and every message: a
+  // hook stores only what that leaves live, asserts that the rest is
+  // drained, naming the node and the field, and restore sets the rest to
+  // its drained value. Register before run().
   struct HostStateHook {
-    std::function<void()> capture;
-    std::function<void()> restore;
+    std::function<void(int node)> capture;
+    std::function<void(int node)> restore;
   };
   void register_host_state_hook(HostStateHook h) {
     // An executor run registers up to three (the protocol or the MP inbox,
@@ -111,7 +115,6 @@ class Cluster {
                                : net_.send(earliest, std::move(m));
   }
   sim::ReliableChannel* channel() { return channel_.get(); }
-  sim::FaultInjector* fault_injector() { return fault_.get(); }
   sim::Tracer* tracer() const { return cfg_.tracer; }
   const ClusterConfig& config() const { return cfg_; }
   const sim::CostModel& costs() const { return cfg_.costs; }
@@ -189,7 +192,9 @@ class Cluster {
   // blocks the node can legitimately read (tag != kInvalid) or homes —
   // everything else re-faults through the protocol after rollback, exactly
   // as the paper's fine-grain access control intends. Every capture reuses
-  // the previous one's vectors.
+  // the previous one's vectors. The collectives' semaphores are drained at
+  // a checkpoint (asserted at capture, zeroed at restore), and
+  // reduce_result is written before every read of it.
   struct BlockRun {
     BlockId first = 0;
     BlockId end = 0;  // one past the last block
@@ -199,9 +204,6 @@ class Cluster {
     std::vector<std::byte> data;   // the runs' bytes, concatenated
     std::vector<Access> tags;      // full tag array
     sim::Time barrier_t0 = 0;      // Node::barrier_t0
-    std::int64_t barrier_sem = 0;
-    std::int64_t reduce_sem = 0;
-    double reduce_result = 0.0;
     std::int64_t bytes = 0;  // serialized size charged to the model
   };
   struct Checkpoint {
@@ -250,7 +252,6 @@ class Cluster {
   int root_ = 0;
   std::array<Handler, static_cast<std::size_t>(MsgType::kCount)> handlers_;
   std::size_t segment_bytes_ = 0;
-  std::vector<std::pair<std::string, GAddr>> regions_;
   bool ran_ = false;
   // Compute tasks live for the whole run (member, not run()-local, so the
   // recovery hook can restart them mid-run).

@@ -13,30 +13,35 @@ EpochInbox::EpochInbox(Cluster& cluster, const char* name, std::size_t slots,
       slots_(slots),
       deliver_(std::move(deliver)),
       nodes_(static_cast<std::size_t>(cluster.nnodes())),
-      kept_(static_cast<std::size_t>(cluster.nnodes()) * slots) {
+      kept_(static_cast<std::size_t>(cluster.nnodes()) * slots),
+      epoch_snap_(nodes_.size()) {
   for (NodeInbox& in : nodes_) in.sem.set_name(name);
-  // Crash recovery: all of the above is host state the cluster checkpoint
-  // cannot see. Copying the stashes and kept handles shares their payloads
-  // (capture and restore run at the window barrier). A rolled-back waiter
-  // resumes inside its wait loop and re-evaluates against the restored
-  // count.
+  // Crash recovery: the epoch is host state the cluster checkpoint cannot
+  // see. A checkpoint's barrier leaves the rest empty: every message of the
+  // current epoch has been consumed, and no node is in a later epoch to
+  // send one. Capture checks that, and restore empties it.
   cluster_.register_host_state_hook(
-      {[this] {
-         snap_.resize(nodes_.size());
-         for (std::size_t i = 0; i < nodes_.size(); ++i) {
-           snap_[i].epoch = nodes_[i].epoch;
-           snap_[i].stash = nodes_[i].stash;
-           snap_[i].sem = nodes_[i].sem.count();
-         }
-         kept_snap_ = kept_;
+      {[this](int node) {
+         const NodeInbox& in = at(node);
+         std::size_t kept_held = 0;
+         for (const sim::Payload& p : kept(node))
+           kept_held += p.data() != nullptr ? 1 : 0;
+         FGDSM_ASSERT_MSG(in.stash.empty() && kept_held == 0 &&
+                              in.sem.count() == 0,
+                          "checkpoint at an undrained "
+                              << name_ << " inbox (node " << node
+                              << "): " << in.stash.size()
+                              << " stashed messages, " << kept_held
+                              << " kept payloads, semaphore count "
+                              << in.sem.count());
+         epoch_snap_[static_cast<std::size_t>(node)] = in.epoch;
        },
-       [this] {
-         for (std::size_t i = 0; i < nodes_.size(); ++i) {
-           nodes_[i].epoch = snap_[i].epoch;
-           nodes_[i].stash = snap_[i].stash;
-           nodes_[i].sem.restore_for_recovery(snap_[i].sem);
-         }
-         kept_ = kept_snap_;
+       [this](int node) {
+         NodeInbox& in = at(node);
+         in.epoch = epoch_snap_[static_cast<std::size_t>(node)];
+         in.stash.clear();
+         for (sim::Payload& p : kept(node)) p.reset();
+         in.sem.restore_for_recovery(0);
        }});
 }
 

@@ -13,8 +13,10 @@
 // Deliver callback, which returns the units to post; a later one is
 // stashed until advance() moves the epoch and replays it. Per-link FIFO
 // delivery (restored by the reliable channel under chaos) keeps epochs
-// monotone per link, so an older epoch's message is an error. The inbox's
-// host-state hook checkpoints all of it into a snapshot the inbox owns.
+// monotone per link, so an older epoch's message is an error. A checkpoint
+// (always at a barrier, which no epoch's traffic crosses) keeps only each
+// node's epoch; the inbox's host-state hook asserts that the stash, the
+// kept slots and the semaphore are empty there, and restore empties them.
 #pragma once
 
 #include <cstddef>
@@ -73,11 +75,6 @@ class EpochInbox {
     std::vector<sim::Message> stash;  // later epochs, arrival order
     sim::Semaphore sem;
   };
-  struct NodeSnap {
-    std::int64_t epoch = 0;
-    std::vector<sim::Message> stash;
-    std::int64_t sem = 0;
-  };
   NodeInbox& at(int node) { return nodes_[static_cast<std::size_t>(node)]; }
 
   Cluster& cluster_;
@@ -86,9 +83,7 @@ class EpochInbox {
   Deliver deliver_;
   std::vector<NodeInbox> nodes_;
   std::vector<sim::Payload> kept_;  // slots_ per node, node-major
-  // The last checkpoint's copy, sized at the first capture.
-  std::vector<NodeSnap> snap_;
-  std::vector<sim::Payload> kept_snap_;
+  std::vector<std::int64_t> epoch_snap_;  // each node's at the checkpoint
 };
 
 }  // namespace fgdsm::tempest

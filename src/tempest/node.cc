@@ -106,7 +106,7 @@ std::size_t Node::resident_mem_bytes() const {
   return resident;
 }
 
-// Both ensure_* routines loop until one *yield-free* pass over the footprint
+// Both range checks loop until one *yield-free* pass over the footprint
 // observes every tag in the required state. Fault handling can yield to the
 // engine (miss stalls, pipelined sends), and a concurrent invalidation may
 // revoke an earlier block while a later one is being fetched — or even
@@ -115,66 +115,49 @@ std::size_t Node::resident_mem_bytes() const {
 // yields, so after the final clean pass the whole check/store/mark sequence
 // is atomic with respect to message handlers.
 void Node::ensure_readable(sim::Task& task, GAddr addr, std::size_t len) {
+  ensure_range(task, addr, len, /*write=*/false);
+}
+
+void Node::ensure_writable(sim::Task& task, GAddr addr, std::size_t len) {
+  ensure_range(task, addr, len, /*write=*/true);
+}
+
+void Node::ensure_range(sim::Task& task, GAddr addr, std::size_t len,
+                        bool write) {
   if (len == 0) return;
   const BlockId first = cluster_.block_of(addr);
   const BlockId last = cluster_.block_of(addr + len - 1);
   for (;;) {
     task.sync();  // observe every message handler due by now
-    BlockId faulting = 0;
-    bool clean = true;
-    for (BlockId b = first; b <= last; ++b) {
-      if (tags_[b] == Access::kInvalid) {
-        faulting = b;
-        clean = false;
-        break;
-      }
-    }
-    if (clean) return;
-    FGDSM_ASSERT_MSG(protocol != nullptr,
-                     "read fault with no protocol installed (node "
-                         << id_ << ", block " << faulting << ")");
-    ++stats.read_misses;
-    FGDSM_LOG("fault", "rd node=" << id_ << " blk=" << faulting << " t="
-                                  << task.now());
-    const sim::Time t0 = task.now();
-    protocol->on_read_fault(*this, task, faulting);
-    stats.miss_ns += task.now() - t0;
-    if (auto* tr = cluster_.tracer())
-      tr->span(sim::Tracer::compute_track(id_), "miss", "rd miss", t0,
-               task.now());
+    BlockId b = first;
+    while (b <= last && (write ? tags_[b] == Access::kReadWrite
+                               : tags_[b] != Access::kInvalid))
+      ++b;
+    if (b > last) return;
+    fault(task, b, write);
   }
 }
 
-void Node::ensure_writable(sim::Task& task, GAddr addr, std::size_t len) {
-  if (len == 0) return;
-  const BlockId first = cluster_.block_of(addr);
-  const BlockId last = cluster_.block_of(addr + len - 1);
-  for (;;) {
-    task.sync();
-    BlockId faulting = 0;
-    bool clean = true;
-    for (BlockId b = first; b <= last; ++b) {
-      if (tags_[b] != Access::kReadWrite) {
-        faulting = b;
-        clean = false;
-        break;
-      }
-    }
-    if (clean) return;
-    FGDSM_ASSERT_MSG(protocol != nullptr,
-                     "write fault with no protocol installed (node "
-                         << id_ << ", block " << faulting << ")");
+void Node::fault(sim::Task& task, BlockId b, bool write) {
+  FGDSM_ASSERT_MSG(protocol != nullptr,
+                   (write ? "write" : "read")
+                       << " fault with no protocol installed (node " << id_
+                       << ", block " << b << ")");
+  FGDSM_LOG("fault", (write ? "wr" : "rd")
+                         << " node=" << id_ << " blk=" << b << " tag="
+                         << static_cast<int>(tags_[b]) << " t=" << task.now());
+  const sim::Time t0 = task.now();
+  if (write) {
     ++stats.write_misses;
-    FGDSM_LOG("fault", "wr node=" << id_ << " blk=" << faulting << " tag="
-                                  << static_cast<int>(tags_[faulting])
-                                  << " t=" << task.now());
-    const sim::Time t0 = task.now();
-    protocol->on_write_fault(*this, task, faulting);
-    stats.miss_ns += task.now() - t0;
-    if (auto* tr = cluster_.tracer())
-      tr->span(sim::Tracer::compute_track(id_), "miss", "wr miss", t0,
-               task.now());
+    protocol->on_write_fault(*this, task, b);
+  } else {
+    ++stats.read_misses;
+    protocol->on_read_fault(*this, task, b);
   }
+  stats.miss_ns += task.now() - t0;
+  if (auto* tr = cluster_.tracer())
+    tr->span(sim::Tracer::compute_track(id_), "miss",
+             write ? "wr miss" : "rd miss", t0, task.now());
 }
 
 void Node::ensure_chunk(sim::Task& task, const std::vector<Extent>& reads,
@@ -213,53 +196,28 @@ void Node::ensure_chunk(sim::Task& task, const std::vector<Extent>& reads,
     // a full rescan (the fault handling may yield, and other blocks can be
     // revoked meanwhile).
     BlockId faulting = 0;
-    int kind = 0;  // 0 = clean, 1 = read fault, 2 = write fault
-    for (const Extent& e : writes) {
-      if (e.len == 0) continue;
-      const BlockId first = cluster_.block_of(e.addr);
-      const BlockId last = cluster_.block_of(e.addr + e.len - 1);
-      for (BlockId b = first; b <= last && kind == 0; ++b)
-        if (tags_[b] != Access::kReadWrite) {
-          faulting = b;
-          kind = 2;
-        }
-      if (kind != 0) break;
-    }
-    if (kind == 0) {
-      for (const Extent& e : reads) {
+    const auto find = [&](const std::vector<Extent>& extents, auto bad) {
+      for (const Extent& e : extents) {
         if (e.len == 0) continue;
-        const BlockId first = cluster_.block_of(e.addr);
         const BlockId last = cluster_.block_of(e.addr + e.len - 1);
-        for (BlockId b = first; b <= last && kind == 0; ++b)
-          if (tags_[b] == Access::kInvalid &&
-              !std::binary_search(fetched_.begin(), fetched_.end(), b)) {
+        for (BlockId b = cluster_.block_of(e.addr); b <= last; ++b)
+          if (bad(b)) {
             faulting = b;
-            kind = 1;
+            return true;
           }
-        if (kind != 0) break;
       }
-    }
-    if (kind == 0) return;
-    FGDSM_ASSERT_MSG(protocol != nullptr, "fault with no protocol installed");
+      return false;
+    };
+    const bool write = find(
+        writes, [this](BlockId b) { return tags_[b] != Access::kReadWrite; });
+    if (!write && !find(reads, [this](BlockId b) {
+          return tags_[b] == Access::kInvalid &&
+                 !std::binary_search(fetched_.begin(), fetched_.end(), b);
+        }))
+      return;
     if (!insert_sorted(faulted_, faulting)) ++contention;
-    FGDSM_LOG("fault", (kind == 2 ? "wr" : "rd")
-                           << " node=" << id_ << " blk=" << faulting
-                           << " tag=" << static_cast<int>(tags_[faulting])
-                           << " contention=" << contention
-                           << " t=" << task.now());
-    const sim::Time t0 = task.now();
-    if (kind == 2) {
-      ++stats.write_misses;
-      protocol->on_write_fault(*this, task, faulting);
-    } else {
-      ++stats.read_misses;
-      protocol->on_read_fault(*this, task, faulting);
-      insert_sorted(fetched_, faulting);
-    }
-    stats.miss_ns += task.now() - t0;
-    if (auto* tr = cluster_.tracer())
-      tr->span(sim::Tracer::compute_track(id_), "miss",
-               kind == 2 ? "wr miss" : "rd miss", t0, task.now());
+    fault(task, faulting, write);
+    if (!write) insert_sorted(fetched_, faulting);
   }
 }
 

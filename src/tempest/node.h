@@ -102,7 +102,8 @@ class Node {
   util::NodeStats stats;
 
   // The cluster's collectives post these; this node's compute task waits
-  // on them. Layers above keep their own semaphores and checkpoint them.
+  // on them. A checkpoint finds both drained. Each post to reduce_sem
+  // follows a write of reduce_result.
   sim::Semaphore barrier_sem;
   sim::Semaphore reduce_sem;
   double reduce_result = 0.0;
@@ -132,7 +133,6 @@ class Node {
     pending_ckpt_bytes_ = bytes;
   }
   // Raw state access for checkpoint capture/restore.
-  std::size_t mem_bytes() const { return mem_bytes_; }
   std::size_t ntags() const { return ntags_; }
   Access* tags_data() { return tags_.get(); }
   const Access* tags_data() const { return tags_.get(); }
@@ -178,6 +178,12 @@ class Node {
   };
   void schedule_next_handler(sim::Time earliest);
   void execute_one_handler();
+  // The loop behind ensure_readable (write = false: no block Invalid) and
+  // ensure_writable (write = true: every block ReadWrite).
+  void ensure_range(sim::Task& task, GAddr addr, std::size_t len, bool write);
+  // One access fault on block b: the protocol call, counted as a read or
+  // write miss, its stall charged to miss_ns and traced.
+  void fault(sim::Task& task, BlockId b, bool write);
 
   // Zero-filled buffer mapped straight from the kernel (private, anonymous,
   // no swap reservation), so physical memory is committed only where the

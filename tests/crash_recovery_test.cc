@@ -11,6 +11,9 @@
 //     time but cannot change any answer;
 //   - a crash with checkpointing disabled is an unrecoverable, structured
 //     failure: exit 87 naming the dead node, never a hang;
+//   - a checkpoint keeps only what its barrier leaves live, so a capture
+//     that finds an epoch inbox holding messages aborts, naming the inbox,
+//     the node and what it held;
 //   - the ReliableChannel detection edge (retry exhaustion, capped RTO
 //     backoff) surfaces a structured dead-link diagnostic with the link
 //     named and the unacked count — and the backoff cap bounds detection
@@ -18,7 +21,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <cstdio>
 #include <fstream>
@@ -500,74 +502,6 @@ TEST(CrashRecovery, RollbackResumesAtEveryBarrierSite) {
                                             "loop end", "final"}));
 }
 
-// The inbox's checkpoint hook: a rollback to a checkpoint taken while one
-// message sat in a node's kept slot and another in its stash must bring
-// both back. Node 1 reads both after the checkpointed barrier, then
-// crashes; the replayed timeline must read them again.
-TEST(CrashRecovery, EpochInboxRestoresKeptPayloadsAndTheStash) {
-  tempest::ClusterConfig cfg;
-  cfg.nnodes = 2;
-  cfg.checkpoint_every = 1;
-  std::string err;
-  cfg.faults = sim::FaultConfig::parse("crash=1@600000", &err);
-  ASSERT_TRUE(err.empty()) << err;
-  tempest::Cluster c(cfg);
-  c.allocate("pad", 64);
-  tempest::EpochInbox inbox(
-      c, "probe", /*slots=*/1,
-      [](tempest::Node&, sim::Message& m, std::span<sim::Payload> kept) {
-        kept[0] = std::move(m.payload);
-        return std::int64_t{1};
-      });
-  c.register_handler(
-      tempest::MsgType::kMpData,
-      [&](tempest::Node& n, sim::Message& m, tempest::HandlerClock& clk) {
-        inbox.accept(n, m, clk.t);
-      });
-  std::vector<int> read;  // node 1's reads, both timelines
-  // The program is resumable: each node records that it reached the
-  // barrier, and after a rollback to the barrier's checkpoint it finishes
-  // the barrier instead of running the part before it again.
-  std::array<bool, 2> parked{}, parked_ckpt{};
-  c.register_host_state_hook({[&] { parked_ckpt = parked; },
-                              [&] { parked = parked_ckpt; }});
-  const util::RunStats rs = c.run([&](tempest::Node& n, sim::Task& t) {
-    bool& at_barrier = parked[static_cast<std::size_t>(n.id())];
-    if (at_barrier) {
-      n.finish_barrier(t);
-    } else {
-      if (n.id() == 0) {
-        // Byte 10 for epoch 0 and byte 11 for epoch 1, before the barrier.
-        for (std::int64_t epoch : {0, 1}) {
-          sim::Message m;
-          m.dst = 1;
-          m.type = static_cast<std::uint16_t>(tempest::MsgType::kMpData);
-          m.arg[1] = epoch;
-          m.payload = c.payload_pool().acquire(1);
-          m.payload.mutable_data()[0] = static_cast<std::byte>(10 + epoch);
-          n.send(t, std::move(m));
-        }
-      } else {
-        t.charge(100 * sim::kUs);  // both messages are in before the barrier
-      }
-      at_barrier = true;
-      n.barrier(t);  // the checkpoint
-    }
-    if (n.id() == 0) return;
-    for (int epoch = 0; epoch < 2; ++epoch) {
-      if (epoch > 0) inbox.advance(n, t);
-      inbox.wait(n, t, 1);
-      sim::Payload& p = inbox.kept(1)[0];
-      read.push_back(p.size() == 1 ? static_cast<int>(p.data()[0]) : -1);
-      p.reset();
-    }
-    t.charge(sim::kMs);  // the crash lands here
-  });
-  EXPECT_EQ(rs.totals().crashes, 1u);
-  EXPECT_EQ(rs.totals().recoveries, 2u);  // both nodes roll back
-  EXPECT_EQ(read, (std::vector<int>{10, 11, 10, 11}));
-}
-
 // ---------------------------------------------------------------------------
 // Checkpoint accounting.
 
@@ -641,6 +575,52 @@ TEST(CrashRecoveryDeathTest, CrashWithoutCheckpointsExits87NamingTheNode) {
       },
       ::testing::ExitedWithCode(sim::kCrashExitCode),
       "node 1 crashed with no checkpoint");
+}
+
+// A checkpoint keeps only each epoch inbox's epoch: the barrier it is taken
+// at must have drained the rest. Here it has not. Node 0 sends node 1 one
+// message for epoch 0 and one for epoch 1, and node 1 enters the
+// checkpointed barrier after both arrived without reading either: the first
+// sits in its kept slot with one semaphore unit, the second in its stash.
+// The capture aborts, as a harness run does on a failed assertion, naming
+// the inbox, the node and all three.
+TEST(CrashRecoveryDeathTest, CaptureAtAnUndrainedEpochInboxAbortsNamingIt) {
+  const auto run = []() noexcept {
+    tempest::ClusterConfig cfg;
+    cfg.nnodes = 2;
+    cfg.checkpoint_every = 1;
+    tempest::Cluster c(cfg);
+    c.allocate("pad", 64);
+    tempest::EpochInbox inbox(
+        c, "probe", /*slots=*/1,
+        [](tempest::Node&, sim::Message& m, std::span<sim::Payload> kept) {
+          kept[0] = std::move(m.payload);
+          return std::int64_t{1};
+        });
+    c.register_handler(
+        tempest::MsgType::kMpData,
+        [&](tempest::Node& n, sim::Message& m, tempest::HandlerClock& clk) {
+          inbox.accept(n, m, clk.t);
+        });
+    c.run([&](tempest::Node& n, sim::Task& t) {
+      if (n.id() == 0) {
+        for (std::int64_t epoch : {0, 1}) {
+          sim::Message m;
+          m.dst = 1;
+          m.type = static_cast<std::uint16_t>(tempest::MsgType::kMpData);
+          m.arg[1] = epoch;
+          m.payload = c.payload_pool().acquire(1);
+          n.send(t, std::move(m));
+        }
+      } else {
+        t.charge(100 * sim::kUs);  // both messages are in before the barrier
+      }
+      n.barrier(t);  // the checkpoint
+    });
+  };
+  EXPECT_DEATH(run(),
+               "undrained probe inbox \\(node 1\\): 1 stashed messages, "
+               "1 kept payloads, semaphore count 1");
 }
 
 // ---------------------------------------------------------------------------

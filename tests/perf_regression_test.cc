@@ -8,12 +8,14 @@
 //     has visited its loops is tests/steady_alloc_test.cc's job.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cstdint>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -233,11 +235,17 @@ TEST(SteadyState, ChannelRetransmissionRingStopsGrowing) {
     ASSERT_EQ(h.delivered[i], i);
 }
 
+// A callable that does not fit the inline buffer, or may throw on move,
+// does not convert to InlineFn at all.
+struct ThrowingMove {
+  ThrowingMove() = default;
+  ThrowingMove(ThrowingMove&&) noexcept(false) {}
+};
+
 TEST(InlineFnTest, TypicalEventsAreNotBoxed) {
-  const std::uint64_t boxed = InlineFn::boxed_count;
   Engine e;
   // A Message-carrying lambda (the network delivery event, the largest
-  // common event) must ride inline in the event record.
+  // common event) rides inline in the event record.
   Message m;
   m.payload = Payload(128);
   int sunk = 0;
@@ -246,8 +254,12 @@ TEST(InlineFnTest, TypicalEventsAreNotBoxed) {
   });
   e.run();
   EXPECT_EQ(sunk, 128);
-  EXPECT_EQ(InlineFn::boxed_count, boxed)
-      << "delivery-sized event was heap-boxed";
+
+  const auto too_big = [bytes = std::array<char, 129>{}] { (void)bytes; };
+  static_assert(sizeof(too_big) == 129);
+  static_assert(!std::is_constructible_v<InlineFn, decltype(too_big)>);
+  const auto throws_on_move = [t = ThrowingMove{}] { (void)t; };
+  static_assert(!std::is_constructible_v<InlineFn, decltype(throws_on_move)>);
 }
 
 }  // namespace
